@@ -203,7 +203,7 @@ func (e *Engine) dvfdpPartial(ctx context.Context, spec ProblemSpec, opts FDPOpt
 	// the engine's precomputed matrices; Precompute additionally collapses
 	// the weighted sum across objectives into one condensed matrix, trading
 	// n*(n-1)/2 float64 for a single lookup per pair.
-	mt := p.startStage(ctx, StageMatrix)
+	mt := startStage(ctx, &p.stages, StageMatrix)
 	scorer := e.scorer(spec)
 	dist := vec.DistFunc(scorer.pairObjective)
 	if opts.Precompute {
@@ -218,7 +218,7 @@ func (e *Engine) dvfdpPartial(ctx context.Context, spec ProblemSpec, opts FDPOpt
 	// Gather feasible starting sets from this shard's tasks; bySize is
 	// materialized lazily because only Fold-mode largest/anchored tasks
 	// consult it.
-	gt := p.startStage(ctx, StageGreedy)
+	gt := startStage(ctx, &p.stages, StageGreedy)
 	var bySize []*groups.Group
 	type startSet struct {
 		task int
@@ -276,7 +276,7 @@ func (e *Engine) dvfdpPartial(ctx context.Context, spec ProblemSpec, opts FDPOpt
 	// low-objective corner once the support gate starts binding. A swap
 	// local search from each feasible start recovers most of the gap to
 	// Exact at a small linear cost per round; the best outcome wins.
-	lt := p.startStage(ctx, StageLocalSearch)
+	lt := startStage(ctx, &p.stages, StageLocalSearch)
 	for _, st := range starts {
 		set := st.set
 		if !opts.DisableLocalSearch {

@@ -269,13 +269,9 @@ type Stage struct {
 	Wall time.Duration `json:"wall"`
 }
 
-// addStage accumulates wall time under a stage name, merging repeats.
-func (r *Result) addStage(name string, d time.Duration) {
-	addStageTo(&r.Stages, name, d)
-}
-
-// addStageTo is the stage-folding shared by Result and shard Partials:
-// repeats merge into the first occurrence, so order reflects first entry.
+// addStageTo accumulates wall time under a stage name in a Result's or a
+// shard Partial's stage list: repeats merge into the first occurrence, so
+// order reflects first entry.
 func addStageTo(stages *[]Stage, name string, d time.Duration) {
 	for i := range *stages {
 		if (*stages)[i].Name == name {

@@ -40,15 +40,20 @@ type ExactOptions struct {
 // but exponential in k.
 //
 // Scoring is incremental over precomputed pair matrices: every pair
-// function is evaluated once per group pair at setup, and the depth-first
-// enumeration maintains running objective/constraint pair-sums and a
-// push/pop support union, so extending a candidate by one group costs O(k)
-// float lookups plus one bitmap pass — no recomputation and no allocation
-// per candidate. Decisions and the returned argmax are identical to
-// evaluating every candidate from scratch with ObjectiveScore and
-// ConstraintsSatisfied (for k up to 3, the paper's setting, scores are
-// bit-for-bit equal; beyond that the same pair values are summed in a
-// different association order).
+// function is evaluated once per group pair at setup. Interior levels of
+// the depth-first enumeration push one group at a time onto running
+// objective/constraint pair-sums (O(k) lookups per binding). The last
+// level is one scan over the leaf candidates i: each leaf's pair-sums start
+// from the prefix's and add the prefix members' entries read off their
+// contiguous pair-matrix rows, in the order a push would add them. A leaf
+// is then rejected on its constraints, then on its size-sum support bound,
+// and otherwise scored; only a leaf that would replace the incumbent pays
+// the exact support union (one bitmap pass against the prefix's lazily
+// materialized union). Nothing is recomputed or allocated per candidate.
+// Decisions and the returned argmax are identical to evaluating every
+// candidate from scratch with ObjectiveScore and ConstraintsSatisfied (for
+// k up to 3, the paper's setting, scores are bit-for-bit equal; beyond
+// that the same pair values are summed in a different association order).
 //
 // On top of the incremental scoring, the DFS applies admissible
 // branch-and-bound pruning (on by default; ExactOptions.DisablePruning
@@ -95,16 +100,18 @@ const exactCancelCheck = 4096
 // completions. It keeps the first maximum it encounters, which in the
 // enumeration order means the lexicographically smallest argmax.
 //
-// Per-candidate state lives in depth-indexed stacks preallocated to the
-// maximum set size: cumulative pair-sums per objective and per constraint,
-// cumulative group sizes, and one union bitmap per level derived from its
-// parent without cloning. The pair-sum stacks are mining.IncrementalEval's
-// scheme (cumulative values, never +delta/-delta, for bit-exact
-// backtracking — see its docs and TestIncrementalEvalBacktrackExact)
-// inlined so every binding shares one ids stack and one non-virtual push
-// loop; composing per-binding IncrementalEvals measured ~30% slower on
-// BenchmarkExactSerial. Keep the two in sync. Nothing allocates inside the
-// enumeration.
+// Prefix state lives in depth-indexed stacks preallocated to the maximum
+// set size: cumulative pair-sums per objective and per constraint,
+// cumulative group sizes, and one union bitmap per prefix level derived
+// from its parent without cloning. The pair-sum stacks are
+// mining.IncrementalEval's scheme (cumulative values, never +delta/-delta,
+// for bit-exact backtracking — see its docs and
+// TestIncrementalEvalBacktrackExact) inlined so every binding shares one
+// ids stack and one non-virtual push loop; composing per-binding
+// IncrementalEvals measured ~30% slower on BenchmarkExactSerial. Keep the
+// two in sync. Leaves are never pushed: scanLeaves extends the parent's
+// sums in the same order push would, so the leaf scores are the same
+// floats. Nothing allocates inside the enumeration.
 type exactWorker struct {
 	engine *Engine
 	spec   ProblemSpec
@@ -129,14 +136,19 @@ type exactWorker struct {
 	objSums  [][]float64 // objSums[o][d]: pair-sum of objective o over ids[:d+1]
 	conSums  [][]float64
 	sizeSums []int
-	// unions[d] is the support union of ids[:d+1], materialized lazily:
-	// only the levels up to unionDepth are valid for the current path, and
-	// levels are computed in leafFeasible strictly behind the size-sum
-	// fast reject, so candidates that fail it never pay a bitmap pass.
+	// objRows[o][p] / conRows[c][p] are the leaf scan's views of prefix
+	// member ids[p]'s matrix row, re-based so that every prefix member's
+	// score against leaf i sits at the same index i-ids[d-1]-1. The
+	// headers are refilled per scan, never allocated.
+	objRows [][][]float64
+	conRows [][][]float64
+	// unions[d] is the support union of ids[:d+1] for a prefix of a leaf,
+	// materialized lazily: only the levels up to unionDepth are valid for
+	// the current path, and levels are computed in leafSupport, which the
+	// scan reaches only for a leaf that would replace the incumbent.
 	// Backtracking lowers the watermark instead of touching the bitmaps,
-	// so sibling candidates still share every interior level.
+	// so sibling prefixes still share every common level.
 	unions     []*store.Bitmap
-	unionCnt   []int
 	unionDepth int
 
 	best      []*groups.Group
@@ -187,9 +199,12 @@ func newExactWorker(ctx context.Context, e *Engine, spec ProblemSpec, sc *matrix
 	for ci := range w.conSums {
 		w.conSums[ci] = make([]float64, kMax)
 	}
-	if spec.MinSupport > 0 {
-		w.unions = make([]*store.Bitmap, kMax)
-		w.unionCnt = make([]int, kMax)
+	w.objRows = prefixRows(len(sc.objMats), kMax)
+	w.conRows = prefixRows(len(sc.conMats), kMax)
+	if spec.MinSupport > 0 && kMax > 1 {
+		// Only prefixes carry a union buffer; a leaf's support is counted
+		// against its prefix's union without being stored.
+		w.unions = make([]*store.Bitmap, kMax-1)
 		for d := range w.unions {
 			// Buffers follow the groups' layout: compressed levels keep
 			// union cost proportional to container occupancy on sparse
@@ -200,9 +215,19 @@ func newExactWorker(ctx context.Context, e *Engine, spec ProblemSpec, sc *matrix
 	return w
 }
 
-// push extends the candidate set with group i, advancing every running
-// pair-sum by one level at O(depth) matrix lookups per binding; support
-// unions are materialized lazily in leafFeasible.
+// prefixRows preallocates one row-header slot per prefix position (a leaf
+// has at most kMax-1 prefix members) for each of bindings matrices.
+func prefixRows(bindings, kMax int) [][][]float64 {
+	rows := make([][][]float64, bindings)
+	for b := range rows {
+		rows[b] = make([][]float64, max(kMax-1, 0))
+	}
+	return rows
+}
+
+// push extends the prefix with group i, advancing every running pair-sum
+// by one level at O(depth) matrix lookups per binding; support unions are
+// materialized lazily in leafSupport.
 func (w *exactWorker) push(i int) {
 	d := w.depth
 	for oi, m := range w.objMats {
@@ -253,55 +278,111 @@ func (w *exactWorker) pop() {
 	}
 }
 
-// leafFeasible replays ConstraintsSatisfied's decision from the running
-// aggregates: size bounds, constraint means against thresholds, then the
-// support floor behind its cheap size-sum reject.
-func (w *exactWorker) leafFeasible() bool {
-	k := w.depth
-	if k < w.spec.KLo || k > w.spec.KHi {
-		return false
-	}
-	if k >= 2 {
-		pairs := float64(k * (k - 1) / 2)
-		for ci, c := range w.spec.Constraints {
-			if w.conSums[ci][k-1]/pairs < c.Threshold {
-				return false
+// scanLeaves evaluates every leaf that completes the current prefix
+// ids[:depth] with one last member i = first, first+step, ... < n. Per leaf
+// it replays ConstraintsSatisfied's constraint means, then the size-sum
+// support bound, then the objective; the exact support union runs only for
+// a leaf that would replace the incumbent (!found || score > bestScore).
+// A leaf is accepted iff it is feasible and wins, so running the union
+// last changes no decision. Each pair-sum starts from the parent's
+// cumulative sum and adds the prefix members' row entries in ids order —
+// push's order — so every score is bit-identical to pushing the leaf.
+func (w *exactWorker) scanLeaves(first, step int) {
+	d := w.depth
+	k := d + 1
+	n := len(w.engine.Groups)
+	// Re-base the prefix rows at the last prefix member: the scan only
+	// visits i > ids[d-1], and entry i-base of every view is (ids[p], i).
+	base := 0
+	if d > 0 {
+		last := w.ids[d-1]
+		base = last + 1
+		for p, x := range w.ids[:d] {
+			for oi, m := range w.objMats {
+				w.objRows[oi][p] = m.Row(x)[last-x:]
+			}
+			for ci, m := range w.conMats {
+				w.conRows[ci][p] = m.Row(x)[last-x:]
 			}
 		}
 	}
-	if w.spec.MinSupport > 0 {
-		if w.sizeSums[k-1] < w.spec.MinSupport {
-			return false
-		}
-		for d := w.unionDepth; d < k; d++ {
-			g := w.engine.Groups[w.ids[d]]
-			if d > 0 {
-				w.unionCnt[d] = w.unions[d-1].UnionCountInto(g.Tuples, w.unions[d])
-			} else {
-				w.unions[0].CopyFrom(g.Tuples)
-				w.unionCnt[0] = g.Size()
+	pairs := float64(k * (k - 1) / 2)
+	minSupport := w.spec.MinSupport
+	sizeBase := 0
+	if d > 0 {
+		sizeBase = w.sizeSums[d-1]
+	}
+leaves:
+	for i := first; i < n; i += step {
+		w.examined++
+		if w.sinceCheck++; w.sinceCheck >= exactCancelCheck {
+			w.sinceCheck = 0
+			if w.ctx.Err() != nil {
+				w.cancelled = true
+				return
 			}
 		}
-		w.unionDepth = k
-		if w.unionCnt[k-1] < w.spec.MinSupport {
-			return false
+		j := i - base
+		if k >= 2 {
+			for ci, c := range w.spec.Constraints {
+				sum := w.conSums[ci][d-1]
+				for _, row := range w.conRows[ci][:d] {
+					sum += row[j]
+				}
+				if sum/pairs < c.Threshold {
+					continue leaves
+				}
+			}
 		}
+		g := w.engine.Groups[i]
+		if minSupport > 0 && sizeBase+g.Size() < minSupport {
+			continue
+		}
+		var score float64
+		for oi, o := range w.spec.Objectives {
+			var v float64
+			if k >= 2 {
+				sum := w.objSums[oi][d-1]
+				for _, row := range w.objRows[oi][:d] {
+					sum += row[j]
+				}
+				v = sum / pairs
+			}
+			score += o.Weight * v
+		}
+		if w.found && score <= w.bestScore {
+			continue
+		}
+		if minSupport > 0 && w.leafSupport(g) < minSupport {
+			continue
+		}
+		w.bestScore = score
+		w.best = w.best[:0]
+		for _, id := range w.ids[:d] {
+			w.best = append(w.best, w.engine.Groups[id])
+		}
+		w.best = append(w.best, g)
+		w.found = true
 	}
-	return true
 }
 
-// leafObjective reads the weighted objective sum off the running pair-sums.
-func (w *exactWorker) leafObjective() float64 {
-	k := w.depth
-	var total float64
-	for oi, o := range w.spec.Objectives {
-		var v float64
-		if k >= 2 {
-			v = w.objSums[oi][k-1] / float64(k*(k-1)/2)
-		}
-		total += o.Weight * v
+// leafSupport returns the support of the current prefix plus g, first
+// materializing the prefix union levels the watermark has not reached.
+func (w *exactWorker) leafSupport(g *groups.Group) int {
+	d := w.depth
+	if d == 0 {
+		return g.Size()
 	}
-	return total
+	for l := w.unionDepth; l < d; l++ {
+		tuples := w.engine.Groups[w.ids[l]].Tuples
+		if l > 0 {
+			w.unions[l-1].UnionCountInto(tuples, w.unions[l])
+		} else {
+			w.unions[0].CopyFrom(tuples)
+		}
+	}
+	w.unionDepth = d
+	return w.unions[d-1].OrCount(g.Tuples)
 }
 
 // cannotBeat reports whether no completion of the current partial
@@ -336,35 +417,14 @@ func (w *exactWorker) cannotBeat(r int) bool {
 	return bound+slack <= w.bestScore
 }
 
-// enumerate recursively extends the worker's candidate set; stride shards
-// only the outermost level (depth == full k).
+// enumerate recursively extends the worker's candidate set by k more
+// members; stride shards only the outermost level (depth == full k). The
+// last level (k == 1) is one scanLeaves pass.
 func (w *exactWorker) enumerate(startIdx, k, stride int) {
 	if w.cancelled {
 		return
 	}
 	n := len(w.engine.Groups)
-	if k == 0 {
-		w.examined++
-		if w.sinceCheck++; w.sinceCheck >= exactCancelCheck {
-			w.sinceCheck = 0
-			if w.ctx.Err() != nil {
-				w.cancelled = true
-				return
-			}
-		}
-		if !w.leafFeasible() {
-			return
-		}
-		if score := w.leafObjective(); !w.found || score > w.bestScore {
-			w.bestScore = score
-			w.best = w.best[:0]
-			for _, id := range w.ids[:w.depth] {
-				w.best = append(w.best, w.engine.Groups[id])
-			}
-			w.found = true
-		}
-		return
-	}
 	first, step := startIdx, 1
 	if stride > 1 {
 		// Align to this worker's shard of the outermost level.
@@ -373,14 +433,19 @@ func (w *exactWorker) enumerate(startIdx, k, stride int) {
 			first++
 		}
 	}
+	if k == 1 {
+		// Leaves are evaluated unconditionally, matching the naive
+		// enumeration's bookkeeping.
+		w.scanLeaves(first, step)
+		return
+	}
 	for i := first; i <= n-k; i += step {
 		w.push(i)
 		// Branch-and-bound: if even the best conceivable completion of this
 		// prefix cannot beat the incumbent, cut the whole subtree — its
 		// binomial(n-i-1, k-1) candidates are counted as pruned, never
-		// examined. Leaves (k == 1 pushes the last member) are evaluated
-		// unconditionally, matching the naive enumeration's bookkeeping.
-		if w.prune && k > 1 && w.cannotBeat(k-1) {
+		// examined.
+		if w.prune && w.cannotBeat(k-1) {
 			w.pruned += binomial(n-i-1, k-1)
 			w.pop()
 			continue

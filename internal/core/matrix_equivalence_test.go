@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"tagdm/internal/groups"
 	"tagdm/internal/mining"
+	"tagdm/internal/signature"
+	"tagdm/internal/store"
 )
 
 // naiveExact re-implements the pre-matrix Exact baseline verbatim: full
@@ -123,6 +126,158 @@ func TestExactMatchesNaiveReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// exactModes runs spec through every way Exact can be driven — serial,
+// Parallel, DisablePruning, and as three ExactPartial shards merged by
+// MergePartials — and demands the naive enumeration's set and objective,
+// with the candidate accounting naiveExact's examined count implies.
+func exactModes(t *testing.T, e *Engine, spec ProblemSpec, label string) {
+	t.Helper()
+	ctx := context.Background()
+	wantFound, wantBest, wantScore, wantExamined := naiveExact(e, spec)
+	sharded := func(opts ExactOptions) (Result, error) {
+		const of = 3
+		parts := make([]Partial, of)
+		for shard := range parts {
+			p, err := e.ExactPartial(ctx, spec, opts, shard, of)
+			if err != nil {
+				return Result{}, err
+			}
+			parts[shard] = p
+		}
+		return e.MergePartials(spec, parts, time.Now())
+	}
+	modes := []struct {
+		name string
+		run  func() (Result, error)
+	}{
+		{"serial", func() (Result, error) { return e.Exact(ctx, spec, ExactOptions{}) }},
+		{"parallel", func() (Result, error) { return e.Exact(ctx, spec, ExactOptions{Parallel: true}) }},
+		{"no-pruning", func() (Result, error) { return e.Exact(ctx, spec, ExactOptions{DisablePruning: true}) }},
+		{"sharded-3", func() (Result, error) { return sharded(ExactOptions{}) }},
+	}
+	for _, m := range modes {
+		res, err := m.run()
+		if err != nil {
+			t.Fatalf("%s %s: %v", label, m.name, err)
+		}
+		if res.Found != wantFound || !sameGroupIDs(res.Groups, wantBest) || res.Objective != wantScore {
+			t.Fatalf("%s %s: found %v %v objective %v, naive found %v %v objective %v",
+				label, m.name, res.Found, groupIDs(res.Groups), res.Objective, wantFound, groupIDs(wantBest), wantScore)
+		}
+		if got := res.CandidatesExamined + res.CandidatesPruned; got != wantExamined {
+			t.Fatalf("%s %s: examined %d + pruned %d, naive examined %d",
+				label, m.name, res.CandidatesExamined, res.CandidatesPruned, wantExamined)
+		}
+		if m.name == "no-pruning" && res.CandidatesPruned != 0 {
+			t.Fatalf("%s %s: pruned %d with pruning disabled", label, m.name, res.CandidatesPruned)
+		}
+	}
+}
+
+// windowEngine builds an engine over buildEngine's store whose groups
+// overlap: group i covers the tuple window [10i, 10i+30). A set's support
+// is then often well below its size-sum, so the cheap size-sum bound
+// passes leaves that the exact union rejects.
+func windowEngine(t *testing.T) *Engine {
+	t.Helper()
+	s := buildEngine(t).Store
+	var gs []*groups.Group
+	for lo := 0; lo+30 <= s.Len() && len(gs) < 10; lo += 10 {
+		bm := store.NewBitmap(s.Len())
+		var members []int
+		for id := lo; id < lo+30; id++ {
+			bm.Set(id)
+			members = append(members, id)
+		}
+		gs = append(gs, &groups.Group{ID: len(gs), Tuples: bm, Members: members})
+	}
+	e, err := NewEngine(s, gs, signature.SummarizeAll(signature.NewFrequency(s), s, gs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestExactLeafScanTiesAndSupportOrder covers the two decisions the last
+// DFS level's scan takes out of the naive order — scoring a leaf before
+// its support union, and running the union only for a leaf that would
+// replace the incumbent — against the naive enumeration in every Exact
+// mode, on overlapping groups (see windowEngine).
+//
+// All-tie matrices: with every pair function constant, every candidate of
+// a size scores the same, so the first feasible set in enumeration order
+// must win; the support floors reject the first candidates through the
+// union, not the size-sum. Support-rejected optimum: with the objective
+// scoring tuple overlap, the best leaves are the most overlapping pairs,
+// and a floor one above their support still passes their size-sum, so
+// they reach the union and fail it.
+func TestExactLeafScanTiesAndSupportOrder(t *testing.T) {
+	t.Run("all-ties", func(t *testing.T) {
+		e := windowEngine(t)
+		for _, dim := range []mining.Dimension{mining.Users, mining.Items, mining.Tags} {
+			for _, meas := range []mining.Measure{mining.Similarity, mining.Diversity} {
+				e.SetPairFunc(dim, meas, func(g1, g2 *groups.Group) float64 { return 0.5 })
+			}
+		}
+		specs := AllRoles()
+		for id := 1; id <= 6; id++ {
+			spec, err := PaperProblem(id, 3, 0, 0.5, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.KLo = 1
+			specs = append(specs, spec)
+		}
+		unionRejected := false
+		for _, spec := range specs {
+			for _, floor := range []int{0, 50, 60} {
+				spec.MinSupport = floor
+				found, best, _, _ := naiveExact(e, spec)
+				// The first candidate of the winner's size is {0, 1, ...};
+				// winning past it means the union rejected it.
+				if found && len(best) >= 2 && best[1].ID != 1 {
+					unionRejected = true
+				}
+				exactModes(t, e, spec, fmt.Sprintf("%s support=%d", spec.Name, floor))
+			}
+		}
+		if !unionRejected {
+			t.Fatal("every tie winner was its size's first candidate; the floors exercise nothing")
+		}
+	})
+
+	t.Run("support-rejected-optimum", func(t *testing.T) {
+		e := windowEngine(t)
+		overlap := func(g1, g2 *groups.Group) float64 {
+			return float64(g1.Tuples.AndCount(g2.Tuples)) / 30
+		}
+		e.SetPairFunc(mining.Tags, mining.Similarity, overlap)
+		e.SetPairFunc(mining.Users, mining.Similarity, overlap)
+		obj := []Objective{{Dim: mining.Tags, Meas: mining.Similarity, Weight: 1}}
+		specs := []ProblemSpec{
+			{Name: "overlap", KLo: 1, KHi: 3, Objectives: obj},
+			{Name: "overlap-constrained", KLo: 2, KHi: 3, Objectives: obj,
+				Constraints: []Constraint{{Dim: mining.Users, Meas: mining.Similarity, Threshold: 0.3}}},
+		}
+		for _, spec := range specs {
+			found, best, _, _ := naiveExact(e, spec)
+			if !found {
+				t.Fatalf("%s: no unconstrained optimum", spec.Name)
+			}
+			sizeSum := 0
+			for _, g := range best {
+				sizeSum += g.Size()
+			}
+			spec.MinSupport = groups.Support(best) + 1
+			if spec.MinSupport > sizeSum {
+				t.Fatalf("%s: optimum %v has disjoint groups; the size-sum bound would reject it",
+					spec.Name, groupIDs(best))
+			}
+			exactModes(t, e, spec, fmt.Sprintf("%s support=%d", spec.Name, spec.MinSupport))
+		}
+	})
 }
 
 func groupIDs(gs []*groups.Group) []int {

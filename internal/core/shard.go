@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"tagdm/internal/groups"
-	"tagdm/internal/obs"
 )
 
 // partialKind tags which solver family produced a Partial.
@@ -100,23 +99,6 @@ func (p Partial) Shard() (shard, of int) { return p.shard, p.of }
 // Algorithm names the producing algorithm family variant.
 func (p Partial) Algorithm() string { return p.algorithm }
 
-// partialStageTimer mirrors stageTimer for a Partial's stage list.
-type partialStageTimer struct {
-	p     *Partial
-	name  string
-	span  *obs.Span
-	start time.Time
-}
-
-func (p *Partial) startStage(ctx context.Context, name string) partialStageTimer {
-	return partialStageTimer{p: p, name: name, span: obs.StartSpan(ctx, name), start: time.Now()}
-}
-
-func (t partialStageTimer) end() {
-	t.span.End()
-	addStageTo(&t.p.stages, t.name, time.Since(t.start))
-}
-
 func checkShard(shard, of int) error {
 	if of < 1 || shard < 0 || shard >= of {
 		return fmt.Errorf("core: shard %d of %d is out of range", shard, of)
@@ -179,13 +161,13 @@ func (e *Engine) ExactPartial(ctx context.Context, spec ProblemSpec, opts ExactO
 	}
 
 	p := Partial{kind: kindExact, algorithm: "Exact", shard: shard, of: of, bestTask: -1}
-	mt := p.startStage(ctx, StageMatrix)
+	mt := startStage(ctx, &p.stages, StageMatrix)
 	sc := e.scorer(spec)
 	mt.end()
 	p.builds, p.rebuilds, p.hits, p.lazy = sc.builds, sc.rebuilds, sc.hits, sc.lazy
 
 	prune := !opts.DisablePruning
-	et := p.startStage(ctx, StageEnumerate)
+	et := startStage(ctx, &p.stages, StageEnumerate)
 	cancelled := e.exactFan(ctx, spec, sc, prune, shard, of, opts.Parallel, &p)
 	et.end()
 	if cancelled {
@@ -284,7 +266,7 @@ func (e *Engine) MergePartials(spec ProblemSpec, parts []Partial, start time.Tim
 		res.MatrixHits += p.hits
 		res.MatrixLazy += p.lazy
 		for _, st := range p.stages {
-			res.addStage(st.Name, st.Wall)
+			addStageTo(&res.Stages, st.Name, st.Wall)
 		}
 	}
 	switch parts[0].kind {

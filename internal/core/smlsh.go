@@ -140,12 +140,12 @@ func (e *Engine) smlshPartial(ctx context.Context, spec ProblemSpec, opts LSHOpt
 	// One scorer serves every relaxation round: bucket feasibility and
 	// ranking read cached pair matrices when present, and the adaptive
 	// gate keeps the lazy pair-function path on cold one-shot solves.
-	mt := p.startStage(ctx, StageMatrix)
+	mt := startStage(ctx, &p.stages, StageMatrix)
 	scorer := e.gatedScorer(spec, e.smlshPreferLazy(opts))
 	mt.end()
 	p.builds, p.rebuilds, p.hits, p.lazy = scorer.builds, scorer.rebuilds, scorer.hits, scorer.lazy
 	foldUsers, foldItems := e.foldFlags(spec, opts.Mode)
-	ht := p.startStage(ctx, StageLSHBuild)
+	ht := startStage(ctx, &p.stages, StageLSHBuild)
 	vectors := e.cache.hashVectors(vectorsKey{foldUsers, foldItems}, func() [][]float64 {
 		return e.buildHashVectors(foldUsers, foldItems)
 	})
@@ -166,7 +166,7 @@ func (e *Engine) smlshPartial(ctx context.Context, spec ProblemSpec, opts LSHOpt
 		if err := ctx.Err(); err != nil {
 			return Partial{}, err
 		}
-		bt := p.startStage(ctx, StageLSHBuild)
+		bt := startStage(ctx, &p.stages, StageLSHBuild)
 		idx, err := e.cache.index(indexKey{foldUsers, foldItems, dprime, opts.L, opts.Seed}, func() (*lsh.Index, error) {
 			return lsh.Build(vectors, lsh.Params{DPrime: dprime, L: opts.L, Seed: opts.Seed})
 		})
@@ -174,7 +174,7 @@ func (e *Engine) smlshPartial(ctx context.Context, spec ProblemSpec, opts LSHOpt
 		if err != nil {
 			return Partial{}, err
 		}
-		st := p.startStage(ctx, StageBucketScan)
+		st := startStage(ctx, &p.stages, StageBucketScan)
 		scan := e.scanBuckets(idx, spec, opts, scorer, shard, of)
 		st.end()
 		p.roundExam = append(p.roundExam, scan.examined)

@@ -30,22 +30,23 @@ const (
 	StageLocalSearch = "local_search"
 )
 
-// stageTimer attributes one stage's wall time to a Result and, when the
+// stageTimer attributes one stage's wall time to a stage list (a
+// Partial's, folded into Result.Stages by MergePartials) and, when the
 // context carries a trace, to a child span. The zero-cost contract of
 // obs.StartSpan holds here too: untraced runs pay two time.Now calls and
 // a slice append per stage, nothing else.
 type stageTimer struct {
-	res   *Result
-	name  string
-	span  *obs.Span
-	start time.Time
+	stages *[]Stage
+	name   string
+	span   *obs.Span
+	start  time.Time
 }
 
-func startStage(ctx context.Context, res *Result, name string) stageTimer {
-	return stageTimer{res: res, name: name, span: obs.StartSpan(ctx, name), start: time.Now()}
+func startStage(ctx context.Context, stages *[]Stage, name string) stageTimer {
+	return stageTimer{stages: stages, name: name, span: obs.StartSpan(ctx, name), start: time.Now()}
 }
 
 func (t stageTimer) end() {
 	t.span.End()
-	t.res.addStage(t.name, time.Since(t.start))
+	addStageTo(t.stages, t.name, time.Since(t.start))
 }

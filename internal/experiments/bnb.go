@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,10 +49,10 @@ func (t BnBTable) Render() string {
 // BnBSweep runs every paper problem on the Exact engine with pruning
 // disabled (the full-enumeration oracle) and enabled (the default), serial
 // and parallel, and reports the timing and examined/pruned candidate
-// split. It errors if pruning changes any outcome — the sweep doubles as a
-// corpus-level self-check on the bound's admissibility — or if the bound
-// never fires anywhere (an inert cut would silently decay into pure
-// overhead).
+// split. It errors if pruning changes any outcome (Found, the group IDs,
+// Objective or Support) — the sweep doubles as a corpus-level self-check
+// on the bound's admissibility — or if the bound never fires anywhere (an
+// inert cut would silently decay into pure overhead).
 func BnBSweep(st *Setup, p Params) (BnBTable, error) {
 	exactEng, err := st.ExactEngine()
 	if err != nil {
@@ -75,10 +76,11 @@ func BnBSweep(st *Setup, p Params) (BnBTable, error) {
 				return BnBTable{}, err
 			}
 			if pruned.Found != oracle.Found || pruned.Objective != oracle.Objective ||
-				pruned.Support != oracle.Support {
+				pruned.Support != oracle.Support || !slices.Equal(resultIDs(pruned), resultIDs(oracle)) {
 				return BnBTable{}, fmt.Errorf(
-					"experiments: pruning changed %s (parallel=%v): found %v/%v objective %v/%v",
-					spec.Name, parallel, pruned.Found, oracle.Found, pruned.Objective, oracle.Objective)
+					"experiments: pruning changed %s (parallel=%v): found %v/%v objective %v/%v groups %v/%v",
+					spec.Name, parallel, pruned.Found, oracle.Found, pruned.Objective, oracle.Objective,
+					resultIDs(pruned), resultIDs(oracle))
 			}
 			if got := pruned.CandidatesExamined + pruned.CandidatesPruned; got != oracle.CandidatesExamined {
 				return BnBTable{}, fmt.Errorf(
@@ -98,4 +100,13 @@ func BnBSweep(st *Setup, p Params) (BnBTable, error) {
 		return BnBTable{}, fmt.Errorf("experiments: branch-and-bound never pruned a candidate on any paper problem")
 	}
 	return t, nil
+}
+
+// resultIDs lists a result's group IDs in result order.
+func resultIDs(r core.Result) []int {
+	ids := make([]int, len(r.Groups))
+	for i, g := range r.Groups {
+		ids[i] = g.ID
+	}
+	return ids
 }

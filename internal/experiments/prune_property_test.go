@@ -183,14 +183,6 @@ func (c *propCorpus) propSpecs(rng *rand.Rand) []core.ProblemSpec {
 	return specs
 }
 
-func resultIDs(r core.Result) []int {
-	ids := make([]int, len(r.Groups))
-	for i, g := range r.Groups {
-		ids[i] = g.ID
-	}
-	return ids
-}
-
 // assertByteIdentical compares two results field by field with bit-level
 // float comparison (NaN-safe via Float64bits).
 func assertByteIdentical(t *testing.T, label string, want, got core.Result) {

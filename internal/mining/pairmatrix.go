@@ -61,6 +61,11 @@ func (m *PairMatrix) Bytes() int64 { return int64(m.mat.Len()) * int64(m.mat.Len
 // At returns the cached pair score of groups i and j (0 on the diagonal).
 func (m *PairMatrix) At(i, j int) float64 { return m.mat.At(i, j) }
 
+// Row returns group x's scores against every later group in one
+// contiguous read-only slice: Row(x)[j-x-1] == At(x, j) for j > x. Scans
+// over many partners j of a fixed x read it instead of calling At per pair.
+func (m *PairMatrix) Row(x int) []float64 { return m.mat.Row(x) }
+
 // SumOver accumulates the pair scores of all unordered pairs drawn from
 // ids, in the same row-major (i < j) order Func.Eval visits them, so the
 // floating-point result is bit-identical to summing the naive pair calls.

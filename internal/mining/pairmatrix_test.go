@@ -49,6 +49,13 @@ func TestPairMatrixMatchesPairFunc(t *testing.T) {
 							t.Fatalf("%s workers=%d At(%d,%d) = %v, want %v",
 								f, workers, i, j, got, want)
 						}
+						if j > i && m.Row(i)[j-i-1] != want {
+							t.Fatalf("%s workers=%d Row(%d)[%d] = %v, want %v",
+								f, workers, i, j-i-1, m.Row(i)[j-i-1], want)
+						}
+					}
+					if got := len(m.Row(i)); got != len(gs)-i-1 {
+						t.Fatalf("%s: len(Row(%d)) = %d, want %d", f, i, got, len(gs)-i-1)
 					}
 				}
 			}

@@ -156,6 +156,14 @@ func (m *Matrix) At(i, j int) float64 {
 	return m.data[i*(2*m.n-i-1)/2+(j-i-1)]
 }
 
+// Row returns the contiguous condensed segment holding the pairs (x, j)
+// for every j > x: Row(x)[j-x-1] == At(x, j). The slice aliases the
+// matrix's storage and must not be modified.
+func (m *Matrix) Row(x int) []float64 {
+	start := x * (2*m.n - x - 1) / 2
+	return m.data[start : start+m.n-x-1 : start+m.n-x-1]
+}
+
 // MaxEdge returns the pair (i, j) with the maximum distance and that
 // distance. For n < 2 it returns (-1, -1, 0).
 func (m *Matrix) MaxEdge() (int, int, float64) {

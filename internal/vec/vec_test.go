@@ -101,6 +101,12 @@ func TestMatrixAt(t *testing.T) {
 			if got := m.At(i, j); !almostEqual(got, want) {
 				t.Fatalf("At(%d,%d) = %v, want %v", i, j, got, want)
 			}
+			if j > i && m.Row(i)[j-i-1] != m.At(i, j) {
+				t.Fatalf("Row(%d)[%d] = %v, At = %v", i, j-i-1, m.Row(i)[j-i-1], m.At(i, j))
+			}
+		}
+		if got := len(m.Row(i)); got != len(pts)-i-1 {
+			t.Fatalf("len(Row(%d)) = %d, want %d", i, got, len(pts)-i-1)
 		}
 	}
 	i, j, d := m.MaxEdge()
