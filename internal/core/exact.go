@@ -293,10 +293,11 @@ func (w *exactWorker) scanLeaves(first, step int) {
 	n := len(w.engine.Groups)
 	// Re-base the prefix rows at the last prefix member: the scan only
 	// visits i > ids[d-1], and entry i-base of every view is (ids[p], i).
-	base := 0
+	base, sizeBase := 0, 0
 	if d > 0 {
 		last := w.ids[d-1]
 		base = last + 1
+		sizeBase = w.sizeSums[d-1]
 		for p, x := range w.ids[:d] {
 			for oi, m := range w.objMats {
 				w.objRows[oi][p] = m.Row(x)[last-x:]
@@ -308,10 +309,6 @@ func (w *exactWorker) scanLeaves(first, step int) {
 	}
 	pairs := float64(k * (k - 1) / 2)
 	minSupport := w.spec.MinSupport
-	sizeBase := 0
-	if d > 0 {
-		sizeBase = w.sizeSums[d-1]
-	}
 leaves:
 	for i := first; i < n; i += step {
 		w.examined++
