@@ -15,6 +15,7 @@ package tagdm
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -448,7 +449,7 @@ func BenchmarkExactParallel(b *testing.B) {
 	spec := benchSpec(b, st, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ex.Exact(context.Background(), spec, core.ExactOptions{Parallel: true}); err != nil {
+		if _, err := ex.ExactSharded(context.Background(), spec, core.ExactOptions{}, runtime.GOMAXPROCS(0)); err != nil {
 			b.Fatal(err)
 		}
 	}

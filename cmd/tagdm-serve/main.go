@@ -80,9 +80,9 @@ func main() {
 		fsyncMode    = flag.String("fsync", "always", "WAL fsync policy: always, interval, or none")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "checkpoint after N WAL records (0 = default, negative disables)")
 		minTuples    = flag.Int("min-group-tuples", 5, "drop groups smaller than this")
-		workers      = flag.Int("workers", 4, "concurrent solver executions per shard")
-		shards       = flag.Int("shards", 1, "snapshot replicas each analyze scatters across (1 = no sharding)")
-		queue        = flag.Int("queue", 64, "queued analyze requests beyond the running ones")
+		workers      = flag.Int("workers", 4, "solver workers per shard; the one pool runs workers×shards solves at a time")
+		shards       = flag.Int("shards", 1, "partial solves each analyze scatters across, all over one published snapshot (1 = no sharding)")
+		queue        = flag.Int("queue", 64, "queued analyze requests beyond the running ones, per shard")
 		cacheSize    = flag.Int("cache", 256, "analyze result cache entries (0 disables)")
 		refreshEvery = flag.Int("refresh-every", 1, "publish a snapshot every N inserts")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request solve timeout")
@@ -90,7 +90,7 @@ func main() {
 		maxIngest    = flag.Int64("max-ingest-bytes", 0, "largest accepted /v1/actions body (0 = default 32MiB)")
 		maxAnalyze   = flag.Int64("max-analyze-bytes", 0, "largest accepted /v1/analyze body (0 = default 1MiB)")
 		prewarm      = flag.Bool("prewarm", false, "build pair matrices at snapshot publication instead of on first query")
-		matrixBudget = flag.Int64("matrix-budget", 0, "byte cap on cached pair matrices, shared across shard replicas (0 = unlimited)")
+		matrixBudget = flag.Int64("matrix-budget", 0, "byte cap on cached pair matrices of the published engine, shared by every shard (0 = unlimited)")
 		accessLog    = flag.Bool("access-log", false, "write a structured JSON access-log line per request to stderr")
 		slowMs       = flag.Int("slow-ms", 0, "log spec and span tree of solves slower than this many milliseconds (0 disables)")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (e.g. :6060); empty disables")

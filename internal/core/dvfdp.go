@@ -109,8 +109,8 @@ type dvfdpTask struct {
 }
 
 // dvfdpPlan builds the deterministic start-task list for one solve: it
-// depends only on the spec, the options and the (replica-identical) group
-// universe, so every shard derives the same list and round-robins it by
+// depends only on the spec, the options and the engine's group universe,
+// so every shard derives the same list and round-robins it by
 // task index. The list order is the serial execution order, which the
 // winner tie-break leans on.
 func (e *Engine) dvfdpPlan(spec ProblemSpec, opts FDPOptions) (tasks []dvfdpTask, k int) {
@@ -170,9 +170,8 @@ func (e *Engine) dvfdpPlan(spec ProblemSpec, opts FDPOptions) (tasks []dvfdpTask
 }
 
 // groupsBySize returns the engine's groups sorted by descending size.
-// sort.Slice's outcome is deterministic for a fixed input ordering, and
-// replicas share the activation-order group list, so every shard sees the
-// same ranking.
+// sort.Slice's outcome is deterministic for a fixed input ordering, so
+// every shard sees the same ranking.
 func (e *Engine) groupsBySize() []*groups.Group {
 	bySize := make([]*groups.Group, 0, len(e.Groups))
 	bySize = append(bySize, e.Groups...)

@@ -21,11 +21,10 @@ type Engine struct {
 	// cache is the matrix lifecycle this engine scores through: pair
 	// matrices build lazily (single-flight) on first use, pair-function
 	// overrides live beside them, and a budget bounds residency. A fresh
-	// engine gets a private cache; shard replicas of one snapshot adopt
-	// the base engine's cache (AdoptCache) so an epoch's matrices are
-	// built once no matter how many replicas score through them, and
-	// Maintainer.Snapshot links successive epochs' caches so clean rows
-	// carry over instead of rebuilding from scratch.
+	// engine gets a private cache, which every concurrent solve and shard
+	// partial on the engine shares; Maintainer.Snapshot links successive
+	// epochs' caches so clean rows carry over instead of rebuilding from
+	// scratch.
 	cache *MatrixCache
 
 	// layoutOnce computes the posting-list layout census (how many group
@@ -68,11 +67,11 @@ func NewEngine(s *store.Store, gs []*groups.Group, sigs []signature.Signature) (
 func (e *Engine) Cache() *MatrixCache { return e.cache }
 
 // AdoptCache points this engine at from's matrix cache, discarding its
-// own. Replicas of one snapshot adopt the base engine's cache so the
-// epoch's matrices — and any SetPairFunc overrides — are shared rather
-// than rebuilt (and re-installed) per replica; this is only sound when
-// both engines hold bit-identical groups and signatures, which snapshot
-// replication guarantees. Call before the engine serves queries.
+// own. Snapshot.Replicate uses it so a deep-copied replica shares the
+// epoch's matrices and SetPairFunc overrides instead of rebuilding (and
+// re-installing) them; this is only sound when both engines hold
+// bit-identical groups and signatures, which replication guarantees. Call
+// before the engine serves queries.
 func (e *Engine) AdoptCache(from *Engine) { e.cache = from.cache }
 
 // SetMatrixBudget caps the resident bytes of this engine's pair-matrix
@@ -252,7 +251,8 @@ type Result struct {
 	// bindings served without any matrix at all (lazy or blocked-row
 	// scoring on gated one-shot solves). Per binding exactly one of the
 	// four fires, so builds + rebuilds + hits + lazy equals bindings
-	// touched — and a build shared across shard replicas is counted once.
+	// touched — and a build shared by a solve's shard partials is counted
+	// once.
 	MatrixBuilds   int
 	MatrixRebuilds int
 	MatrixHits     int

@@ -20,10 +20,6 @@ const DefaultMaxExactCandidates = 100_000_000
 type ExactOptions struct {
 	// MaxCandidates overrides DefaultMaxExactCandidates when > 0.
 	MaxCandidates int64
-	// Parallel splits the enumeration across GOMAXPROCS workers by first
-	// element. The result is identical to the serial run (ties broken by
-	// lexicographically smallest candidate).
-	Parallel bool
 	// DisablePruning turns off the branch-and-bound subtree cuts and
 	// enumerates every candidate, as the pre-pruning baseline did. Pruning
 	// is on by default; the disabled path is retained as the oracle the
@@ -71,7 +67,8 @@ type ExactOptions struct {
 // Exact runs as the single-shard case of the shard-aware path (see
 // shard.go): ExactPartial(shard 0 of 1) explores the whole space and
 // MergePartials folds the one partial into the Result, so the serving
-// tier's scatter-gather and this entry point share one code path.
+// tier's scatter-gather and this entry point share one code path. For a
+// parallel run use ExactSharded with of = runtime.GOMAXPROCS(0).
 func (e *Engine) Exact(ctx context.Context, spec ProblemSpec, opts ExactOptions) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err

@@ -28,6 +28,18 @@ func TestBinomial(t *testing.T) {
 	}
 }
 
+// shardedOf is the partial count the parallel-mode tests run ExactSharded
+// with: fixed, so multi-partial coverage does not depend on the CPU count.
+const shardedOf = 3
+
+// exactMode runs Exact serially, or as shardedOf concurrent partials.
+func exactMode(ctx context.Context, e *Engine, spec ProblemSpec, opts ExactOptions, sharded bool) (Result, error) {
+	if sharded {
+		return e.ExactSharded(ctx, spec, opts, shardedOf)
+	}
+	return e.Exact(ctx, spec, opts)
+}
+
 func TestExactParallelMatchesSerial(t *testing.T) {
 	e := buildEngine(t)
 	for id := 1; id <= 6; id++ {
@@ -36,7 +48,7 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := e.Exact(context.Background(), spec, ExactOptions{Parallel: true})
+		parallel, err := exactMode(context.Background(), e, spec, ExactOptions{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +104,7 @@ func TestCandidateCountSemantics(t *testing.T) {
 			t.Fatalf("problem %d: pruning off reported %d pruned", id, off.CandidatesPruned)
 		}
 		for _, parallel := range []bool{false, true} {
-			on, err := e.Exact(context.Background(), spec, ExactOptions{Parallel: parallel})
+			on, err := exactMode(context.Background(), e, spec, ExactOptions{}, parallel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +153,7 @@ func TestMatrixAndBoundCacheRace(t *testing.T) {
 		go func(wi int) {
 			defer wg.Done()
 			for iter := 0; iter < 8; iter++ {
-				if _, err := e.Exact(context.Background(), spec, ExactOptions{Parallel: wi%2 == 0}); err != nil {
+				if _, err := exactMode(context.Background(), e, spec, ExactOptions{}, wi%2 == 0); err != nil {
 					t.Error(err)
 					return
 				}
@@ -176,7 +188,7 @@ func TestExactParallelDeterministic(t *testing.T) {
 	spec, _ := PaperProblem(1, 3, 5, 0.5, 0.5)
 	var firstIDs []int
 	for run := 0; run < 3; run++ {
-		res, err := e.Exact(context.Background(), spec, ExactOptions{Parallel: true})
+		res, err := exactMode(context.Background(), e, spec, ExactOptions{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"tagdm/internal/groups"
 	"tagdm/internal/mining"
@@ -91,7 +90,7 @@ func TestExactMatchesNaiveReference(t *testing.T) {
 		for _, parallel := range []bool{false, true} {
 			for _, disablePruning := range []bool{false, true} {
 				label := fmt.Sprintf("%s parallel=%v pruning=%v", spec.Name, parallel, !disablePruning)
-				res, err := e.Exact(context.Background(), spec, ExactOptions{Parallel: parallel, DisablePruning: disablePruning})
+				res, err := exactMode(context.Background(), e, spec, ExactOptions{DisablePruning: disablePruning}, parallel)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -129,33 +128,22 @@ func TestExactMatchesNaiveReference(t *testing.T) {
 }
 
 // exactModes runs spec through every way Exact can be driven — serial,
-// Parallel, DisablePruning, and as three ExactPartial shards merged by
-// MergePartials — and demands the naive enumeration's set and objective,
-// with the candidate accounting naiveExact's examined count implies.
+// DisablePruning, and as two or three concurrent ExactPartial shards
+// merged by MergePartials (ExactSharded) — and demands the naive
+// enumeration's set and objective, with the candidate accounting
+// naiveExact's examined count implies.
 func exactModes(t *testing.T, e *Engine, spec ProblemSpec, label string) {
 	t.Helper()
 	ctx := context.Background()
 	wantFound, wantBest, wantScore, wantExamined := naiveExact(e, spec)
-	sharded := func(opts ExactOptions) (Result, error) {
-		const of = 3
-		parts := make([]Partial, of)
-		for shard := range parts {
-			p, err := e.ExactPartial(ctx, spec, opts, shard, of)
-			if err != nil {
-				return Result{}, err
-			}
-			parts[shard] = p
-		}
-		return e.MergePartials(spec, parts, time.Now())
-	}
 	modes := []struct {
 		name string
 		run  func() (Result, error)
 	}{
 		{"serial", func() (Result, error) { return e.Exact(ctx, spec, ExactOptions{}) }},
-		{"parallel", func() (Result, error) { return e.Exact(ctx, spec, ExactOptions{Parallel: true}) }},
+		{"sharded-2", func() (Result, error) { return e.ExactSharded(ctx, spec, ExactOptions{}, 2) }},
 		{"no-pruning", func() (Result, error) { return e.Exact(ctx, spec, ExactOptions{DisablePruning: true}) }},
-		{"sharded-3", func() (Result, error) { return sharded(ExactOptions{}) }},
+		{"sharded-3", func() (Result, error) { return e.ExactSharded(ctx, spec, ExactOptions{}, 3) }},
 	}
 	for _, m := range modes {
 		res, err := m.run()

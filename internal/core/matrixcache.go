@@ -13,13 +13,13 @@ import (
 // eviction, the carry link to the previous epoch's cache, and the
 // epoch-scoped LSH side caches (hash vectors and built indexes).
 //
-// One cache serves many engines: Snapshot.Replicate hands every shard
-// replica the base engine's cache (replicas are bit-identical, so their
-// matrices are too), which is what turns N per-replica O(n²) rebuilds
-// into one physical build per binding per epoch. Engines of different
-// snapshots must not share a cache — carry across epochs goes through
-// AttachCarry instead, which reuses clean rows rather than whole
-// matrices.
+// Every shard partial of a solve, and every concurrent request, scores
+// through the one published engine's cache, so each binding is built
+// once per epoch. A cache may also serve a deep-copied replica of its
+// snapshot (Snapshot.Replicate via AdoptCache; replicas are bit-identical,
+// so their matrices are too). Engines of different snapshots must not
+// share a cache — carry across epochs goes through AttachCarry instead,
+// which reuses clean rows rather than whole matrices.
 //
 // Outcome accounting: exactly one caller per (binding, epoch) observes
 // matrixBuilt or matrixRebuilt — the one whose build closure ran — and
@@ -54,10 +54,9 @@ type MatrixCache struct {
 	parentDirty []bool
 
 	// Epoch-scoped LSH side caches. Hash vectors depend only on the
-	// engine's (replica-identical) groups, signatures and the spec's fold
-	// flags; a built index additionally on (DPrime, L, Seed). Both are
-	// deterministic, so sharing them across replicas and requests changes
-	// nothing but the wall clock. Not budget-accounted (vectors and
+	// engine's groups, signatures and the spec's fold flags; a built index
+	// additionally on (DPrime, L, Seed). Both are deterministic, so sharing
+	// them across shards and requests changes nothing but the wall clock. Not budget-accounted (vectors and
 	// tables are O(n·d), far below one matrix); indexCap bounds the index
 	// map against unbounded distinct parameter sets.
 	vectors map[vectorsKey][][]float64

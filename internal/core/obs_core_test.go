@@ -82,7 +82,7 @@ func TestExactHonorsCancellation(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			res, err := e.Exact(ctx, slowExactSpec(), ExactOptions{DisablePruning: true, Parallel: parallel})
+			res, err := exactMode(ctx, e, slowExactSpec(), ExactOptions{DisablePruning: true}, parallel)
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want deadline exceeded", err)

@@ -14,9 +14,8 @@ import (
 // ConstraintsSatisfied, whose pair visit order every source replicates.
 //
 // The objMats/conMats/objSrc/conSrc fields are immutable and safe to read
-// from many goroutines (the Exact workers share one scorer that way), but
-// idsOf and support mutate the scorer's scratch buffers: those methods
-// belong to one goroutine. Matrices come from the engine's shared cache,
+// from many goroutines, but idsOf and support mutate the scorer's scratch
+// buffers: those methods belong to one goroutine. Matrices come from the engine's shared cache,
 // so building a second scorer for the same spec costs nothing new.
 type matrixScorer struct {
 	spec   ProblemSpec
@@ -135,7 +134,7 @@ func (s *matrixScorer) note(outcome matrixOutcome) {
 // immutable matrices (see mining.PairMatrix.MaxRows), so they follow the
 // engine's matrix cache: built at most once per binding, dropped with the
 // matrix when SetPairFunc invalidates it, and safe to read from every
-// worker sharing this scorer. Only fully-materializing scorers may call
+// shard partial scoring through the same matrices. Only fully-materializing scorers may call
 // this (Exact never runs gated).
 func (s *matrixScorer) objectiveBounds() (maxRows [][]float64, maxPair []float64) {
 	maxRows = make([][]float64, len(s.objMats))

@@ -1,21 +1,19 @@
 // Shard-aware solving: every solver family can explore one shard of its
-// search space against a replica engine and have the shard-local incumbents
-// merged into the exact answer the single-engine run returns.
+// search space and have the shard-local incumbents merged into the exact
+// answer the single-partial run returns.
 //
-// The design lifts the Exact parallel path's merge shape one level. Shards
-// are NOT data partitions — a best set can span any groups, so splitting
-// the group universe would change answers. Instead each shard holds a full
-// replica of one snapshot (identical store, groups, signatures and pair
-// functions, hence bit-identical pair matrices) and the deterministic
-// *search space* is partitioned:
+// Shards are NOT data partitions — a best set can span any groups, so
+// splitting the group universe would change answers. Every partial runs
+// against the same frozen engine (read-safe under concurrent solves, so
+// the partials share its pair matrices and LSH caches) and the
+// deterministic *search space* is partitioned:
 //
-//   - Exact: the outermost enumeration level by stride/offset, exactly as
-//     the in-process parallel path already does.
+//   - Exact: the outermost enumeration level by stride/offset.
 //   - DV-FDP: the deterministic start-task list (floor-sweep passes, the
 //     largest-k start, anchored starts) round-robin by task index.
 //   - SM-LSH: each relaxation round's sorted bucket list round-robin by
-//     bucket index; every shard builds the same seeded index, so the
-//     buckets agree across replicas.
+//     bucket index; every shard reads the same seeded index, so the
+//     buckets agree across shards.
 //
 // Each merge reproduces the serial run's first-maximum tie-breaking from
 // shard-local evidence (score, then the serial visit order: candidate
@@ -31,7 +29,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -52,17 +49,17 @@ const (
 // decisions. Produce one with SolvePartial or ExactPartial (shard i of n),
 // combine a full set with MergePartials. A Partial is opaque outside this
 // package; it is only meaningful together with the other shards of the
-// same (spec, options) run against replica engines.
+// same (spec, options) run against the same engine.
 type Partial struct {
 	kind      partialKind
 	algorithm string
 	shard, of int
 
 	stages []Stage
-	// Per-binding matrix-cache outcomes (see Result.MatrixBuilds): with
-	// replicas sharing one cache, at most one shard of a scatter reports
-	// the physical build/rebuild and the rest report hits, so merged sums
-	// count each materialization once.
+	// Per-binding matrix-cache outcomes (see Result.MatrixBuilds): the
+	// shards share the engine's cache, so at most one shard of a scatter
+	// reports the physical build/rebuild and the rest report hits, and
+	// merged sums count each materialization once.
 	builds, rebuilds, hits, lazy int
 
 	// Exact and DV-FDP incumbent (DV-FDP additionally records the start
@@ -109,8 +106,8 @@ func checkShard(shard, of int) error {
 // SolvePartial dispatches like Solve — similarity-only objectives to the
 // SM-LSH family, anything else to DV-FDP — but explores only shard `shard`
 // of `of` and returns the shard's Partial instead of a Result. Run one call
-// per shard (same spec and options, shard = 0..of-1, each against a replica
-// engine of the same snapshot) and combine with MergePartials.
+// per shard (same spec and options, shard = 0..of-1, all against this
+// engine) and combine with MergePartials.
 func (e *Engine) SolvePartial(ctx context.Context, spec ProblemSpec, opts SolveOptions, shard, of int) (Partial, error) {
 	if err := spec.Validate(); err != nil {
 		return Partial{}, err
@@ -125,11 +122,10 @@ func (e *Engine) SolvePartial(ctx context.Context, spec ProblemSpec, opts SolveO
 }
 
 // ExactPartial is the Exact baseline's shard entry point: it enumerates
-// only first elements congruent to shard mod of (fanning further across
-// GOMAXPROCS workers inside the shard when opts.Parallel is set) and
-// returns the shard-local incumbent with its examined/pruned counts.
-// Summed across a full shard set, examined + pruned still equals the full
-// enumeration size.
+// only first elements congruent to shard mod of and returns the
+// shard-local incumbent with its examined/pruned counts. Summed across a
+// full shard set, examined + pruned still equals the full enumeration
+// size.
 func (e *Engine) ExactPartial(ctx context.Context, spec ProblemSpec, opts ExactOptions, shard, of int) (Partial, error) {
 	if err := spec.Validate(); err != nil {
 		return Partial{}, err
@@ -166,78 +162,22 @@ func (e *Engine) ExactPartial(ctx context.Context, spec ProblemSpec, opts ExactO
 	mt.end()
 	p.builds, p.rebuilds, p.hits, p.lazy = sc.builds, sc.rebuilds, sc.hits, sc.lazy
 
-	prune := !opts.DisablePruning
 	et := startStage(ctx, &p.stages, StageEnumerate)
-	cancelled := e.exactFan(ctx, spec, sc, prune, shard, of, opts.Parallel, &p)
+	w := newExactWorker(ctx, e, spec, sc, shard, !opts.DisablePruning)
+	for k := spec.KLo; k <= spec.KHi && k <= n; k++ {
+		w.enumerate(0, k, of)
+	}
 	et.end()
-	if cancelled {
+	if w.cancelled {
 		return Partial{}, ctx.Err()
 	}
+	p.found, p.best, p.bestScore = w.found, w.best, w.bestScore
+	p.examined, p.pruned = w.examined, w.pruned
 	return p, nil
 }
 
-// exactFan runs this shard's slice of the enumeration — one worker, or
-// GOMAXPROCS workers sub-striding the shard when parallel — and folds the
-// workers into p with the serial tie-breaking (highest score, then the
-// candidate the serial enumeration meets first).
-func (e *Engine) exactFan(ctx context.Context, spec ProblemSpec, sc *matrixScorer, prune bool, shard, of int, parallel bool, p *Partial) (cancelled bool) {
-	n := len(e.Groups)
-	runWorker := func(offset, stride int) *exactWorker {
-		w := newExactWorker(ctx, e, spec, sc, offset, prune)
-		for k := spec.KLo; k <= spec.KHi && k <= n; k++ {
-			w.enumerate(0, k, stride)
-		}
-		return w
-	}
-	var workers []*exactWorker
-	if !parallel {
-		workers = []*exactWorker{runWorker(shard, of)}
-	} else {
-		count := runtime.GOMAXPROCS(0)
-		if count > n/of {
-			count = n / of
-		}
-		if count < 1 {
-			count = 1
-		}
-		if prune {
-			// Build the shared bound vectors once, before the fan-out, so the
-			// workers' racing first reads don't each scan the matrices.
-			sc.objectiveBounds()
-		}
-		workers = make([]*exactWorker, count)
-		var wg sync.WaitGroup
-		for wi := 0; wi < count; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				// Worker wi covers first elements ≡ shard + wi*of modulo
-				// of*count; the union over wi is exactly this shard's
-				// residue class mod of.
-				workers[wi] = runWorker(shard+wi*of, of*count)
-			}(wi)
-		}
-		wg.Wait()
-	}
-	for _, w := range workers {
-		cancelled = cancelled || w.cancelled
-		p.examined += w.examined
-		p.pruned += w.pruned
-		if !w.found {
-			continue
-		}
-		if !p.found || w.bestScore > p.bestScore ||
-			(w.bestScore == p.bestScore && lessCandidate(w.best, p.best)) {
-			p.found = true
-			p.best = append(p.best[:0], w.best...)
-			p.bestScore = w.bestScore
-		}
-	}
-	return cancelled
-}
-
 // MergePartials combines one Partial per shard — all from the same
-// (spec, options) run over replica engines — into the Result the unsharded
+// (spec, options) run over this engine — into the Result the unsharded
 // solve would return, byte-identical in Found, the group set, Objective and
 // Support. CandidatesExamined/CandidatesPruned partition exactly: sums for
 // Exact and DV-FDP (every leaf and task runs on exactly one shard), and
@@ -377,49 +317,48 @@ func mergeSMLSH(res *Result, parts []Partial) {
 	}
 }
 
-// SolveSharded scatters one Solve across per-shard replica engines —
-// engines[i] must be a deep-copy replica of the same snapshot (identical
-// groups, signatures, store and pair-function overrides) — and gathers the
-// partials into the Result a single-engine Solve would return. Context
-// cancellation fans out: the first shard error cancels the remaining
-// shards' work.
-func SolveSharded(ctx context.Context, engines []*Engine, spec ProblemSpec, opts SolveOptions) (Result, error) {
-	return scatter(ctx, engines, spec, func(fctx context.Context, eng *Engine, shard, of int) (Partial, error) {
-		return eng.SolvePartial(fctx, spec, opts, shard, of)
+// SolveSharded runs one Solve as of partials against this engine, one
+// goroutine each, and merges them into the Result Solve would return. A
+// frozen engine is read-safe under concurrent solves, so the partials
+// share its matrices and LSH caches. The first partial error cancels the
+// rest.
+func (e *Engine) SolveSharded(ctx context.Context, spec ProblemSpec, opts SolveOptions, of int) (Result, error) {
+	return e.scatter(ctx, spec, of, func(fctx context.Context, shard int) (Partial, error) {
+		return e.SolvePartial(fctx, spec, opts, shard, of)
 	})
 }
 
-// ExactSharded is SolveSharded for the Exact baseline.
-func ExactSharded(ctx context.Context, engines []*Engine, spec ProblemSpec, opts ExactOptions) (Result, error) {
-	return scatter(ctx, engines, spec, func(fctx context.Context, eng *Engine, shard, of int) (Partial, error) {
-		return eng.ExactPartial(fctx, spec, opts, shard, of)
+// ExactSharded is SolveSharded for the Exact baseline. With of =
+// GOMAXPROCS it is the in-process parallel Exact.
+func (e *Engine) ExactSharded(ctx context.Context, spec ProblemSpec, opts ExactOptions, of int) (Result, error) {
+	return e.scatter(ctx, spec, of, func(fctx context.Context, shard int) (Partial, error) {
+		return e.ExactPartial(fctx, spec, opts, shard, of)
 	})
 }
 
-func scatter(ctx context.Context, engines []*Engine, spec ProblemSpec,
-	run func(context.Context, *Engine, int, int) (Partial, error)) (Result, error) {
+func (e *Engine) scatter(ctx context.Context, spec ProblemSpec, of int,
+	run func(context.Context, int) (Partial, error)) (Result, error) {
 	start := time.Now()
-	if len(engines) == 0 {
-		return Result{}, fmt.Errorf("core: sharded solve needs at least one engine")
+	if err := checkShard(0, of); err != nil {
+		return Result{}, err
 	}
-	of := len(engines)
 	parts := make([]Partial, of)
 	errs := make([]error, of)
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
-	for si, eng := range engines {
+	for si := range parts {
 		wg.Add(1)
-		go func(si int, eng *Engine) {
+		go func(si int) {
 			defer wg.Done()
-			p, err := run(fctx, eng, si, of)
+			p, err := run(fctx, si)
 			parts[si], errs[si] = p, err
 			if err != nil {
-				// Fan the failure out: the other shards' cancellable loops
+				// Fan the failure out: the other partials' cancellable loops
 				// stop at their next checkpoint instead of running dead work.
 				cancel()
 			}
-		}(si, eng)
+		}(si)
 	}
 	wg.Wait()
 	var firstErr error
@@ -438,5 +377,5 @@ func scatter(ctx context.Context, engines []*Engine, spec ProblemSpec,
 	if firstErr != nil {
 		return Result{}, firstErr
 	}
-	return engines[0].MergePartials(spec, parts, start)
+	return e.MergePartials(spec, parts, start)
 }

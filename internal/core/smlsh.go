@@ -116,9 +116,9 @@ func smlshName(opts LSHOptions) string {
 }
 
 // smlshPartial runs the relaxation loop scanning only this shard's slice
-// of each round's deterministically sorted bucket list. Every shard builds
-// the same seeded index per round (replica vectors are identical), so the
-// bucket lists agree; a shard breaks at its own first multi-group round
+// of each round's deterministically sorted bucket list. Every shard reads
+// the same seeded index per round from the engine cache, so the bucket
+// lists agree; a shard breaks at its own first multi-group round
 // and records per-round examined counts so the merge can discard rounds
 // the serial run would never have reached.
 func (e *Engine) smlshPartial(ctx context.Context, spec ProblemSpec, opts LSHOptions, shard, of int) (Partial, error) {
@@ -259,8 +259,8 @@ func (e *Engine) foldFlags(spec ProblemSpec, mode ConstraintMode) (foldUsers, fo
 // foldItems set, one-hot encodings of the group's structural description
 // are concatenated in (Section 4.3), so groups that agree on those
 // attributes tend to collide. Deterministic in the engine's groups and
-// signatures, so replicas and repeated requests share one build through
-// the engine cache.
+// signatures, so the shards of a solve and repeated requests share one
+// build through the engine cache.
 func (e *Engine) buildHashVectors(foldUsers, foldItems bool) [][]float64 {
 	us, is := e.Store.UserSchema, e.Store.ItemSchema
 	uOffs, iOffs := us.OneHotOffsets(), is.OneHotOffsets()

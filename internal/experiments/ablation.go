@@ -192,7 +192,7 @@ func KSweep(st *Setup, p Params, ks []int) (KSweepTable, error) {
 		if err != nil {
 			return KSweepTable{}, err
 		}
-		par, err := exactEng.Exact(context.Background(), spec, core.ExactOptions{Parallel: true})
+		par, err := runExact(exactEng, spec, core.ExactOptions{}, true)
 		if err != nil {
 			return KSweepTable{}, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -67,11 +68,11 @@ func BnBSweep(st *Setup, p Params) (BnBTable, error) {
 		}
 		exactEng.PrewarmMatrices(spec)
 		for _, parallel := range []bool{false, true} {
-			oracle, err := exactEng.Exact(context.Background(), spec, core.ExactOptions{Parallel: parallel, DisablePruning: true})
+			oracle, err := runExact(exactEng, spec, core.ExactOptions{DisablePruning: true}, parallel)
 			if err != nil {
 				return BnBTable{}, err
 			}
-			pruned, err := exactEng.Exact(context.Background(), spec, core.ExactOptions{Parallel: parallel})
+			pruned, err := runExact(exactEng, spec, core.ExactOptions{}, parallel)
 			if err != nil {
 				return BnBTable{}, err
 			}
@@ -100,6 +101,15 @@ func BnBSweep(st *Setup, p Params) (BnBTable, error) {
 		return BnBTable{}, fmt.Errorf("experiments: branch-and-bound never pruned a candidate on any paper problem")
 	}
 	return t, nil
+}
+
+// runExact runs Exact serially, or in parallel as GOMAXPROCS partials
+// merged into the serial answer.
+func runExact(eng *core.Engine, spec core.ProblemSpec, opts core.ExactOptions, parallel bool) (core.Result, error) {
+	if parallel {
+		return eng.ExactSharded(context.Background(), spec, opts, runtime.GOMAXPROCS(0))
+	}
+	return eng.Exact(context.Background(), spec, opts)
 }
 
 // resultIDs lists a result's group IDs in result order.

@@ -94,11 +94,11 @@ func TestSolverEquivalenceCompressionForced(t *testing.T) {
 		}
 
 		for _, parallel := range []bool{false, true} {
-			want, err := ex.Exact(context.Background(), spec, core.ExactOptions{Parallel: parallel})
+			want, err := exactMode(ex, spec, core.ExactOptions{}, parallel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := exC.Exact(context.Background(), spec, core.ExactOptions{Parallel: parallel})
+			got, err := exactMode(exC, spec, core.ExactOptions{}, parallel)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"testing"
 
 	"tagdm/internal/core"
@@ -72,7 +70,7 @@ func TestExactEquivalenceOnCorpus(t *testing.T) {
 		}
 		wantFound, wantIDs, wantScore := naiveExactRef(ex, spec)
 		for _, parallel := range []bool{false, true} {
-			res, err := ex.Exact(context.Background(), spec, core.ExactOptions{Parallel: parallel})
+			res, err := exactMode(ex, spec, core.ExactOptions{}, parallel)
 			if err != nil {
 				t.Fatalf("problem %d parallel=%v: %v", id, parallel, err)
 			}

@@ -246,14 +246,14 @@ func TestExactPruningPropertyRandomCorpora(t *testing.T) {
 				for _, parallel := range []bool{false, true} {
 					label := fmt.Sprintf("u=%d d=%g %s %s parallel=%v",
 						c.universe, c.density, layout, spec.Name, parallel)
-					oracle, err := e.Exact(context.Background(), spec, core.ExactOptions{Parallel: parallel, DisablePruning: true})
+					oracle, err := exactMode(e, spec, core.ExactOptions{DisablePruning: true}, parallel)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 					if oracle.CandidatesPruned != 0 {
 						t.Fatalf("%s: oracle pruned %d", label, oracle.CandidatesPruned)
 					}
-					pruned, err := e.Exact(context.Background(), spec, core.ExactOptions{Parallel: parallel})
+					pruned, err := exactMode(e, spec, core.ExactOptions{}, parallel)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

@@ -21,6 +21,15 @@ import (
 
 var shardCounts = []int{2, 3, 5}
 
+// exactMode runs Exact serially, or as three concurrent partials — a fixed
+// count, so multi-partial coverage does not depend on the CPU count.
+func exactMode(e *core.Engine, spec core.ProblemSpec, opts core.ExactOptions, sharded bool) (core.Result, error) {
+	if sharded {
+		return e.ExactSharded(context.Background(), spec, opts, 3)
+	}
+	return e.Exact(context.Background(), spec, opts)
+}
+
 func TestShardedSolveMatchesSerialRandomCorpora(t *testing.T) {
 	ctx := context.Background()
 	opts := core.SolveOptions{
@@ -32,13 +41,9 @@ func TestShardedSolveMatchesSerialRandomCorpora(t *testing.T) {
 		specs := c.propSpecs(rng)
 		serial := c.engine(t, "dense")
 		for _, of := range shardCounts {
-			// Each shard gets its own engine over the same corpus and pair
-			// tables, mirroring the server's snapshot replicas (pair-func
-			// overrides are per engine, so each replica re-installs them).
-			engines := make([]*core.Engine, of)
-			for i := range engines {
-				engines[i] = c.engine(t, "dense")
-			}
+			// The partials share one engine, as the server's shards share
+			// one published snapshot.
+			sharded := c.engine(t, "dense")
 			for _, spec := range specs {
 				label := fmt.Sprintf("u=%d d=%g of=%d %s", c.universe, c.density, of, spec.Name)
 
@@ -46,7 +51,7 @@ func TestShardedSolveMatchesSerialRandomCorpora(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: serial solve: %v", label, err)
 				}
-				got, err := core.SolveSharded(ctx, engines, spec, opts)
+				got, err := sharded.SolveSharded(ctx, spec, opts, of)
 				if err != nil {
 					t.Fatalf("%s: sharded solve: %v", label, err)
 				}
@@ -66,7 +71,7 @@ func TestShardedSolveMatchesSerialRandomCorpora(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: serial exact: %v", label, err)
 				}
-				gotX, err := core.ExactSharded(ctx, engines, spec, core.ExactOptions{})
+				gotX, err := sharded.ExactSharded(ctx, spec, core.ExactOptions{}, of)
 				if err != nil {
 					t.Fatalf("%s: sharded exact: %v", label, err)
 				}
@@ -80,37 +85,6 @@ func TestShardedSolveMatchesSerialRandomCorpora(t *testing.T) {
 					t.Fatalf("%s/Exact: sharded examined %d + pruned %d = %d, serial enumeration %d",
 						label, gotX.CandidatesExamined, gotX.CandidatesPruned, gotTotal, wantTotal)
 				}
-			}
-		}
-	}
-}
-
-// TestShardedExactParallelWithinShards layers the two parallelism levels:
-// each shard's partial itself fanning out over goroutines (the pre-sharding
-// Exact parallel path) must not disturb the merged answer or the
-// candidate-accounting partition.
-func TestShardedExactParallelWithinShards(t *testing.T) {
-	ctx := context.Background()
-	for _, c := range propCorpora(t) {
-		rng := rand.New(rand.NewSource(c.seed + 7))
-		specs := c.propSpecs(rng)
-		serial := c.engine(t, "dense")
-		engines := []*core.Engine{c.engine(t, "dense"), c.engine(t, "dense")}
-		for _, spec := range specs {
-			label := fmt.Sprintf("u=%d d=%g %s parallel-in-shard", c.universe, c.density, spec.Name)
-			want, err := serial.Exact(ctx, spec, core.ExactOptions{})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			got, err := core.ExactSharded(ctx, engines, spec, core.ExactOptions{Parallel: true})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			assertByteIdentical(t, label, want, got)
-			wantTotal := want.CandidatesExamined + want.CandidatesPruned
-			gotTotal := got.CandidatesExamined + got.CandidatesPruned
-			if wantTotal != gotTotal {
-				t.Fatalf("%s: examined+pruned %d, serial enumeration %d", label, gotTotal, wantTotal)
 			}
 		}
 	}

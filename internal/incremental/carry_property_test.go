@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"tagdm/internal/core"
 	"tagdm/internal/groups"
@@ -288,7 +289,14 @@ func TestReplicateCarriesPairFuncOverrides(t *testing.T) {
 		}
 		engines = append(engines, rep.Engine)
 	}
-	got, err := core.SolveSharded(ctx, engines, spec, opts)
+	start := time.Now()
+	parts := make([]core.Partial, len(engines))
+	for i, eng := range engines {
+		if parts[i], err = eng.SolvePartial(ctx, spec, opts, i, len(engines)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := snap.Engine.MergePartials(spec, parts, start)
 	if err != nil {
 		t.Fatal(err)
 	}

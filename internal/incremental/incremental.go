@@ -373,9 +373,10 @@ func (m *Maintainer) Snapshot() (*Snapshot, error) {
 // Sharing the cache also carries engine-level pair-function overrides
 // (SetPairFunc) into every replica — a solve on any replica sees the same
 // measures the base engine was configured with. The receiver is already
-// frozen, so unlike Maintainer.Snapshot this runs outside the writer lock;
-// the publish path takes one Snapshot under the lock and fans replicas out
-// afterwards.
+// frozen, so unlike Maintainer.Snapshot this runs outside the writer lock.
+// The server does not replicate — every shard's partial reads the one
+// published snapshot — so replicas serve only to measure what a deep copy
+// costs.
 func (s *Snapshot) Replicate() (*Snapshot, error) {
 	st := s.Store.Clone()
 	st.Optimize()

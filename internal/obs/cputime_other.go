@@ -4,5 +4,5 @@ package obs
 
 import "time"
 
-// cpuTime is unavailable without getrusage; spans report zero CPU.
+// cpuTime is unavailable without getrusage; root spans report zero CPU.
 func cpuTime() time.Duration { return 0 }

@@ -8,9 +8,9 @@ import (
 )
 
 // cpuTime returns the process's cumulative CPU time (user + system).
-// Per-span CPU deltas computed from it attribute whole-process CPU to
-// the span's window, which is exact for serial solver stages and an
-// upper bound when other goroutines run concurrently.
+// Root spans subtract two readings, attributing whole-process CPU to the
+// request's window: exact for a serial run and an upper bound when other
+// goroutines run concurrently.
 func cpuTime() time.Duration {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

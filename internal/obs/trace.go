@@ -22,14 +22,18 @@ import (
 
 // Span is one timed stage of a request or solver run. Spans form a tree:
 // the root is created by NewTrace, children by StartSpan against a
-// context carrying the parent. A Span records wall time and process CPU
-// time (user+sys, via getrusage) between creation and End.
+// context carrying the parent. Every span records wall time between
+// creation and End; only the root also records process CPU time
+// (user+sys, via getrusage). A child's CPU delta would be whole-process
+// CPU over its window — an upper bound whenever other goroutines run —
+// and the two syscalls per child cost more than short solver stages.
 //
 // All methods are safe on a nil receiver so call sites never branch on
 // whether tracing is enabled.
 type Span struct {
 	name     string
 	start    time.Time
+	root     bool
 	cpuStart time.Duration
 
 	mu       sync.Mutex
@@ -49,7 +53,7 @@ type Attr struct {
 // NewTrace starts a root span. The caller must End it before reading the
 // tree.
 func NewTrace(name string) *Span {
-	return &Span{name: name, start: time.Now(), cpuStart: cpuTime()}
+	return &Span{name: name, start: time.Now(), root: true, cpuStart: cpuTime()}
 }
 
 // StartChild creates and attaches a child span. Nil-safe: a nil parent
@@ -58,21 +62,24 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now(), cpuStart: cpuTime()}
+	c := &Span{name: name, start: time.Now()}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
 }
 
-// End stamps the span's wall and CPU durations. Subsequent calls are
-// no-ops, as is calling End on a nil span.
+// End stamps the span's wall duration, and a root span's CPU duration.
+// Subsequent calls are no-ops, as is calling End on a nil span.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	wall := time.Since(s.start)
-	cpu := cpuTime() - s.cpuStart
+	var cpu time.Duration
+	if s.root {
+		cpu = cpuTime() - s.cpuStart
+	}
 	s.mu.Lock()
 	if !s.ended {
 		s.ended = true
@@ -129,7 +136,9 @@ func (s *Span) Tree() *SpanTree {
 	}
 	if !s.ended {
 		t.WallMs = durMillis(time.Since(s.start))
-		t.CPUMs = durMillis(cpuTime() - s.cpuStart)
+		if s.root {
+			t.CPUMs = durMillis(cpuTime() - s.cpuStart)
+		}
 	}
 	if len(s.attrs) > 0 {
 		t.Attrs = make(map[string]any, len(s.attrs))
@@ -150,11 +159,12 @@ func (s *Span) Tree() *SpanTree {
 }
 
 // SpanTree is the serializable snapshot of a span tree, embedded in
-// traced analyze responses and slow-query log lines.
+// traced analyze responses and slow-query log lines. CPUMs is set on the
+// root only.
 type SpanTree struct {
 	Name     string         `json:"name"`
 	WallMs   float64        `json:"wall_ms"`
-	CPUMs    float64        `json:"cpu_ms"`
+	CPUMs    float64        `json:"cpu_ms,omitempty"`
 	Attrs    map[string]any `json:"attrs,omitempty"`
 	Children []*SpanTree    `json:"children,omitempty"`
 }

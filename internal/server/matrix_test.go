@@ -12,9 +12,8 @@ import (
 // the served path: over any number of scattered analyzes, builds +
 // rebuilds + hits + lazy must equal the bindings touched (solves × shards
 // × spec bindings), while physical materializations — builds plus
-// rebuilds — stay bounded by the distinct bindings, because all shard
-// replicas share one matrix cache. Before the shared cache, each replica
-// built privately and MergePartials reported one physical build as N.
+// rebuilds — stay bounded by the distinct bindings, because every shard's
+// partial scores through the published engine's one matrix cache.
 func TestMatrixAccountingAcrossShards(t *testing.T) {
 	ts := httptest.NewServer(newTestServer(t, func(c *Config) {
 		c.Shards = 2
@@ -45,9 +44,49 @@ func TestMatrixAccountingAcrossShards(t *testing.T) {
 			fam.MatrixBuilds, fam.MatrixRebuilds, fam.MatrixHits, fam.MatrixLazy, total, touched)
 	}
 	if physical := fam.MatrixBuilds + fam.MatrixRebuilds; physical > bindings {
-		t.Fatalf("%d physical builds for %d distinct bindings — replica builds double-counted",
+		t.Fatalf("%d physical builds for %d distinct bindings — shard builds double-counted",
 			physical, bindings)
 	}
+}
+
+// TestScopedAnalyzeBuildsMatricesOnce pins that a WHERE query's scoped
+// engine is built once per request and shared by all of its partials: a
+// scoped DV-FDP analyze must add as much to tagdm_matrix_builds_total on a
+// 3-shard server as on a 1-shard one. A scoped engine per shard would
+// build every binding once per shard.
+func TestScopedAnalyzeBuildsMatricesOnce(t *testing.T) {
+	const q = "ANALYZE PROBLEM 4 WHERE genre=action WITH k=2, support=2, q=0.1, r=0.1"
+	builds := func(shards int) float64 {
+		ts := httptest.NewServer(newTestServer(t, shardedConfig(shards)))
+		defer ts.Close()
+		before := matrixBuildsTotal(t, ts)
+		if res := analyzeOK(t, ts, q); res.Algorithm == "" {
+			t.Fatalf("%d shards: scoped analyze ran no solver: %+v", shards, res)
+		}
+		return matrixBuildsTotal(t, ts) - before
+	}
+	one, three := builds(1), builds(3)
+	if one == 0 {
+		t.Fatal("scoped analyze built no matrices; nothing to compare")
+	}
+	if three != one {
+		t.Fatalf("scoped analyze built %v matrices on 3 shards, %v on 1 shard", three, one)
+	}
+}
+
+// matrixBuildsTotal sums tagdm_matrix_builds_total over solver families.
+func matrixBuildsTotal(t *testing.T, ts *httptest.Server) float64 {
+	t.Helper()
+	pt := scrapeMetrics(t, ts)
+	var total float64
+	for _, fam := range solverFamilies {
+		v, ok := pt.Sample("tagdm_matrix_builds_total", "family", fam)
+		if !ok {
+			t.Fatalf("/metrics has no tagdm_matrix_builds_total{family=%q}", fam)
+		}
+		total += v
+	}
+	return total
 }
 
 // TestMatrixBudgetServedAndExported wires Config.MatrixBudgetBytes end to

@@ -286,41 +286,41 @@ func newMetrics(shards int) *metrics {
 // New, after the initial snapshot is published.
 func (m *metrics) registerGauges(s *Server) {
 	m.reg.GaugeFunc("tagdm_snapshot_epoch",
-		"Epoch of the currently published engine snapshot set.",
-		func() float64 { return float64(s.shards.Load().epoch) })
+		"Epoch of the currently published engine snapshot.",
+		func() float64 { return float64(s.Epoch()) })
 	m.reg.GaugeFunc("tagdm_store_actions",
 		"Tagging actions in the published snapshot.",
-		func() float64 { return float64(s.shards.Load().primary().Store.Len()) })
+		func() float64 { return float64(s.snap.Load().Store.Len()) })
 	m.reg.GaugeFunc("tagdm_groups",
 		"Describable groups in the published snapshot.",
-		func() float64 { return float64(len(s.shards.Load().primary().Groups)) })
+		func() float64 { return float64(len(s.snap.Load().Groups)) })
 	m.reg.GaugeFunc("tagdm_vocab_size",
 		"Tag vocabulary size of the published snapshot.",
-		func() float64 { return float64(s.shards.Load().primary().Store.Vocab.Size()) })
+		func() float64 { return float64(s.snap.Load().Store.Vocab.Size()) })
 	m.reg.GaugeFunc("tagdm_postings_lists",
 		"Posting lists in the published snapshot.",
-		func() float64 { lists, _ := s.shards.Load().primary().Store.CompressionStats(); return float64(lists) })
+		func() float64 { lists, _ := s.snap.Load().Store.CompressionStats(); return float64(lists) })
 	m.reg.GaugeFunc("tagdm_postings_compressed",
 		"Posting lists using the container-compressed layout.",
-		func() float64 { _, comp := s.shards.Load().primary().Store.CompressionStats(); return float64(comp) })
+		func() float64 { _, comp := s.snap.Load().Store.CompressionStats(); return float64(comp) })
 	m.reg.GaugeFunc("tagdm_cache_size",
 		"Entries in the analyze result cache.",
 		func() float64 { size, _ := s.cache.stats(); return float64(size) })
 	m.reg.GaugeFunc("tagdm_matrix_bytes",
-		"Bytes of fully materialized pair matrices held by the published engine cache (shared across replicas).",
-		func() float64 { return float64(s.shards.Load().primary().Engine.MatrixStats().Bytes) })
+		"Bytes of fully materialized pair matrices held by the published engine cache (shared by every shard).",
+		func() float64 { return float64(s.snap.Load().Engine.MatrixStats().Bytes) })
 	m.reg.GaugeFunc("tagdm_matrix_evictions_total",
 		"Pair matrices evicted under the memory budget since the first epoch (carried across snapshots).",
-		func() float64 { return float64(s.shards.Load().primary().Engine.MatrixStats().Evictions) })
+		func() float64 { return float64(s.snap.Load().Engine.MatrixStats().Evictions) })
 	m.reg.GaugeFunc("tagdm_shards",
-		"Serving-tier shard count: snapshot replicas each analyze scatters across.",
+		"Serving-tier shard count: partial solves each analyze scatters across.",
 		func() float64 { return float64(s.cfg.Shards) })
 	m.reg.GaugeFunc("tagdm_queue_depth",
-		"Queued (not yet running) solve jobs summed across shard pools.",
-		func() float64 { return float64(s.queuedJobs()) })
+		"Queued (not yet running) partial-solve jobs in the worker pool.",
+		func() float64 { return float64(s.pool.depth()) })
 	m.reg.GaugeFunc("tagdm_pool_workers",
-		"Solver worker goroutines across all shard pools.",
-		func() float64 { return float64(s.cfg.Workers * s.cfg.Shards) })
+		"Solver worker goroutines in the pool (workers per shard times shards).",
+		func() float64 { return float64(s.pool.workers) })
 	m.reg.GaugeFunc("tagdm_uptime_seconds",
 		"Seconds since server construction.",
 		func() float64 { return time.Since(m.started).Seconds() })

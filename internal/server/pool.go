@@ -18,11 +18,11 @@ var errClosed = errors.New("server: pool closed")
 // count plus a bounded queue gives the server a predictable concurrency
 // envelope and lets it shed load explicitly instead of collapsing.
 //
-// The server runs one pool per shard: an analyze submits one partial-solve
-// job to every shard's pool and gathers the results, so Workers bounds the
-// concurrent solves per shard and every request draws one worker from each
-// pool. Jobs on different pools never wait on each other, so the
-// per-request fan-out cannot deadlock — only skew.
+// The server runs one pool of Workers×Shards workers with QueueDepth×Shards
+// queue slots: an analyze submits one partial-solve job per shard and
+// gathers the results. The jobs of one request wait on each other only
+// while one of them, already running, builds the request's WHERE scope,
+// so the fan-out cannot deadlock.
 type pool[T any] struct {
 	queue   chan *poolJob[T]
 	workers int

@@ -300,7 +300,7 @@ func exactFP(t testing.TB, s *Server) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := s.shards.Load().primary()
+	snap := s.snap.Load()
 	res, err := snap.Engine.Exact(context.Background(), spec, core.ExactOptions{})
 	if err != nil {
 		t.Fatalf("exact solve: %v", err)

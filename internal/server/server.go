@@ -29,13 +29,13 @@
 // Config.PrewarmMatrices moves the build from the first query to publish
 // time for predictable tail latencies.
 //
-// With Config.Shards > 1 the published view becomes a set of snapshot
-// replicas at one epoch, and each analyze scatters one partial solve per
-// shard onto per-shard worker pools, merging the partials into exactly the
-// answer a single serial solve would return (see shard.go and
-// core.SolvePartial). Sharding is purely a serving-tier degree of
-// parallelism: the WAL, checkpoints, and ingest path are shard-agnostic,
-// so a durable data dir can be rebooted under any shard count.
+// With Config.Shards > 1 each analyze scatters one partial solve per shard
+// onto the worker pool, every partial reading the same published snapshot,
+// and merges the partials into exactly the answer a single serial solve
+// would return (see shard.go and core.SolvePartial). Sharding is purely a
+// serving-tier degree of parallelism: the WAL, checkpoints, and ingest
+// path are shard-agnostic, so a durable data dir can be rebooted under any
+// shard count.
 package server
 
 import (
@@ -71,15 +71,17 @@ type Config struct {
 	// MinGroupTuples drops groups smaller than this (default 5, as in the
 	// paper).
 	MinGroupTuples int
-	// Workers bounds concurrent solver executions per shard (default 4).
+	// Workers is the solver worker count per shard (default 4): the one
+	// worker pool runs Workers×Shards solver executions at a time.
 	Workers int
-	// Shards is the number of snapshot replicas the serving tier fans each
-	// analyze across (default 1: the classic single-solve path). Each shard
-	// gets its own worker pool and solves a deterministic slice of the
-	// search space; answers are byte-identical at every shard count.
+	// Shards is the number of partial solves the serving tier fans each
+	// analyze into (default 1: the classic single-solve path). Each partial
+	// solves a deterministic slice of the search space against the one
+	// published snapshot; answers are byte-identical at every shard count.
 	// Clamped to len(shardLabels) so per-shard metric series stay bounded.
 	Shards int
-	// QueueDepth bounds queued analyze requests beyond the running ones;
+	// QueueDepth bounds queued analyze requests beyond the running ones,
+	// per shard: the pool queues QueueDepth×Shards partial-solve jobs, and
 	// excess requests get 429 (default 64).
 	QueueDepth int
 	// CacheSize is the analyze LRU capacity in entries (default 256;
@@ -107,8 +109,9 @@ type Config struct {
 	// the published engine's cache may hold; the coldest matrices are
 	// evicted when the cap is exceeded, and bindings whose full triangle
 	// would not fit are served through blocked-row materialization instead.
-	// Replicas share one cache, so the budget covers the whole serving tier
-	// regardless of shard count. Zero means unlimited (the default).
+	// Every shard's partial scores through that one cache, so the budget
+	// covers the whole serving tier regardless of shard count. Zero means
+	// unlimited (the default).
 	MatrixBudgetBytes int64
 	// AccessLog, when non-nil, receives one structured line per HTTP
 	// request (request id, method, path, status, duration) plus slow-solve
@@ -215,18 +218,17 @@ type Server struct {
 	ds    *model.Dataset
 	maint *incremental.Maintainer
 
-	// shards is the published read view — one snapshot replica per shard,
-	// all at the same epoch; analyze handlers only ever touch this, never
-	// the maintainer.
-	shards atomic.Pointer[shardSet]
+	// snap is the published read view; analyze handlers only ever touch
+	// this, never the maintainer. Its Version is the published epoch.
+	snap atomic.Pointer[incremental.Snapshot]
 	// unpublished counts inserts since the last published snapshot
 	// (guarded by mu).
 	unpublished int
 
 	cache *resultCache
-	// pools holds one bounded worker pool per shard; a scattered analyze
-	// submits one partial-solve job to each.
-	pools   []*pool[*shardOutcome]
+	// pool runs every partial solve; a scattered analyze submits one job
+	// per shard.
+	pool    *pool[*shardOutcome]
 	metrics *metrics
 	mux     *http.ServeMux
 
@@ -254,19 +256,16 @@ func New(cfg Config) (*Server, error) {
 		cache:   newResultCache(cfg.CacheSize),
 		metrics: newMetrics(cfg.Shards),
 	}
-	s.pools = make([]*pool[*shardOutcome], cfg.Shards)
-	for i := range s.pools {
-		s.pools[i] = newPool[*shardOutcome](cfg.Workers, cfg.QueueDepth)
-	}
+	s.pool = newPool[*shardOutcome](cfg.Workers*cfg.Shards, cfg.QueueDepth*cfg.Shards)
 	if cfg.DataDir == "" {
 		if cfg.Dataset == nil {
-			s.closePools()
+			s.pool.close()
 			return nil, fmt.Errorf("server: Config.Dataset is required (may be empty, not nil)")
 		}
 		sum := signature.FrequencyOfSize(cfg.Dataset.Vocab.Size())
 		maint, err := incremental.New(cfg.Dataset, cfg.MinGroupTuples, sum)
 		if err != nil {
-			s.closePools()
+			s.pool.close()
 			return nil, err
 		}
 		s.ds, s.maint = cfg.Dataset, maint
@@ -276,12 +275,12 @@ func New(cfg Config) (*Server, error) {
 		err := s.openDurable(boot)
 		boot.End()
 		if err != nil {
-			s.closePools()
+			s.pool.close()
 			return nil, err
 		}
 	}
 	if err := s.publish(); err != nil {
-		s.closePools()
+		s.pool.close()
 		if s.dur != nil {
 			//tagdm:allow-discard boot already failing; the open error is the one worth surfacing
 			s.dur.log.Close()
@@ -361,7 +360,7 @@ func (w *statusWriter) statusCode() int {
 // WAL (flushing pending appends) without writing a final checkpoint. Use
 // Shutdown for a clean exit that checkpoints first.
 func (s *Server) Close() {
-	s.closePools()
+	s.pool.close()
 	if s.dur != nil {
 		//tagdm:allow-discard Close has no error path to report into; Shutdown is the checked exit
 		_ = s.dur.log.Close()
@@ -375,7 +374,7 @@ func (s *Server) Close() {
 // logging; the
 // checkpoint itself is not interruptible.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.closePools()
+	s.pool.close()
 	if s.dur == nil {
 		return nil
 	}
@@ -392,24 +391,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Recovery reports what a durable boot found on disk.
 func (s *Server) Recovery() RecoveryInfo { return s.recovery }
 
-// Epoch returns the epoch of the currently published snapshot set.
-func (s *Server) Epoch() int64 { return s.shards.Load().epoch }
-
-// closePools stops every shard pool after draining queued solves.
-func (s *Server) closePools() {
-	for _, p := range s.pools {
-		p.close()
-	}
-}
-
-// queuedJobs sums queued (not yet running) solve jobs across shard pools.
-func (s *Server) queuedJobs() int {
-	total := 0
-	for _, p := range s.pools {
-		total += p.depth()
-	}
-	return total
-}
+// Epoch returns the epoch of the currently published snapshot.
+func (s *Server) Epoch() int64 { return s.snap.Load().Version }
 
 // DatasetStats summarizes the corpus the server booted with (including
 // recovered state on a durable boot). Entity counts stay current as ingest
@@ -422,9 +405,9 @@ func (s *Server) DatasetStats() model.Stats {
 }
 
 // prewarm builds every (dimension, measure) pair matrix of the published
-// view. All shard replicas share the primary engine's cache, so warming the
-// primary warms the whole replica set — one physical build per binding
-// regardless of shard count (the cache single-flights racing builds).
+// engine, which every shard's partial reads — one physical build per
+// binding regardless of shard count (the cache single-flights racing
+// builds).
 // Callers invoke it after releasing s.mu: an O(n^2) build per binding must
 // never stall the write path. The publishing request waits for the build
 // (that is the prewarm contract — publish pays so analyzes don't), while
@@ -433,7 +416,7 @@ func (s *Server) prewarm() {
 	if !s.cfg.PrewarmMatrices {
 		return
 	}
-	eng := s.shards.Load().primary().Engine
+	eng := s.snap.Load().Engine
 	for _, dim := range []mining.Dimension{mining.Users, mining.Items, mining.Tags} {
 		for _, meas := range []mining.Measure{mining.Similarity, mining.Diversity} {
 			eng.PairMatrix(dim, meas)
@@ -530,8 +513,8 @@ type IngestResponse struct {
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
 	Epoch int64 `json:"epoch"`
-	// Shards is the serving-tier fan-out: snapshot replicas (and worker
-	// pools) each analyze scatters across.
+	// Shards is the serving-tier fan-out: the partial solves each analyze
+	// scatters across.
 	Shards         int     `json:"shards"`
 	PendingInserts int     `json:"pending_inserts"`
 	Actions        int     `json:"actions"`
@@ -550,15 +533,19 @@ type StatsResponse struct {
 		HitRate   float64 `json:"hit_rate"`
 	} `json:"cache"`
 
+	// Pool reports Workers and Capacity per shard, as configured; the one
+	// worker pool holds Shards times each. QueueDepth is the pool's current
+	// count of queued partial-solve jobs.
 	Pool struct {
 		Workers    int `json:"workers"`
 		QueueDepth int `json:"queue_depth"`
 		Capacity   int `json:"queue_capacity"`
 	} `json:"pool"`
 
-	// Matrix describes the published engine's pair-matrix cache, which all
-	// shard replicas share. Evictions is cumulative across epochs (the
-	// counter is carried when a new snapshot adopts the previous cache).
+	// Matrix describes the published engine's pair-matrix cache, which
+	// every shard's partial scores through. Evictions is cumulative across
+	// epochs (the counter is carried when a new snapshot adopts the
+	// previous cache).
 	Matrix struct {
 		Bytes       int64  `json:"bytes"`
 		Entries     int    `json:"entries"`
@@ -679,8 +666,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ss := s.shards.Load()
-	key := cacheKey{query: canonicalQuery(req.Query), epoch: ss.epoch}
+	snap := s.snap.Load()
+	key := cacheKey{query: canonicalQuery(req.Query), epoch: snap.Version}
 	cacheSpan := root.StartChild("cache")
 	cached, hit := s.cache.get(key)
 	cacheSpan.SetAttr("hit", hit)
@@ -697,7 +684,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SolveTimeout)
 	defer cancel()
 	solveSpan := root.StartChild("solve")
-	resp, err := s.scatterAnalyze(ctx, solveSpan, ss, parsed, req.Query)
+	resp, err := s.scatterAnalyze(ctx, solveSpan, snap, parsed, req.Query)
 	solveSpan.End()
 	switch {
 	case errors.Is(err, errBusy):
@@ -915,9 +902,7 @@ func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 		resp.Pending = s.unpublished
 		s.mu.Unlock()
 		if err == nil {
-			// Replicating across shards happens outside s.mu so the write
-			// path never stalls behind O(store) copies.
-			err = s.installSnapshot(base)
+			s.installSnapshot(base)
 		}
 		publishSpan.End()
 		if err != nil {
@@ -932,7 +917,7 @@ func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 	}
 
-	resp.Epoch = s.shards.Load().epoch
+	resp.Epoch = s.Epoch()
 	s.metrics.ingestLatency.Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusOK, resp)
 	s.maybeCheckpointAsync()
@@ -1057,8 +1042,8 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.prewarm()
-	ss := s.shards.Load()
-	writeJSON(w, http.StatusOK, map[string]any{"epoch": ss.epoch, "groups": len(ss.primary().Groups), "shards": len(ss.snaps)})
+	snap := s.snap.Load()
+	writeJSON(w, http.StatusOK, map[string]any{"epoch": snap.Version, "groups": len(snap.Groups), "shards": s.cfg.Shards})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -1066,16 +1051,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	ss := s.shards.Load()
-	snap := ss.primary()
+	snap := s.snap.Load()
 	s.mu.Lock()
 	pending := s.unpublished
 	users, items := len(s.ds.Users), len(s.ds.Items)
 	s.mu.Unlock()
 
 	var resp StatsResponse
-	resp.Epoch = ss.epoch
-	resp.Shards = len(ss.snaps)
+	resp.Epoch = snap.Version
+	resp.Shards = s.cfg.Shards
 	resp.PendingInserts = pending
 	resp.Actions = snap.Store.Len()
 	resp.Groups = len(snap.Groups)
@@ -1091,7 +1075,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Cache.Evictions = evictions
 	resp.Cache.HitRate = s.metrics.hitRate()
 	resp.Pool.Workers = s.cfg.Workers
-	resp.Pool.QueueDepth = s.queuedJobs()
+	resp.Pool.QueueDepth = s.pool.depth()
 	resp.Pool.Capacity = s.cfg.QueueDepth
 	ms := snap.Engine.MatrixStats()
 	resp.Matrix.Bytes = ms.Bytes

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"time"
 
 	"tagdm/internal/core"
@@ -12,32 +13,19 @@ import (
 	"tagdm/internal/query"
 )
 
-// This file is the scatter-gather serving tier: the published read view is
-// a set of snapshot replicas (one per shard, all at the same epoch), an
-// analyze fans one partial solve per shard onto per-shard worker pools, and
-// the gathered partials merge into the answer a single serial solve would
-// have produced — byte-identical, because the shards partition the solver's
-// search space (see core.SolvePartial) rather than the data, and the merge
-// reproduces the serial tie-breaks. With one shard the scatter degenerates
-// to the old single-solve path through the very same code.
-
-// shardSet is the published read view: one frozen snapshot replica per
-// shard, all at the same epoch. A single atomic pointer swap publishes all
-// replicas together, so a scatter always solves one consistent epoch across
-// every shard.
-type shardSet struct {
-	snaps []*incremental.Snapshot
-	epoch int64
-}
-
-// primary is the replica backing non-scatter reads (stats, epoch gauges,
-// group rendering); all replicas are structurally identical.
-func (ss *shardSet) primary() *incremental.Snapshot { return ss.snaps[0] }
+// This file is the scatter-gather serving tier: an analyze fans one
+// partial solve per shard onto the worker pool, every partial reading the
+// one published snapshot, and the gathered partials merge into the answer
+// a single serial solve would have produced — byte-identical, because the
+// shards partition the solver's search space (see core.SolvePartial)
+// rather than the data, and the merge reproduces the serial tie-breaks.
+// With one shard the scatter degenerates to the single-solve path through
+// the very same code.
 
 // captureLocked takes a fresh snapshot of the maintainer and resets the
 // unpublished counter. Callers hold s.mu (or are inside New, before the
-// server is shared); replication and installation happen outside the lock
-// via installSnapshot.
+// server is shared); installation happens outside the lock via
+// installSnapshot.
 func (s *Server) captureLocked() (*incremental.Snapshot, error) {
 	snap, err := s.maint.Snapshot()
 	if err != nil {
@@ -47,132 +35,120 @@ func (s *Server) captureLocked() (*incremental.Snapshot, error) {
 	return snap, nil
 }
 
-// installSnapshot replicates base across the configured shard count and
-// publishes the set. Replication is O(store) per extra shard and runs
-// outside s.mu so it never stalls the write path; concurrent publishes are
-// ordered by epoch — the compare-and-swap loop declines to install only
-// when a strictly newer set already won, so a slow replication of an old
-// epoch can never clobber a newer published view.
-func (s *Server) installSnapshot(base *incremental.Snapshot) error {
+// installSnapshot publishes snap. It runs outside s.mu; concurrent
+// publishes are ordered by epoch — the compare-and-swap loop declines to
+// install only when a strictly newer snapshot already won, so a slow
+// publish of an old epoch can never clobber a newer published view.
+func (s *Server) installSnapshot(snap *incremental.Snapshot) {
 	if s.cfg.MatrixBudgetBytes > 0 {
-		// Replicas adopt the base engine's cache, so one budget set here
-		// governs the whole replica set.
-		base.Engine.SetMatrixBudget(s.cfg.MatrixBudgetBytes)
+		snap.Engine.SetMatrixBudget(s.cfg.MatrixBudgetBytes)
 	}
-	snaps := make([]*incremental.Snapshot, s.cfg.Shards)
-	snaps[0] = base
-	for i := 1; i < s.cfg.Shards; i++ {
-		rep, err := base.Replicate()
-		if err != nil {
-			return err
-		}
-		snaps[i] = rep
-	}
-	next := &shardSet{snaps: snaps, epoch: base.Version}
 	for {
-		cur := s.shards.Load()
-		if cur != nil && cur.epoch > next.epoch {
+		cur := s.snap.Load()
+		if cur != nil && cur.Version > snap.Version {
 			break
 		}
-		if s.shards.CompareAndSwap(cur, next) {
+		if s.snap.CompareAndSwap(cur, snap) {
 			break
 		}
 	}
 	s.metrics.snapshots.Inc()
-	return nil
 }
 
 // publish is capture + install: the snapshot copy happens under the write
-// lock, replication and the atomic swap outside it.
+// lock, the atomic swap outside it.
 func (s *Server) publish() error {
 	s.mu.Lock()
-	base, err := s.captureLocked()
+	snap, err := s.captureLocked()
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return s.installSnapshot(base)
+	s.installSnapshot(snap)
+	return nil
+}
+
+// solveView is what every partial of one analyze solves against: the
+// snapshot's engine, or for a WHERE query the scoped engine built once for
+// the request, plus the spec resolved against that engine's universe.
+type solveView struct {
+	eng  *core.Engine
+	spec core.ProblemSpec
+}
+
+// buildView scopes and resolves one analyze. It runs once per request, on
+// whichever partial job reaches it first; ctx carries that job's span, so
+// the scope span lands under the shard that paid for it.
+func (s *Server) buildView(ctx context.Context, snap *incremental.Snapshot, req *query.Request) (solveView, error) {
+	eng, n := snap.Engine, snap.Store.Len()
+	if len(req.Where) > 0 {
+		scopeSpan := obs.StartSpan(ctx, "scope")
+		scoped, scopedN, err := s.scopedEngine(snap, req.Where)
+		scopeSpan.End()
+		if err != nil {
+			return solveView{}, err
+		}
+		eng, n = scoped, scopedN
+	}
+	spec, err := req.Resolve(n)
+	if err != nil {
+		return solveView{}, err
+	}
+	return solveView{eng: eng, spec: spec}, nil
 }
 
 // shardOutcome is one shard's contribution to a scattered analyze.
 type shardOutcome struct {
 	shard   int
 	partial core.Partial
-	// merge is the engine the partial ran on; the gather uses shard 0's to
-	// merge (all replicas are interchangeable for scoring).
-	merge *core.Engine
-	spec  core.ProblemSpec
-	// empty marks a shard that found no describable groups in scope; all
-	// shards agree on it, and the merged response is the empty answer.
-	empty   bool
 	elapsed time.Duration
-}
-
-// runShardPartial executes one shard's slice of a parsed query against that
-// shard's snapshot replica. It runs on a pool worker; everything it touches
-// is either immutable (the replica) or freshly built here, so concurrent
-// executions never share mutable state. The context carries the shard's
-// span and the request's cancellation budget.
-func (s *Server) runShardPartial(ctx context.Context, snap *incremental.Snapshot, req *query.Request, shard, of int) (*shardOutcome, error) {
-	start := time.Now()
-	eng := snap.Engine
-	n := snap.Store.Len()
-	if len(req.Where) > 0 {
-		scopeSpan := obs.StartSpan(ctx, "scope")
-		scoped, scopedN, err := s.scopedEngine(snap, req.Where)
-		scopeSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		eng, n = scoped, scopedN
-	}
-	spec, err := req.Resolve(n)
-	if err != nil {
-		return nil, err
-	}
-	out := &shardOutcome{shard: shard, merge: eng, spec: spec}
-	if len(eng.Groups) == 0 {
-		// An empty universe has no feasible set; short-circuit rather than
-		// exercising solver edge cases. Every shard scopes identically, so
-		// they all land here together.
-		out.empty = true
-		out.elapsed = time.Since(start)
-		return out, nil
-	}
-	partial, err := eng.SolvePartial(ctx, spec, core.SolveOptions{
-		LSH: core.LSHOptions{Seed: s.cfg.Seed, Mode: core.Fold},
-		FDP: core.FDPOptions{Mode: core.Fold},
-	}, shard, of)
-	if err != nil {
-		return nil, err
-	}
-	out.partial = partial
-	out.elapsed = time.Since(start)
-	return out, nil
 }
 
 // scatterAnalyze fans a parsed query out as one partial solve per shard,
 // gathers the shard outcomes, and merges them into the response a serial
-// solve over one snapshot would have produced. Any shard rejecting with a
-// full queue fails the whole request fast (errBusy -> 429); any shard error
-// cancels the surviving shards.
-func (s *Server) scatterAnalyze(ctx context.Context, solveSpan *obs.Span, ss *shardSet, req *query.Request, raw string) (*analyzeResponse, error) {
+// solve over the snapshot would have produced. A full queue fails the
+// whole request fast (errBusy -> 429); any shard error cancels the
+// surviving shards.
+func (s *Server) scatterAnalyze(ctx context.Context, solveSpan *obs.Span, snap *incremental.Snapshot, req *query.Request, raw string) (*analyzeResponse, error) {
 	start := time.Now()
-	of := len(ss.snaps)
+	of := s.cfg.Shards
+	var (
+		viewOnce sync.Once
+		view     solveView
+		viewErr  error
+	)
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// One shared result channel with room for every shard: workers never
 	// block sending, so an abandoned gather cannot strand a worker.
 	done := make(chan poolResult[*shardOutcome], of)
 	submitted := 0
-	for si := range ss.snaps {
-		shard := si
-		snap := ss.snaps[si]
+	for shard := 0; shard < of; shard++ {
 		span := solveSpan.StartChild("shard")
 		span.SetAttr("shard", shard)
-		err := s.pools[shard].submit(gctx, done, func(jctx context.Context) (*shardOutcome, error) {
+		err := s.pool.submit(gctx, done, func(jctx context.Context) (*shardOutcome, error) {
 			defer span.End()
-			return s.runShardPartial(obs.WithSpan(jctx, span), snap, req, shard, of)
+			jstart := time.Now()
+			jctx = obs.WithSpan(jctx, span)
+			viewOnce.Do(func() { view, viewErr = s.buildView(jctx, snap, req) })
+			if viewErr != nil {
+				return nil, viewErr
+			}
+			out := &shardOutcome{shard: shard}
+			// An empty universe has no feasible set; skip the solver rather
+			// than exercising its edge cases.
+			if len(view.eng.Groups) > 0 {
+				p, err := view.eng.SolvePartial(jctx, view.spec, core.SolveOptions{
+					LSH: core.LSHOptions{Seed: s.cfg.Seed, Mode: core.Fold},
+					FDP: core.FDPOptions{Mode: core.Fold},
+				}, shard, of)
+				if err != nil {
+					return nil, err
+				}
+				out.partial = p
+			}
+			out.elapsed = time.Since(jstart)
+			return out, nil
 		})
 		if err != nil {
 			// errBusy/errClosed. The deferred cancel makes already-queued
@@ -213,9 +189,10 @@ func (s *Server) scatterAnalyze(ctx context.Context, solveSpan *obs.Span, ss *sh
 		return nil, firstErr
 	}
 
-	first := outs[0]
-	resp := &analyzeResponse{Query: strings.TrimSpace(raw), Epoch: ss.epoch, spec: &first.spec}
-	if first.empty {
+	// Every job ran viewOnce before sending its outcome, so the channel
+	// receives above order view's writes before these reads.
+	resp := &analyzeResponse{Query: strings.TrimSpace(raw), Epoch: snap.Version, spec: &view.spec}
+	if len(view.eng.Groups) == 0 {
 		resp.Groups = []GroupResult{}
 		resp.SolveMillis = float64(time.Since(start)) / 1e6
 		return resp, nil
@@ -230,7 +207,7 @@ func (s *Server) scatterAnalyze(ctx context.Context, solveSpan *obs.Span, ss *sh
 			maxElapsed = out.elapsed
 		}
 	}
-	res, err := first.merge.MergePartials(first.spec, parts, start)
+	res, err := view.eng.MergePartials(view.spec, parts, start)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +218,7 @@ func (s *Server) scatterAnalyze(ctx context.Context, solveSpan *obs.Span, ss *sh
 	resp.Support = res.Support
 	resp.Groups = make([]GroupResult, len(res.Groups))
 	for i, g := range res.Groups {
-		resp.Groups[i] = GroupResult{Description: g.Describe(ss.primary().Store), Size: g.Size()}
+		resp.Groups[i] = GroupResult{Description: g.Describe(snap.Store), Size: g.Size()}
 	}
 	resp.SolveMillis = float64(time.Since(start)) / 1e6
 	return resp, nil

@@ -218,7 +218,7 @@ func TestQueueFullShedsWithRetryAfter(t *testing.T) {
 	defer close(block)
 	started := make(chan struct{})
 	done := make(chan poolResult[*shardOutcome], 2)
-	err := s.pools[0].submit(context.Background(), done, func(context.Context) (*shardOutcome, error) {
+	err := s.pool.submit(context.Background(), done, func(context.Context) (*shardOutcome, error) {
 		close(started)
 		<-block
 		return nil, nil
@@ -227,7 +227,7 @@ func TestQueueFullShedsWithRetryAfter(t *testing.T) {
 		t.Fatalf("occupying worker: %v", err)
 	}
 	<-started // the worker holds this job; the queue slot is free again
-	err = s.pools[0].submit(context.Background(), done, func(context.Context) (*shardOutcome, error) {
+	err = s.pool.submit(context.Background(), done, func(context.Context) (*shardOutcome, error) {
 		return nil, nil
 	})
 	if err != nil {

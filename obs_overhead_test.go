@@ -17,7 +17,7 @@ import (
 
 // BenchmarkExactSerialTraced solves the same problem as BenchmarkExactSerial
 // but under a fresh root span each iteration, so the solver records its
-// matrix/enumerate child spans with wall and CPU timings. The delta against
+// matrix/enumerate child spans with wall timings (and the root its CPU). The delta against
 // BenchmarkExactSerial is the full instrumentation cost.
 func BenchmarkExactSerialTraced(b *testing.B) {
 	_, ex := benchWorld(b)
