@@ -355,12 +355,58 @@ func BenchmarkAblationSignatureLDAInfer(b *testing.B) {
 	}
 }
 
+var (
+	paperLDAOnce  sync.Once
+	paperLDASetup *experiments.Setup
+)
+
+// paperLDAWorld builds the DefaultConfig pipeline (25 topics over the
+// ~12K-tag paper vocabulary) once, for the LDA benchmarks whose count
+// arrays must be paper-sized: on the FastConfig corpus they fit in L1.
+func paperLDAWorld(b *testing.B) *experiments.Setup {
+	b.Helper()
+	paperLDAOnce.Do(func() {
+		st, err := experiments.Build(experiments.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		paperLDASetup = st
+	})
+	if paperLDASetup == nil {
+		b.Fatal("paper LDA pipeline failed to build")
+	}
+	return paperLDASetup
+}
+
+// BenchmarkAblationSignatureLDAInferPaper folds every paper-corpus group
+// into the paper's 25-topic model, as experiments.Build does once per
+// corpus.
+func BenchmarkAblationSignatureLDAInferPaper(b *testing.B) {
+	st := paperLDAWorld(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		signature.SummarizeAll(st.LDA, st.Store, st.Groups)
+	}
+}
+
 // --- Substrate micro-benchmarks ---
 
 func BenchmarkSubstrateLDATrain(b *testing.B) {
 	st, _ := benchWorld(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := signature.TrainLDA(st.Store, st.Groups, 8, 40, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSubstrateLDATrainPaper runs 10 Gibbs sweeps of the paper's
+// 25-topic model over the DefaultConfig corpus.
+func BenchmarkSubstrateLDATrainPaper(b *testing.B) {
+	st := paperLDAWorld(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := signature.TrainLDA(st.Store, st.Groups, 25, 10, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

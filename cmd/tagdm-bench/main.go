@@ -6,7 +6,8 @@
 // Usage:
 //
 //	tagdm-bench [-scale fast|paper] [-fig 1|3|5|7|9] [-table 1|2] [-all]
-//	            [-bnb] [-sparse] [-trace] [-json] [-commit sha] [-timestamp ts]
+//	            [-bnb] [-sparse] [-trace] [-setup] [-json] [-commit sha]
+//	            [-timestamp ts]
 //
 // With -all (the default when no selector is given) every artifact is
 // produced in order. -fig 3 covers Figures 3 and 4 (same runs measure time
@@ -62,7 +63,9 @@ type benchRecord struct {
 	NumGroups int    `json:"groups,omitempty"`
 	K         int    `json:"k,omitempty"`
 	// Stage names one solver phase (trace records): matrix, enumerate,
-	// lsh_build, bucket_scan, greedy, local_search, or total.
+	// lsh_build, bucket_scan, greedy, local_search, or total; or one set-up
+	// phase (setup records): datagen, store, groups, lda_train, summarize,
+	// engine, exact_engine, or total.
 	Stage  string  `json:"stage,omitempty"`
 	Millis float64 `json:"millis"`
 	// Quality is present where the underlying run has a quality axis —
@@ -211,13 +214,14 @@ func main() {
 	sparse := flag.Bool("sparse", false, "run the sparse-corpus union-kernel sweep (dense vs compressed bitmaps)")
 	matrixReuse := flag.Bool("matrix-reuse", false, "run the pair-matrix lifecycle sweep (scratch build vs dirty-row rebuild vs shared-cache hit)")
 	trace := flag.Bool("trace", false, "emit per-stage solver timing breakdowns (matrix, enumerate, lsh_build, ...)")
+	setupTimes := flag.Bool("setup", false, "time each set-up phase (datagen, store, groups, lda_train, summarize, engine, exact_engine) per corpus")
 	all := flag.Bool("all", false, "regenerate everything")
 	asJSON := flag.Bool("json", false, "emit timed results as JSON lines instead of tables")
 	commit := flag.String("commit", "", "git commit recorded in the -json meta line (default: git rev-parse --short HEAD)")
 	timestamp := flag.String("timestamp", "", "timestamp recorded in the -json meta line (default: wall clock, RFC 3339)")
 	flag.Parse()
 
-	if *fig == 0 && *table == 0 && !*ablation && !*transfer && !*ksweep && !*bnb && !*sparse && !*trace && !*matrixReuse {
+	if *fig == 0 && *table == 0 && !*ablation && !*transfer && !*ksweep && !*bnb && !*sparse && !*trace && !*matrixReuse && !*setupTimes {
 		*all = true
 	}
 
@@ -368,8 +372,57 @@ func main() {
 	if *all || *sparse {
 		runSparse(emit)
 	}
+	if *all || *setupTimes {
+		runSetup(cfg, emit)
+	}
 	if *all || *matrixReuse {
 		runMatrixReuse(st, emit)
+	}
+}
+
+// --- set-up phases ---
+
+// setupCorpora is how many corpora -setup builds, with data and LDA seeds
+// 1, 2, ...: one corpus's phases swing with its data.
+const setupCorpora = 3
+
+// runSetup times each phase of experiments.Build and then ExactEngine per
+// corpus: together the set-up a paper-scale batch pays before it solves
+// anything, broken down so a change to it can name the phase that moved.
+func runSetup(cfg experiments.Config, emit *jsonEmitter) {
+	if emit == nil {
+		fmt.Println("== Set-up phases per corpus (millis) ==")
+	}
+	for i := 1; i <= setupCorpora; i++ {
+		c := cfg
+		c.Data.Seed, c.Seed = int64(i), int64(i)
+		start := time.Now()
+		st, err := experiments.Build(c)
+		if err != nil {
+			log.Fatal(err)
+		}
+		t := time.Now()
+		if _, err := st.ExactEngine(); err != nil {
+			log.Fatal(err)
+		}
+		phases := append(st.Phases,
+			experiments.SetupPhase{Name: "exact_engine", Wall: time.Since(t)},
+			experiments.SetupPhase{Name: "total", Wall: time.Since(start)})
+		variant := fmt.Sprintf("seed=%d", i)
+		if emit != nil {
+			for _, ph := range phases {
+				emit.record(benchRecord{Bench: "setup", Variant: variant, Stage: ph.Name, Millis: millis(ph.Wall)})
+			}
+			continue
+		}
+		fmt.Printf("%-8s", variant)
+		for _, ph := range phases {
+			fmt.Printf(" %s=%.1f", ph.Name, millis(ph.Wall))
+		}
+		fmt.Println()
+	}
+	if emit == nil {
+		fmt.Println()
 	}
 }
 

@@ -34,6 +34,13 @@ func TestBuildPipeline(t *testing.T) {
 			t.Fatalf("signature %d has dim %d", i, sig.Dim())
 		}
 	}
+	var names []string
+	for _, ph := range st.Phases {
+		names = append(names, ph.Name)
+	}
+	if got, want := strings.Join(names, ","), "datagen,store,groups,lda_train,summarize,engine"; got != want {
+		t.Fatalf("set-up phases %s, want %s", got, want)
+	}
 }
 
 func TestExactEngineCap(t *testing.T) {

@@ -296,7 +296,7 @@ func CaseStudy(st *Setup, conds map[string]string, problemID int, p Params) ([]s
 	if within.Count() == 0 {
 		return nil, fmt.Errorf("experiments: query %v matches no tuples", conds)
 	}
-	sub, err := buildOn(st.Config, st.World, st.Store, within)
+	sub, err := buildOn(st.Config, st.World, st.Store, within, startLaps())
 	if err != nil {
 		return nil, err
 	}

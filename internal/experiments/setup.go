@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"tagdm/internal/core"
 	"tagdm/internal/datagen"
@@ -69,41 +70,77 @@ type Setup struct {
 	Sigs   []signature.Signature
 	LDA    *signature.LDA
 	Engine *core.Engine
+	// Phases is the wall time of each set-up step that produced this
+	// Setup, in order: datagen, store, groups, lda_train, summarize,
+	// engine (a Setup over part of a store, as BinSetup builds, starts at
+	// groups).
+	Phases []SetupPhase
+}
+
+// SetupPhase is the wall time of one set-up step.
+type SetupPhase struct {
+	Name string
+	Wall time.Duration
+}
+
+// laps records consecutive set-up phases, each ending at the next lap.
+type laps struct {
+	last   time.Time
+	phases []SetupPhase
+}
+
+func startLaps() *laps { return &laps{last: time.Now()} }
+
+func (l *laps) lap(name string) {
+	now := time.Now()
+	l.phases = append(l.phases, SetupPhase{Name: name, Wall: now.Sub(l.last)})
+	l.last = now
 }
 
 // Build assembles the pipeline end to end.
 func Build(cfg Config) (*Setup, error) {
+	l := startLaps()
 	world, err := datagen.Generate(cfg.Data)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating data: %w", err)
 	}
-	return BuildFrom(cfg, world)
+	l.lap("datagen")
+	return buildFrom(cfg, world, l)
 }
 
 // BuildFrom assembles the pipeline over an existing world (used by the bin
 // sweep, which re-enumerates subsets of one corpus).
 func BuildFrom(cfg Config, world *datagen.World) (*Setup, error) {
+	return buildFrom(cfg, world, startLaps())
+}
+
+func buildFrom(cfg Config, world *datagen.World, l *laps) (*Setup, error) {
 	s, err := store.New(world.Dataset)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building store: %w", err)
 	}
-	return buildOn(cfg, world, s, nil)
+	l.lap("store")
+	return buildOn(cfg, world, s, nil, l)
 }
 
-func buildOn(cfg Config, world *datagen.World, s *store.Store, within *store.Bitmap) (*Setup, error) {
+func buildOn(cfg Config, world *datagen.World, s *store.Store, within *store.Bitmap, l *laps) (*Setup, error) {
 	gs := (&groups.Enumerator{Store: s, MinTuples: cfg.MinTuples, Within: within}).FullyDescribed()
 	if len(gs) == 0 {
 		return nil, fmt.Errorf("experiments: no groups with >= %d tuples", cfg.MinTuples)
 	}
+	l.lap("groups")
 	ldaSum, err := signature.TrainLDA(s, gs, cfg.Topics, cfg.LDAIterations, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
+	l.lap("lda_train")
 	sigs := signature.SummarizeAll(ldaSum, s, gs)
+	l.lap("summarize")
 	eng, err := core.NewEngine(s, gs, sigs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
+	l.lap("engine")
 	return &Setup{
 		Config: cfg,
 		World:  world,
@@ -112,6 +149,7 @@ func buildOn(cfg Config, world *datagen.World, s *store.Store, within *store.Bit
 		Sigs:   sigs,
 		LDA:    ldaSum,
 		Engine: eng,
+		Phases: l.phases,
 	}, nil
 }
 
@@ -146,5 +184,5 @@ func (st *Setup) BinSetup(nTuples int) (*Setup, error) {
 	for t := 0; t < nTuples; t++ {
 		within.Set(t)
 	}
-	return buildOn(st.Config, st.World, st.Store, within)
+	return buildOn(st.Config, st.World, st.Store, within, startLaps())
 }

@@ -8,6 +8,18 @@
 // freezes topic-word statistics; Infer folds a new document in against the
 // frozen statistics, which is how per-group signatures are produced after
 // fitting the model on the whole dataset.
+//
+// Layout: the model keeps one word-major count array, wordTopic[w*K+k],
+// holding exact integer counts in float64s, so a token's K conditionals
+// read one contiguous row rather than one cache line in each of K
+// vocabulary-long topic rows. Training's document-topic counts are flat
+// too, and each topic's denominator, its total plus V·β, is cached and
+// refreshed only when that total changes; after training it is frozen
+// for Infer. Every conditional is still (dt+α)(tw+β)/den, summed over
+// k = 0..K-1 in order and drawn from the same RNG stream, so trained
+// counts, training thetas and inferences are bit-identical to the
+// topic-major sampler this layout replaced (lda_test.go keeps that sampler
+// as an oracle). Save and Load keep its topic-major tagdm-lda-v1 format.
 package lda
 
 import (
@@ -52,17 +64,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Model is a trained LDA model: frozen topic-word counts plus priors.
+// Model is a trained LDA model: frozen word-topic counts plus priors.
 type Model struct {
 	K         int
 	VocabSize int
 	Alpha     float64
 	Beta      float64
 
-	// topicWord[k][w] = count of word w assigned to topic k at the end of
-	// training. topicTotals[k] = sum over w.
-	topicWord   [][]int
-	topicTotals []int
+	// wordTopic[w*K+k] = count of word w assigned to topic k at the end of
+	// training, held as an exact integer in a float64 so the sampler's inner
+	// loop reads one contiguous row per token without conversions.
+	wordTopic []float64
+	// topicDen[k] = float64(total count of topic k) + VocabSize*Beta, the
+	// denominator of every phi[k][w]; frozen after training.
+	topicDen []float64
 
 	// docTopic distributions of the training documents (theta), row-major
 	// K floats per document.
@@ -80,74 +95,88 @@ func Train(corpus Corpus, cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	K, V := cfg.Topics, corpus.VocabSize
+	vBeta := float64(V) * cfg.Beta
 
-	m := &Model{K: K, VocabSize: V, Alpha: cfg.Alpha, Beta: cfg.Beta}
-	m.topicWord = make([][]int, K)
-	for k := range m.topicWord {
-		m.topicWord[k] = make([]int, V)
-	}
-	m.topicTotals = make([]int, K)
+	m := &Model{K: K, VocabSize: V, Alpha: cfg.Alpha, Beta: cfg.Beta,
+		wordTopic: make([]float64, V*K), topicDen: make([]float64, K)}
+	totals := make([]int, K)
 
 	nDocs := len(corpus.Docs)
-	docTopic := make([][]int, nDocs)
-	docLens := make([]int, nDocs)
-	assign := make([][]int, nDocs) // topic of each token
+	docTopic := make([]float64, nDocs*K) // docTopic[d*K+k]
+	assign := make([][]int, nDocs)       // topic of each token
 
 	// Random initialization.
 	for d, doc := range corpus.Docs {
-		docTopic[d] = make([]int, K)
+		dt := docTopic[d*K : (d+1)*K]
 		assign[d] = make([]int, len(doc))
-		docLens[d] = len(doc)
 		for i, w := range doc {
 			if w < 0 || w >= V {
 				return nil, errors.New("lda: word id out of vocabulary range")
 			}
 			k := rng.Intn(K)
 			assign[d][i] = k
-			docTopic[d][k]++
-			m.topicWord[k][w]++
-			m.topicTotals[k]++
+			dt[k]++
+			m.wordTopic[w*K+k]++
+			totals[k]++
 		}
+	}
+	for k, n := range totals {
+		m.topicDen[k] = float64(n) + vBeta
 	}
 
 	probs := make([]float64, K)
-	vBeta := float64(V) * cfg.Beta
 	for it := 0; it < cfg.Iterations; it++ {
 		for d, doc := range corpus.Docs {
+			dt := docTopic[d*K : (d+1)*K]
+			z := assign[d]
 			for i, w := range doc {
-				old := assign[d][i]
-				docTopic[d][old]--
-				m.topicWord[old][w]--
-				m.topicTotals[old]--
+				tw := m.wordTopic[w*K : (w+1)*K]
+				old := z[i]
+				dt[old]--
+				tw[old]--
+				totals[old]--
+				m.topicDen[old] = float64(totals[old]) + vBeta
 
-				var sum float64
-				for k := 0; k < K; k++ {
-					p := (float64(docTopic[d][k]) + cfg.Alpha) *
-						(float64(m.topicWord[k][w]) + cfg.Beta) /
-						(float64(m.topicTotals[k]) + vBeta)
-					probs[k] = p
-					sum += p
-				}
-				k := sample(rng, probs, sum)
-				assign[d][i] = k
-				docTopic[d][k]++
-				m.topicWord[k][w]++
-				m.topicTotals[k]++
+				k := sample(rng, probs, fill(probs, dt, tw, m.topicDen, cfg.Alpha, cfg.Beta))
+				z[i] = k
+				dt[k]++
+				tw[k]++
+				totals[k]++
+				m.topicDen[k] = float64(totals[k]) + vBeta
 			}
 		}
 	}
 
 	// Freeze per-document theta.
 	m.docTheta = make([][]float64, nDocs)
-	for d := range corpus.Docs {
-		theta := make([]float64, K)
-		denom := float64(docLens[d]) + float64(K)*cfg.Alpha
-		for k := 0; k < K; k++ {
-			theta[k] = (float64(docTopic[d][k]) + cfg.Alpha) / denom
-		}
-		m.docTheta[d] = theta
+	for d, doc := range corpus.Docs {
+		m.docTheta[d] = theta(docTopic[d*K:(d+1)*K], len(doc), cfg.Alpha)
 	}
 	return m, nil
+}
+
+// fill sets probs[k] to the collapsed Gibbs conditional of topic k,
+// (dt[k]+alpha)*(tw[k]+beta)/den[k], and returns their sum. Train and Infer
+// share it so both evaluate the same expression in the same order.
+func fill(probs, dt, tw, den []float64, alpha, beta float64) float64 {
+	dt, tw, den = dt[:len(probs)], tw[:len(probs)], den[:len(probs)]
+	var sum float64
+	for k := range probs {
+		p := (dt[k] + alpha) * (tw[k] + beta) / den[k]
+		probs[k] = p
+		sum += p
+	}
+	return sum
+}
+
+// theta smooths one document's topic counts into its topic distribution.
+func theta(dt []float64, n int, alpha float64) []float64 {
+	out := make([]float64, len(dt))
+	denom := float64(n) + float64(len(dt))*alpha
+	for k, c := range dt {
+		out[k] = (c + alpha) / denom
+	}
+	return out
 }
 
 // sample draws an index proportionally to probs (which sum to sum).
@@ -173,8 +202,7 @@ func (m *Model) DocTheta(d int) []float64 {
 // TopicWordProb returns phi[k][w], the smoothed probability of word w under
 // topic k.
 func (m *Model) TopicWordProb(k, w int) float64 {
-	return (float64(m.topicWord[k][w]) + m.Beta) /
-		(float64(m.topicTotals[k]) + float64(m.VocabSize)*m.Beta)
+	return (m.wordTopic[w*m.K+k] + m.Beta) / m.topicDen[k]
 }
 
 // TopWords returns the n most probable word ids of topic k, most probable
@@ -209,51 +237,56 @@ func (m *Model) TopWords(k, n int) []int {
 // Infer folds doc into the frozen model with a short Gibbs run and returns
 // its topic distribution theta (length K, sums to 1). This is how group tag
 // signatures are produced: the group's tag multiset is one document.
+// Word ids outside the vocabulary carry no evidence and are dropped before
+// sampling; a document with no in-vocabulary word gets the uniform theta.
 func (m *Model) Infer(doc Document, iterations int, seed int64) []float64 {
-	theta := make([]float64, m.K)
+	doc = m.inVocab(doc)
 	if len(doc) == 0 {
-		// Uniform distribution for an empty tag set: no evidence.
-		for k := range theta {
-			theta[k] = 1.0 / float64(m.K)
+		uniform := make([]float64, m.K)
+		for k := range uniform {
+			uniform[k] = 1.0 / float64(m.K)
 		}
-		return theta
+		return uniform
 	}
 	if iterations <= 0 {
 		iterations = 30
 	}
+	K := m.K
 	rng := rand.New(rand.NewSource(seed))
-	docTopic := make([]int, m.K)
+	dt := make([]float64, K)
 	assign := make([]int, len(doc))
 	for i := range doc {
-		k := rng.Intn(m.K)
+		k := rng.Intn(K)
 		assign[i] = k
-		docTopic[k]++
+		dt[k]++
 	}
-	probs := make([]float64, m.K)
-	vBeta := float64(m.VocabSize) * m.Beta
+	probs := make([]float64, K)
 	for it := 0; it < iterations; it++ {
 		for i, w := range doc {
-			if w < 0 || w >= m.VocabSize {
-				continue // unseen word: contributes nothing
-			}
 			old := assign[i]
-			docTopic[old]--
-			var sum float64
-			for k := 0; k < m.K; k++ {
-				p := (float64(docTopic[k]) + m.Alpha) *
-					(float64(m.topicWord[k][w]) + m.Beta) /
-					(float64(m.topicTotals[k]) + vBeta)
-				probs[k] = p
-				sum += p
-			}
+			dt[old]--
+			sum := fill(probs, dt, m.wordTopic[w*K:(w+1)*K], m.topicDen, m.Alpha, m.Beta)
 			k := sample(rng, probs, sum)
 			assign[i] = k
-			docTopic[k]++
+			dt[k]++
 		}
 	}
-	denom := float64(len(doc)) + float64(m.K)*m.Alpha
-	for k := 0; k < m.K; k++ {
-		theta[k] = (float64(docTopic[k]) + m.Alpha) / denom
+	return theta(dt, len(doc), m.Alpha)
+}
+
+// inVocab returns doc without its out-of-vocabulary ids, copying only when
+// there is one to drop.
+func (m *Model) inVocab(doc Document) Document {
+	for i, w := range doc {
+		if w < 0 || w >= m.VocabSize {
+			kept := append(Document(nil), doc[:i]...)
+			for _, w := range doc[i+1:] {
+				if w >= 0 && w < m.VocabSize {
+					kept = append(kept, w)
+				}
+			}
+			return kept
+		}
 	}
-	return theta
+	return doc
 }

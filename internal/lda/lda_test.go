@@ -194,6 +194,276 @@ func TestInferEmptyAndUnseen(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("theta with unseen words sums to %v", sum)
 	}
+	// Unseen ids neither draw from the RNG nor count toward theta:
+	// interleaving them leaves the inferred theta unchanged bit for bit,
+	// and a document of unseen ids only carries no evidence at all.
+	clean := Document{3, 3, 7, 21, 22, 29, 0}
+	noisy := Document{-1, 3, 30, 3, 7, 1 << 20, 21, 22, -7, 29, 0, 31}
+	for seed := int64(0); seed < 5; seed++ {
+		if got, want := m.Infer(noisy, 25, seed), m.Infer(clean, 25, seed); !sameBits(got, want) {
+			t.Fatalf("seed %d: theta with unseen ids %v, without %v", seed, got, want)
+		}
+	}
+	for _, p := range m.Infer(Document{999, -5, 30}, 10, 1) {
+		if p != 1.0/3.0 {
+			t.Fatalf("all-unseen doc should be uniform, got %v", p)
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// refModel and refTrain/refInfer are the topic-major sampler the
+// word-major one replaced, kept verbatim as the bit-identity oracle: int
+// counts in topicWord[k][w], every denominator recomputed from the totals.
+type refModel struct {
+	K, VocabSize int
+	Alpha, Beta  float64
+	topicWord    [][]int
+	topicTotals  []int
+	docTheta     [][]float64
+}
+
+func refTrain(corpus Corpus, cfg Config) *refModel {
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	K, V := cfg.Topics, corpus.VocabSize
+
+	m := &refModel{K: K, VocabSize: V, Alpha: cfg.Alpha, Beta: cfg.Beta}
+	m.topicWord = make([][]int, K)
+	for k := range m.topicWord {
+		m.topicWord[k] = make([]int, V)
+	}
+	m.topicTotals = make([]int, K)
+
+	nDocs := len(corpus.Docs)
+	docTopic := make([][]int, nDocs)
+	docLens := make([]int, nDocs)
+	assign := make([][]int, nDocs)
+	for d, doc := range corpus.Docs {
+		docTopic[d] = make([]int, K)
+		assign[d] = make([]int, len(doc))
+		docLens[d] = len(doc)
+		for i, w := range doc {
+			k := rng.Intn(K)
+			assign[d][i] = k
+			docTopic[d][k]++
+			m.topicWord[k][w]++
+			m.topicTotals[k]++
+		}
+	}
+
+	probs := make([]float64, K)
+	vBeta := float64(V) * cfg.Beta
+	for it := 0; it < cfg.Iterations; it++ {
+		for d, doc := range corpus.Docs {
+			for i, w := range doc {
+				old := assign[d][i]
+				docTopic[d][old]--
+				m.topicWord[old][w]--
+				m.topicTotals[old]--
+
+				var sum float64
+				for k := 0; k < K; k++ {
+					p := (float64(docTopic[d][k]) + cfg.Alpha) *
+						(float64(m.topicWord[k][w]) + cfg.Beta) /
+						(float64(m.topicTotals[k]) + vBeta)
+					probs[k] = p
+					sum += p
+				}
+				k := sample(rng, probs, sum)
+				assign[d][i] = k
+				docTopic[d][k]++
+				m.topicWord[k][w]++
+				m.topicTotals[k]++
+			}
+		}
+	}
+
+	m.docTheta = make([][]float64, nDocs)
+	for d := range corpus.Docs {
+		theta := make([]float64, K)
+		denom := float64(docLens[d]) + float64(K)*cfg.Alpha
+		for k := 0; k < K; k++ {
+			theta[k] = (float64(docTopic[d][k]) + cfg.Alpha) / denom
+		}
+		m.docTheta[d] = theta
+	}
+	return m
+}
+
+// refInfer is the old Infer for in-vocabulary documents (it gave unseen
+// ids a topic, which TestInferEmptyAndUnseen rules out).
+func (m *refModel) refInfer(doc Document, iterations int, seed int64) []float64 {
+	theta := make([]float64, m.K)
+	if len(doc) == 0 {
+		for k := range theta {
+			theta[k] = 1.0 / float64(m.K)
+		}
+		return theta
+	}
+	if iterations <= 0 {
+		iterations = 30
+	}
+	rng := rand.New(rand.NewSource(seed))
+	docTopic := make([]int, m.K)
+	assign := make([]int, len(doc))
+	for i := range doc {
+		k := rng.Intn(m.K)
+		assign[i] = k
+		docTopic[k]++
+	}
+	probs := make([]float64, m.K)
+	vBeta := float64(m.VocabSize) * m.Beta
+	for it := 0; it < iterations; it++ {
+		for i, w := range doc {
+			old := assign[i]
+			docTopic[old]--
+			var sum float64
+			for k := 0; k < m.K; k++ {
+				p := (float64(docTopic[k]) + m.Alpha) *
+					(float64(m.topicWord[k][w]) + m.Beta) /
+					(float64(m.topicTotals[k]) + vBeta)
+				probs[k] = p
+				sum += p
+			}
+			k := sample(rng, probs, sum)
+			assign[i] = k
+			docTopic[k]++
+		}
+	}
+	denom := float64(len(doc)) + float64(m.K)*m.Alpha
+	for k := 0; k < m.K; k++ {
+		theta[k] = (float64(docTopic[k]) + m.Alpha) / denom
+	}
+	return theta
+}
+
+// randDoc draws a document of n in-vocabulary ids, clustered the way a
+// sorted group tag bag is.
+func randDoc(rng *rand.Rand, n, vocab int) Document {
+	doc := make(Document, n)
+	for i := range doc {
+		doc[i] = rng.Intn(vocab)
+	}
+	return doc
+}
+
+// assertMatchesRef checks m against the topic-major oracle bit for bit:
+// counts, denominators (hence totals), training thetas and inference.
+func assertMatchesRef(t *testing.T, m *Model, ref *refModel, rng *rand.Rand) {
+	t.Helper()
+	for k := 0; k < ref.K; k++ {
+		for w := 0; w < ref.VocabSize; w++ {
+			if got, want := m.wordTopic[w*m.K+k], float64(ref.topicWord[k][w]); got != want {
+				t.Fatalf("count[topic %d][word %d] = %v, want %v", k, w, got, want)
+			}
+		}
+		want := float64(ref.topicTotals[k]) + float64(ref.VocabSize)*ref.Beta
+		if math.Float64bits(m.topicDen[k]) != math.Float64bits(want) {
+			t.Fatalf("topic %d denominator %v, want %v", k, m.topicDen[k], want)
+		}
+	}
+	for d := range ref.docTheta {
+		if !sameBits(m.DocTheta(d), ref.docTheta[d]) {
+			t.Fatalf("DocTheta(%d) = %v, want %v", d, m.DocTheta(d), ref.docTheta[d])
+		}
+	}
+	for _, n := range []int{0, 1, 2, 9, 40} {
+		doc := randDoc(rng, n, ref.VocabSize)
+		iters, seed := rng.Intn(12), rng.Int63()
+		if got, want := m.Infer(doc, iters, seed), ref.refInfer(doc, iters, seed); !sameBits(got, want) {
+			t.Fatalf("Infer(%v, %d, %d) = %v, want %v", doc, iters, seed, got, want)
+		}
+	}
+}
+
+// TestFillMatchesTopicMajorExpression pins fill's arithmetic to the
+// topic-major sampler's expression, probability by probability. A one-ulp
+// difference rarely flips a draw, so the model-level oracle below would
+// miss a reassociated product; this test does not.
+func TestFillMatchesTopicMajorExpression(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		K, V := 1+rng.Intn(30), 1+rng.Intn(20000)
+		alpha, beta := rng.Float64(), rng.Float64()/10
+		vBeta := float64(V) * beta
+		docTopic, topicWord, totals := make([]int, K), make([]int, K), make([]int, K)
+		dt, tw, den := make([]float64, K), make([]float64, K), make([]float64, K)
+		for k := 0; k < K; k++ {
+			docTopic[k], topicWord[k] = rng.Intn(50), rng.Intn(5000)
+			totals[k] = topicWord[k] + rng.Intn(1<<20)
+			dt[k], tw[k], den[k] = float64(docTopic[k]), float64(topicWord[k]), float64(totals[k])+vBeta
+		}
+		want := make([]float64, K)
+		var wantSum float64
+		for k := 0; k < K; k++ {
+			p := (float64(docTopic[k]) + alpha) *
+				(float64(topicWord[k]) + beta) /
+				(float64(totals[k]) + vBeta)
+			want[k] = p
+			wantSum += p
+		}
+		got := make([]float64, K)
+		sum := fill(got, dt, tw, den, alpha, beta)
+		if !sameBits(got, want) || math.Float64bits(sum) != math.Float64bits(wantSum) {
+			t.Fatalf("trial %d: fill = %v (sum %v), want %v (sum %v)", trial, got, sum, want, wantSum)
+		}
+	}
+}
+
+// TestTrainMatchesTopicMajorOracle trains the word-major sampler and the
+// topic-major reference on randomized corpora — every K from 1 to 30,
+// empty and single-token documents, varied priors, seeds and sweep counts —
+// and requires identical models and inferences.
+func TestTrainMatchesTopicMajorOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2012))
+	for K := 1; K <= 30; K++ {
+		vocab := 1 + rng.Intn(60)
+		docs := make([]Document, rng.Intn(16))
+		for d := range docs {
+			switch rng.Intn(4) {
+			case 0:
+				docs[d] = nil
+			case 1:
+				docs[d] = randDoc(rng, 1, vocab)
+			default:
+				docs[d] = randDoc(rng, 2+rng.Intn(30), vocab)
+			}
+		}
+		cfg := Config{Topics: K, Iterations: 1 + rng.Intn(15), Seed: rng.Int63()}
+		if K%3 == 0 {
+			cfg.Alpha, cfg.Beta = 0.5+rng.Float64(), 0.001+rng.Float64()/10
+		}
+		corpus := Corpus{Docs: docs, VocabSize: vocab}
+		m, err := Train(corpus, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertMatchesRef(t, m, refTrain(corpus, cfg), rng)
+	}
+	corpus, _ := synthCorpus(20, 30, 40, 4)
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, iters := range []int{1, 7, 50} {
+			cfg := Config{Topics: 6, Iterations: iters, Seed: seed}
+			m, err := Train(corpus, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesRef(t, m, refTrain(corpus, cfg), rng)
+		}
+	}
 }
 
 func TestDeterministicWithSeed(t *testing.T) {

@@ -10,7 +10,9 @@ import (
 // be persisted and reloaded: Save writes the frozen topic-word statistics
 // and priors with encoding/gob; Load restores a Model whose Infer behaves
 // identically. Per-document thetas of the training corpus are included so
-// DocTheta keeps working after a round trip.
+// DocTheta keeps working after a round trip. The format is topic-major
+// (TopicWord[k][w]) while the model is word-major, so Save and Load
+// transpose.
 
 // snapshot is the gob-encoded form of a Model (gob needs exported fields).
 type snapshot struct {
@@ -35,9 +37,17 @@ func (m *Model) Save(w io.Writer) error {
 		VocabSize:   m.VocabSize,
 		Alpha:       m.Alpha,
 		Beta:        m.Beta,
-		TopicWord:   m.topicWord,
-		TopicTotals: m.topicTotals,
+		TopicWord:   make([][]int, m.K),
+		TopicTotals: make([]int, m.K),
 		DocTheta:    m.docTheta,
+	}
+	for k := range s.TopicWord {
+		row := make([]int, m.VocabSize)
+		for w := range row {
+			row[w] = int(m.wordTopic[w*m.K+k])
+			s.TopicTotals[k] += row[w]
+		}
+		s.TopicWord[k] = row
 	}
 	if err := enc.Encode(s); err != nil {
 		return fmt.Errorf("lda: encoding model: %w", err)
@@ -62,18 +72,40 @@ func Load(r io.Reader) (*Model, error) {
 	if s.K < 1 || s.VocabSize < 1 || len(s.TopicWord) != s.K || len(s.TopicTotals) != s.K {
 		return nil, fmt.Errorf("lda: corrupt snapshot (K=%d, V=%d)", s.K, s.VocabSize)
 	}
+	// Check the shape before allocating V*K counts for it.
 	for k, row := range s.TopicWord {
 		if len(row) != s.VocabSize {
 			return nil, fmt.Errorf("lda: corrupt snapshot: topic %d has %d words", k, len(row))
 		}
 	}
-	return &Model{
-		K:           s.K,
-		VocabSize:   s.VocabSize,
-		Alpha:       s.Alpha,
-		Beta:        s.Beta,
-		topicWord:   s.TopicWord,
-		topicTotals: s.TopicTotals,
-		docTheta:    s.DocTheta,
-	}, nil
+	m := &Model{
+		K:         s.K,
+		VocabSize: s.VocabSize,
+		Alpha:     s.Alpha,
+		Beta:      s.Beta,
+		wordTopic: make([]float64, s.VocabSize*s.K),
+		topicDen:  make([]float64, s.K),
+		docTheta:  s.DocTheta,
+	}
+	vBeta := float64(s.VocabSize) * s.Beta
+	for k, row := range s.TopicWord {
+		sum := 0
+		for w, n := range row {
+			if n < 0 {
+				return nil, fmt.Errorf("lda: corrupt snapshot: topic %d word %d has count %d", k, w, n)
+			}
+			m.wordTopic[w*s.K+k] = float64(n)
+			sum += n
+		}
+		if sum != s.TopicTotals[k] {
+			return nil, fmt.Errorf("lda: corrupt snapshot: topic %d total %d, counts sum to %d", k, s.TopicTotals[k], sum)
+		}
+		m.topicDen[k] = float64(sum) + vBeta
+	}
+	for d, row := range s.DocTheta {
+		if len(row) != s.K {
+			return nil, fmt.Errorf("lda: corrupt snapshot: document %d theta has %d topics, want %d", d, len(row), s.K)
+		}
+	}
+	return m, nil
 }
