@@ -675,21 +675,21 @@ func BenchmarkSupportUnionInto(b *testing.B) {
 	}
 }
 
-// --- Sparse-corpus union kernels: dense words vs containers ---
+// --- Sparse-corpus union kernels ---
 //
-// The dense layout pays O(universe/64) per union pass regardless of how
-// few ids are set; the container-compressed layout pays per occupied
-// container. These benchmarks pin the acceptance criterion for the
-// compressed layout: at <= 1% density over a 1M-id universe, OrCount and
-// UnionCountInto must beat the dense-word baseline by at least 3x.
+// Container kernels pay per occupied container, not per universe word:
+// at <= 1% density over a 1M-id universe most chunks hold arrays, and a
+// chunk present on one side of a union costs its cached cardinality. These
+// benchmarks track that regime; the acceptance criterion is that no row
+// gets slower than the last recorded trajectory (tagdm-bench -sparse).
 
 const sparseUniverse = 1 << 20
 
 // benchSparseBitmaps builds triples of random bitmaps over a 1M-id
-// universe at the given cardinality, in the requested layout. Keep the
-// fixture in lockstep with runSparse in cmd/tagdm-bench, which records
-// the same matrix as a JSON-lines performance trajectory.
-func benchSparseBitmaps(card int, compressed bool) [][3]*store.Bitmap {
+// universe at the given cardinality. Keep the fixture in lockstep with
+// runSparse in cmd/tagdm-bench, which records the same matrix as a
+// JSON-lines performance trajectory.
+func benchSparseBitmaps(card int) [][3]*store.Bitmap {
 	rng := rand.New(rand.NewSource(11))
 	sets := make([][3]*store.Bitmap, 8)
 	for i := range sets {
@@ -697,9 +697,6 @@ func benchSparseBitmaps(card int, compressed bool) [][3]*store.Bitmap {
 			bm := store.NewBitmap(sparseUniverse)
 			for k := 0; k < card; k++ {
 				bm.Set(rng.Intn(sparseUniverse))
-			}
-			if compressed {
-				bm.ToCompressed()
 			}
 			sets[i][j] = bm
 		}
@@ -716,8 +713,8 @@ func sparseDensityCases() []struct {
 		card int
 	}{
 		// 0.01% is the shape of real group tuple sets (tens to hundreds of
-		// tuples over a paper-scale corpus); 0.1% and 1% bound the regime
-		// where the compression policy still picks containers.
+		// tuples over a paper-scale corpus); at 1% every chunk holds ~655
+		// ids, past the 256-id array ceiling, so bitsets take over.
 		{"density=0.01pct", sparseUniverse / 10000},
 		{"density=0.1pct", sparseUniverse / 1000},
 		{"density=1pct", sparseUniverse / 100},
@@ -726,40 +723,31 @@ func sparseDensityCases() []struct {
 
 func BenchmarkSparseOrCount(b *testing.B) {
 	for _, d := range sparseDensityCases() {
-		for _, layout := range []string{"dense", "compressed"} {
-			sets := benchSparseBitmaps(d.card, layout == "compressed")
-			b.Run(d.name+"/"+layout, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					maps := sets[i%len(sets)]
-					_ = maps[0].OrCount(maps[1])
-				}
-			})
-		}
+		sets := benchSparseBitmaps(d.card)
+		b.Run(d.name+"/containers", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				maps := sets[i%len(sets)]
+				_ = maps[0].OrCount(maps[1])
+			}
+		})
 	}
 }
 
 func BenchmarkSparseUnionCountInto(b *testing.B) {
 	for _, d := range sparseDensityCases() {
-		for _, layout := range []string{"dense", "compressed"} {
-			compressed := layout == "compressed"
-			sets := benchSparseBitmaps(d.card, compressed)
-			newBuf := store.NewBitmap
-			if compressed {
-				newBuf = store.NewCompressedBitmap
+		sets := benchSparseBitmaps(d.card)
+		// Two per-depth buffers, as in the Exact DFS: each union level
+		// derives from its parent into a distinct reusable buffer.
+		u1, u2 := store.NewBitmap(sparseUniverse), store.NewBitmap(sparseUniverse)
+		b.Run(d.name+"/containers", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				maps := sets[i%len(sets)]
+				_ = maps[0].UnionCountInto(maps[1], u1)
+				_ = u1.UnionCountInto(maps[2], u2)
 			}
-			// Two per-depth buffers, as in the Exact DFS: each union level
-			// derives from its parent into a distinct reusable buffer.
-			u1, u2 := newBuf(sparseUniverse), newBuf(sparseUniverse)
-			b.Run(d.name+"/"+layout, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					maps := sets[i%len(sets)]
-					_ = maps[0].UnionCountInto(maps[1], u1)
-					_ = u1.UnionCountInto(maps[2], u2)
-				}
-			})
-		}
+		})
 	}
 }
 

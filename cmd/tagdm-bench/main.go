@@ -211,7 +211,7 @@ func main() {
 	transfer := flag.Bool("transfer", false, "run the attribute-transfer experiment")
 	ksweep := flag.Bool("ksweep", false, "run the k-scalability sweep (Exact blow-up)")
 	bnb := flag.Bool("bnb", false, "run the Exact branch-and-bound pruning sweep (pruning on vs off)")
-	sparse := flag.Bool("sparse", false, "run the sparse-corpus union-kernel sweep (dense vs compressed bitmaps)")
+	sparse := flag.Bool("sparse", false, "run the sparse-corpus union-kernel sweep over container bitmaps")
 	matrixReuse := flag.Bool("matrix-reuse", false, "run the pair-matrix lifecycle sweep (scratch build vs dirty-row rebuild vs shared-cache hit)")
 	trace := flag.Bool("trace", false, "emit per-stage solver timing breakdowns (matrix, enumerate, lsh_build, ...)")
 	setupTimes := flag.Bool("setup", false, "time each set-up phase (datagen, store, groups, lda_train, summarize, engine, exact_engine) per corpus")
@@ -501,9 +501,9 @@ func runMatrixReuse(st *experiments.Setup, emit *jsonEmitter) {
 // --- sparse-corpus union kernels ---
 
 // runSparse times OrCount and the DFS-shaped UnionCountInto chain on
-// synthetic sparse tuple sets over a 1M-id universe, dense words versus
-// container-compressed, and records density-sensitive numbers for the
-// performance trajectory (JSON rows carry sweep=density, variant=layout).
+// synthetic sparse tuple sets over a 1M-id universe and records
+// density-sensitive numbers for the performance trajectory (JSON rows
+// carry sweep=density, variant=containers).
 // The fixture (universe, density table, seed, triple construction) must
 // stay in lockstep with BenchmarkSparseOrCount/UnionCountInto in the root
 // bench_test.go so this trajectory and `go test -bench BenchmarkSparse`
@@ -520,58 +520,48 @@ func runSparse(emit *jsonEmitter) {
 		{"density=1pct", universe / 100},
 	}
 	if emit == nil {
-		fmt.Println("== Sparse-corpus union kernels: dense words vs compressed containers ==")
-		fmt.Printf("%-18s %-12s %-16s %10s\n", "density", "layout", "kernel", "micros/op")
+		fmt.Println("== Sparse-corpus union kernels ==")
+		fmt.Printf("%-18s %-16s %10s\n", "density", "kernel", "micros/op")
 	}
 	for _, d := range densities {
-		for _, layout := range []string{"dense", "compressed"} {
-			rng := rand.New(rand.NewSource(11))
-			sets := make([][3]*store.Bitmap, 8)
-			for i := range sets {
-				for j := 0; j < 3; j++ {
-					bm := store.NewBitmap(universe)
-					for k := 0; k < d.card; k++ {
-						bm.Set(rng.Intn(universe))
-					}
-					if layout == "compressed" {
-						bm.ToCompressed()
-					}
-					sets[i][j] = bm
+		rng := rand.New(rand.NewSource(11))
+		sets := make([][3]*store.Bitmap, 8)
+		for i := range sets {
+			for j := 0; j < 3; j++ {
+				bm := store.NewBitmap(universe)
+				for k := 0; k < d.card; k++ {
+					bm.Set(rng.Intn(universe))
 				}
+				sets[i][j] = bm
 			}
-			newBuf := store.NewBitmap
-			if layout == "compressed" {
-				newBuf = store.NewCompressedBitmap
-			}
-			u1, u2 := newBuf(universe), newBuf(universe)
+		}
+		u1, u2 := store.NewBitmap(universe), store.NewBitmap(universe)
 
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				m := sets[r%len(sets)]
-				_ = m[0].OrCount(m[1])
-			}
-			orPer := time.Since(start) / reps
+		start := time.Now()
+		for r := 0; r < reps; r++ {
+			m := sets[r%len(sets)]
+			_ = m[0].OrCount(m[1])
+		}
+		orPer := time.Since(start) / reps
 
-			start = time.Now()
-			for r := 0; r < reps; r++ {
-				m := sets[r%len(sets)]
-				_ = m[0].UnionCountInto(m[1], u1)
-				_ = u1.UnionCountInto(m[2], u2)
-			}
-			unionPer := time.Since(start) / reps
+		start = time.Now()
+		for r := 0; r < reps; r++ {
+			m := sets[r%len(sets)]
+			_ = m[0].UnionCountInto(m[1], u1)
+			_ = u1.UnionCountInto(m[2], u2)
+		}
+		unionPer := time.Since(start) / reps
 
-			for _, row := range []struct {
-				kernel string
-				per    time.Duration
-			}{{"OrCount", orPer}, {"UnionCountInto", unionPer}} {
-				if emit != nil {
-					emit.record(benchRecord{Bench: "sparse-union", Sweep: d.name,
-						Variant: layout, Algorithm: row.kernel, Millis: millis(row.per)})
-					continue
-				}
-				fmt.Printf("%-18s %-12s %-16s %10.2f\n",
-					d.name, layout, row.kernel, float64(row.per)/1e3)
+		for _, row := range []struct {
+			kernel string
+			per    time.Duration
+		}{{"OrCount", orPer}, {"UnionCountInto", unionPer}} {
+			if emit != nil {
+				emit.record(benchRecord{Bench: "sparse-union", Sweep: d.name,
+					Variant: "containers", Algorithm: row.kernel, Millis: millis(row.per)})
+				continue
 			}
+			fmt.Printf("%-18s %-16s %10.2f\n", d.name, row.kernel, float64(row.per)/1e3)
 		}
 	}
 	if emit == nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"tagdm/internal/groups"
@@ -26,14 +25,6 @@ type Engine struct {
 	// epochs' caches so clean rows carry over instead of rebuilding from
 	// scratch.
 	cache *MatrixCache
-
-	// layoutOnce computes the posting-list layout census (how many group
-	// tuple bitmaps are container-compressed vs dense) once per engine;
-	// the groups' layouts never change after construction, and solvers
-	// stamp the census on every Result.
-	layoutOnce        sync.Once
-	postingCompressed int
-	postingDense      int
 }
 
 type pairKey struct {
@@ -134,21 +125,6 @@ func (e *Engine) pairMatrixTracked(dim mining.Dimension, meas mining.Measure) (*
 		}
 		return mining.NewPairMatrix(e.Groups, pair, 0)
 	})
-}
-
-// postingLayout reports how many of the engine's group tuple bitmaps are
-// container-compressed vs dense, computed once and cached.
-func (e *Engine) postingLayout() (compressed, dense int) {
-	e.layoutOnce.Do(func() {
-		for _, g := range e.Groups {
-			if g.Tuples.IsCompressed() {
-				e.postingCompressed++
-			} else {
-				e.postingDense++
-			}
-		}
-	})
-	return e.postingCompressed, e.postingDense
 }
 
 // PrewarmMatrices builds every pair matrix a spec's constraints and
@@ -257,10 +233,6 @@ type Result struct {
 	MatrixRebuilds int
 	MatrixHits     int
 	MatrixLazy     int
-	// PostingsCompressed/PostingsDense census the engine's group posting
-	// bitmaps by layout (per engine, not per run — stamped for reporting).
-	PostingsCompressed int
-	PostingsDense      int
 }
 
 // Stage is one named phase of a solver run with its accumulated wall time.
@@ -311,7 +283,6 @@ func (r Result) Describe(s *store.Store) []string {
 // row-major order.
 func (e *Engine) finish(r *Result, spec ProblemSpec, start time.Time) {
 	r.Elapsed = time.Since(start)
-	r.PostingsCompressed, r.PostingsDense = e.postingLayout()
 	if r.Found {
 		ids := make([]int, len(r.Groups))
 		for i, g := range r.Groups {

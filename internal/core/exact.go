@@ -203,10 +203,7 @@ func newExactWorker(ctx context.Context, e *Engine, spec ProblemSpec, sc *matrix
 		// against its prefix's union without being stored.
 		w.unions = make([]*store.Bitmap, kMax-1)
 		for d := range w.unions {
-			// Buffers follow the groups' layout: compressed levels keep
-			// union cost proportional to container occupancy on sparse
-			// corpora instead of O(universe/64) per pass.
-			w.unions[d] = unionBufferFor(e.Groups, e.Store.Len())
+			w.unions[d] = store.NewBitmap(e.Store.Len())
 		}
 	}
 	return w

@@ -239,7 +239,8 @@ func TestExactLeafScanTiesAndSupportOrder(t *testing.T) {
 	t.Run("support-rejected-optimum", func(t *testing.T) {
 		e := windowEngine(t)
 		overlap := func(g1, g2 *groups.Group) float64 {
-			return float64(g1.Tuples.AndCount(g2.Tuples)) / 30
+			shared := g1.Size() + g2.Size() - g1.Tuples.OrCount(g2.Tuples)
+			return float64(shared) / 30
 		}
 		e.SetPairFunc(mining.Tags, mining.Similarity, overlap)
 		e.SetPairFunc(mining.Users, mining.Similarity, overlap)

@@ -136,9 +136,6 @@ func TestResultStagesAndCounters(t *testing.T) {
 	if ex.StageWall(StageMatrix) <= 0 {
 		t.Fatalf("Exact stages missing matrix: %+v", ex.Stages)
 	}
-	if got := ex.PostingsCompressed + ex.PostingsDense; got != len(e.Groups) {
-		t.Fatalf("posting layout census %d != %d groups", got, len(e.Groups))
-	}
 
 	// Same spec again: all bindings now come from the engine cache.
 	ex2, err := e.Exact(context.Background(), spec, ExactOptions{})

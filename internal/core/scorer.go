@@ -222,29 +222,11 @@ func (s *matrixScorer) support(ids []int) int {
 	if s.scratch == nil {
 		// Lazy: Exact workers keep their own per-depth unions and never
 		// reach here, so they skip the buffer entirely.
-		s.scratch = unionBufferFor(s.groups, s.universe)
+		s.scratch = store.NewBitmap(s.universe)
 	}
 	count := s.groups[ids[0]].Tuples.UnionCountInto(s.groups[ids[1]].Tuples, s.scratch)
 	for _, id := range ids[2:] {
 		count = s.scratch.UnionCountInto(s.groups[id].Tuples, s.scratch)
 	}
 	return count
-}
-
-// unionBufferFor allocates a support-union accumulator over the store
-// universe, container-compressed when the group tuple sets it will union
-// are predominantly compressed (sparse corpora) so union cost follows
-// container occupancy, dense otherwise so dense corpora keep the one-pass
-// word kernels.
-func unionBufferFor(gs []*groups.Group, universe int) *store.Bitmap {
-	comp := 0
-	for _, g := range gs {
-		if g.Tuples.IsCompressed() {
-			comp++
-		}
-	}
-	if 2*comp > len(gs) {
-		return store.NewCompressedBitmap(universe)
-	}
-	return store.NewBitmap(universe)
 }

@@ -17,11 +17,12 @@ import (
 )
 
 // This file is the randomized property harness pinning the Exact
-// branch-and-bound: on seeded random corpora spanning universe sizes,
-// densities, group counts, k ranges and bitmap layouts, pruning on must be
-// byte-identical to pruning off (the retained naive-enumeration oracle),
-// the examined/pruned split must partition the full enumeration, and the
-// approximate solvers (DV-FDP, SM-LSH) must be untouched by layout choice.
+// branch-and-bound: on seeded random corpora spanning universe sizes on
+// both sides of the 2^16 container chunk, densities, group counts and k
+// ranges, pruning on must be byte-identical to pruning off (the retained
+// naive-enumeration oracle), the examined/pruned split must partition the
+// full enumeration, and every solver must be untouched by how the group
+// bitmaps were built (see propCorpus.engine).
 
 // propCorpus is one randomized world: a store whose tuple universe the
 // group bitmaps range over, plus per-(dimension, measure) symmetric pair
@@ -35,7 +36,7 @@ type propCorpus struct {
 	seed     int64
 
 	store  *store.Store
-	tuples []*store.Bitmap // group tuple sets, canonical (dense) form
+	tuples []*store.Bitmap // group tuple sets, built over the full universe
 	tables map[mining.Dimension]map[mining.Measure][][]float64
 }
 
@@ -96,9 +97,12 @@ func newPropCorpus(t *testing.T, universe, nGroups int, density float64, seed in
 	return c
 }
 
-// engine materializes the corpus under one bitmap layout: every group
-// tuple set dense, every one container-compressed, or a seeded per-group
-// mix. All layouts share the same pair tables, so any divergence between
+// engine materializes the corpus with its group tuple sets built one of
+// three ways: "full" sets every id over the final universe, so sparse
+// chunks are arrays; "grown" appends ids one at a time behind Grow, as
+// incremental ingest does, so every chunk is a bitset, possibly shorter
+// than its span; "mixed" picks per group, so unions mix shapes and
+// universes. All share the same pair tables, so any divergence between
 // them is a kernel bug, not a modeling artifact.
 func (c *propCorpus) engine(t *testing.T, layout string) *core.Engine {
 	t.Helper()
@@ -107,12 +111,12 @@ func (c *propCorpus) engine(t *testing.T, layout string) *core.Engine {
 	for i, bm := range c.tuples {
 		tu := bm.Clone()
 		switch layout {
-		case "dense":
-		case "compressed":
-			tu.ToCompressed()
+		case "full":
+		case "grown":
+			tu = grownBitmap(bm)
 		case "mixed":
 			if rng.Intn(2) == 0 {
-				tu.ToCompressed()
+				tu = grownBitmap(bm)
 			}
 		default:
 			t.Fatalf("unknown layout %q", layout)
@@ -133,6 +137,20 @@ func (c *propCorpus) engine(t *testing.T, layout string) *core.Engine {
 		}
 	}
 	return e
+}
+
+// grownBitmap rebuilds bm the way incremental ingest does: from an empty
+// universe, growing to each id before setting it. The last Grow stops at
+// the highest id, so the bitmap's universe is smaller than bm's whenever
+// bm's last id is not its universe's last.
+func grownBitmap(bm *store.Bitmap) *store.Bitmap {
+	out := store.NewBitmap(0)
+	bm.ForEach(func(id int) bool {
+		out.Grow(id + 1)
+		out.Set(id)
+		return true
+	})
+	return out
 }
 
 // propSpecs derives a deterministic batch of problem specs for a corpus:
@@ -211,8 +229,8 @@ func assertByteIdentical(t *testing.T, label string, want, got core.Result) {
 }
 
 // propCorpora is the shared corpus grid: universe size and density sweep
-// from tiny dense worlds through the container-compressed regime (the 70k
-// universe crosses the 2^16 chunk boundary), with distinct seeds per cell.
+// from tiny dense worlds to a sparse 70k universe that crosses the 2^16
+// chunk boundary, with distinct seeds per cell.
 func propCorpora(t *testing.T) []*propCorpus {
 	t.Helper()
 	var cs []*propCorpus
@@ -232,39 +250,37 @@ func propCorpora(t *testing.T) []*propCorpus {
 }
 
 // TestExactPruningPropertyRandomCorpora is the harness's core property:
-// for every random corpus, layout, spec, and serial/parallel mode, Exact
-// with pruning must be byte-identical to the pruning-disabled oracle, and
+// for every random corpus, spec, and serial/parallel mode, Exact with
+// pruning must be byte-identical to the pruning-disabled oracle, and
 // examined + pruned must exactly account for the oracle's enumeration.
 func TestExactPruningPropertyRandomCorpora(t *testing.T) {
 	var totalPruned int64
 	for _, c := range propCorpora(t) {
 		rng := rand.New(rand.NewSource(c.seed + 7))
 		specs := c.propSpecs(rng)
-		for _, layout := range []string{"dense", "compressed", "mixed"} {
-			e := c.engine(t, layout)
-			for _, spec := range specs {
-				for _, parallel := range []bool{false, true} {
-					label := fmt.Sprintf("u=%d d=%g %s %s parallel=%v",
-						c.universe, c.density, layout, spec.Name, parallel)
-					oracle, err := exactMode(e, spec, core.ExactOptions{DisablePruning: true}, parallel)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if oracle.CandidatesPruned != 0 {
-						t.Fatalf("%s: oracle pruned %d", label, oracle.CandidatesPruned)
-					}
-					pruned, err := exactMode(e, spec, core.ExactOptions{}, parallel)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					assertByteIdentical(t, label, oracle, pruned)
-					if got := pruned.CandidatesExamined + pruned.CandidatesPruned; got != oracle.CandidatesExamined {
-						t.Fatalf("%s: examined %d + pruned %d = %d, enumeration %d",
-							label, pruned.CandidatesExamined, pruned.CandidatesPruned,
-							got, oracle.CandidatesExamined)
-					}
-					totalPruned += pruned.CandidatesPruned
+		e := c.engine(t, "full")
+		for _, spec := range specs {
+			for _, parallel := range []bool{false, true} {
+				label := fmt.Sprintf("u=%d d=%g %s parallel=%v",
+					c.universe, c.density, spec.Name, parallel)
+				oracle, err := exactMode(e, spec, core.ExactOptions{DisablePruning: true}, parallel)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
+				if oracle.CandidatesPruned != 0 {
+					t.Fatalf("%s: oracle pruned %d", label, oracle.CandidatesPruned)
+				}
+				pruned, err := exactMode(e, spec, core.ExactOptions{}, parallel)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertByteIdentical(t, label, oracle, pruned)
+				if got := pruned.CandidatesExamined + pruned.CandidatesPruned; got != oracle.CandidatesExamined {
+					t.Fatalf("%s: examined %d + pruned %d = %d, enumeration %d",
+						label, pruned.CandidatesExamined, pruned.CandidatesPruned,
+						got, oracle.CandidatesExamined)
+				}
+				totalPruned += pruned.CandidatesPruned
 			}
 		}
 	}
@@ -275,18 +291,19 @@ func TestExactPruningPropertyRandomCorpora(t *testing.T) {
 
 // TestSolverLayoutEquivalenceRandomCorpora pins the other half of the
 // harness: Exact (pruning on), DV-FDP and SM-LSH produce byte-identical
-// outputs on every corpus whichever bitmap layout backs the group tuple
-// sets — compressed and mixed layouts must be pure representation changes.
+// outputs on every corpus however the group tuple sets were built — grown
+// and mixed container shapes and universes must be pure representation
+// changes.
 func TestSolverLayoutEquivalenceRandomCorpora(t *testing.T) {
 	for _, c := range propCorpora(t) {
 		rng := rand.New(rand.NewSource(c.seed + 7))
 		specs := c.propSpecs(rng)
-		dense := c.engine(t, "dense")
-		for _, layout := range []string{"compressed", "mixed"} {
+		full := c.engine(t, "full")
+		for _, layout := range []string{"grown", "mixed"} {
 			other := c.engine(t, layout)
 			for _, spec := range specs {
-				label := fmt.Sprintf("u=%d d=%g %s vs dense %s", c.universe, c.density, layout, spec.Name)
-				want, err := dense.Exact(context.Background(), spec, core.ExactOptions{})
+				label := fmt.Sprintf("u=%d d=%g %s vs full %s", c.universe, c.density, layout, spec.Name)
+				want, err := full.Exact(context.Background(), spec, core.ExactOptions{})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -306,7 +323,7 @@ func TestSolverLayoutEquivalenceRandomCorpora(t *testing.T) {
 					LSH: core.LSHOptions{DPrime: 6, L: 2, Seed: 9, Mode: core.Fold},
 					FDP: core.FDPOptions{Mode: core.Fold},
 				}
-				wantA, err := dense.Solve(context.Background(), spec, opts)
+				wantA, err := full.Solve(context.Background(), spec, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

@@ -39,11 +39,11 @@ func TestShardedSolveMatchesSerialRandomCorpora(t *testing.T) {
 	for _, c := range propCorpora(t) {
 		rng := rand.New(rand.NewSource(c.seed + 7))
 		specs := c.propSpecs(rng)
-		serial := c.engine(t, "dense")
+		serial := c.engine(t, "full")
 		for _, of := range shardCounts {
 			// The partials share one engine, as the server's shards share
 			// one published snapshot.
-			sharded := c.engine(t, "dense")
+			sharded := c.engine(t, "full")
 			for _, spec := range specs {
 				label := fmt.Sprintf("u=%d d=%g of=%d %s", c.universe, c.density, of, spec.Name)
 

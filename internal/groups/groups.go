@@ -123,9 +123,6 @@ func (e *Enumerator) FullyDescribed() []*Group {
 		for _, t := range tuples {
 			bm.Set(t)
 		}
-		// Group tuple sets are tiny relative to a large corpus — the
-		// sweet spot of the container-compressed layout.
-		bm.Optimize()
 		out = append(out, &Group{Pred: pred, Tuples: bm, Members: tuples})
 	}
 	sortGroups(s, out)
@@ -158,7 +155,6 @@ func (e *Enumerator) SingleAttribute() []*Group {
 			if len(members) < min {
 				continue
 			}
-			bm.Optimize()
 			out = append(out, &Group{Pred: pred, Tuples: bm, Members: members})
 		}
 	}
@@ -212,7 +208,6 @@ func (e *Enumerator) Describable(cols []store.Column) []*Group {
 		for _, t := range tuples {
 			bm.Set(t)
 		}
-		bm.Optimize()
 		out = append(out, &Group{Pred: pred, Tuples: bm, Members: tuples})
 	}
 	sortGroups(s, out)

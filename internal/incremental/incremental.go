@@ -225,10 +225,7 @@ func (m *Maintainer) Insert(a model.TaggingAction) error {
 		m.byKey[key] = p
 	}
 	// Grow-before-Set: the group's universe is always extended ahead of
-	// the new tuple id, in either bitmap layout. This path never unions a
-	// larger universe into a smaller bitmap, so it did not depend on the
-	// old Bitmap.Or behavior that left Universe stale when the word count
-	// did not change.
+	// the new tuple id, since Set panics outside the universe.
 	p.group.Tuples.Grow(m.store.Len())
 	p.group.Tuples.Set(t)
 	p.group.Members = append(p.group.Members, t)
@@ -324,17 +321,12 @@ type Snapshot struct {
 func (m *Maintainer) Snapshot() (*Snapshot, error) {
 	m.resummarize()
 	st := m.store.Clone()
-	// The frozen copies are what analyses will union over; re-select their
-	// layout so a corpus that has grown large and sparse under ingest
-	// serves compressed kernels from the next epoch on. The live bitmaps
-	// stay as they are — appends mutate them in place.
-	st.Optimize()
 	gs := make([]*groups.Group, len(m.active))
 	for i, g := range m.active {
 		gs[i] = &groups.Group{
 			ID:      g.ID,
 			Pred:    g.Pred, // terms are immutable once built
-			Tuples:  g.Tuples.Clone().Optimize(),
+			Tuples:  g.Tuples.Clone(),
 			Members: append([]int(nil), g.Members...),
 		}
 	}
@@ -379,13 +371,12 @@ func (m *Maintainer) Snapshot() (*Snapshot, error) {
 // costs.
 func (s *Snapshot) Replicate() (*Snapshot, error) {
 	st := s.Store.Clone()
-	st.Optimize()
 	gs := make([]*groups.Group, len(s.Groups))
 	for i, g := range s.Groups {
 		gs[i] = &groups.Group{
 			ID:      g.ID,
 			Pred:    g.Pred, // terms are immutable once built
-			Tuples:  g.Tuples.Clone().Optimize(),
+			Tuples:  g.Tuples.Clone(),
 			Members: append([]int(nil), g.Members...),
 		}
 	}

@@ -299,10 +299,7 @@ func (m *metrics) registerGauges(s *Server) {
 		func() float64 { return float64(s.snap.Load().Store.Vocab.Size()) })
 	m.reg.GaugeFunc("tagdm_postings_lists",
 		"Posting lists in the published snapshot.",
-		func() float64 { lists, _ := s.snap.Load().Store.CompressionStats(); return float64(lists) })
-	m.reg.GaugeFunc("tagdm_postings_compressed",
-		"Posting lists using the container-compressed layout.",
-		func() float64 { _, comp := s.snap.Load().Store.CompressionStats(); return float64(comp) })
+		func() float64 { return float64(s.snap.Load().Store.PostingLists()) })
 	m.reg.GaugeFunc("tagdm_cache_size",
 		"Entries in the analyze result cache.",
 		func() float64 { size, _ := s.cache.stats(); return float64(size) })

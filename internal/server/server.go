@@ -577,12 +577,10 @@ type StatsResponse struct {
 		Snapshots int64 `json:"snapshots"`
 	} `json:"ingest"`
 
-	// Postings describes the published snapshot's posting-list layout:
-	// how many lists exist and how many use the container-compressed
-	// (roaring-style) representation picked at snapshot publication.
+	// Postings counts the published snapshot's (column, value) posting
+	// lists.
 	Postings struct {
-		Lists      int `json:"lists"`
-		Compressed int `json:"compressed"`
+		Lists int `json:"lists"`
 	} `json:"postings"`
 
 	// Durability reports the write-ahead log and checkpoint state; all
@@ -1114,7 +1112,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Ingest.Requests = s.metrics.requests.With("actions").Value()
 	resp.Ingest.Actions = s.metrics.actionsIngested.Value()
 	resp.Ingest.Snapshots = s.metrics.snapshots.Value()
-	resp.Postings.Lists, resp.Postings.Compressed = snap.Store.CompressionStats()
+	resp.Postings.Lists = snap.Store.PostingLists()
 	if s.dur != nil {
 		ws := s.dur.log.Stats()
 		resp.Durability.Enabled = true

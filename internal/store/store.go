@@ -79,47 +79,11 @@ func New(d *model.Dataset) (*Store, error) {
 	for _, a := range d.Actions {
 		s.appendTuple(d, a)
 	}
-	// Bulk build done: pick each posting list's physical layout. Sparse
-	// lists over large corpora compress; dense seed corpora keep the flat
-	// fast path.
-	s.Optimize()
 	return s, nil
 }
 
-// Optimize re-selects the representation of every posting list by the
-// density policy in compressed.go. Kernels are exact in either layout, so
-// this never changes query results — only their cost shape. Call it after
-// bulk builds or snapshot clones; per-Append re-selection would thrash.
-func (s *Store) Optimize() {
-	for _, bm := range s.postings {
-		bm.Optimize()
-	}
-}
-
-// ForceCompression converts every posting list to the compressed (on) or
-// dense (off) layout regardless of density — a test and benchmark hook for
-// exercising both layouts on the same corpus.
-func (s *Store) ForceCompression(on bool) {
-	for _, bm := range s.postings {
-		if on {
-			bm.ToCompressed()
-		} else {
-			bm.ToDense()
-		}
-	}
-}
-
-// CompressionStats reports how many posting lists exist and how many
-// currently use the container-compressed layout.
-func (s *Store) CompressionStats() (lists, compressed int) {
-	for _, bm := range s.postings {
-		lists++
-		if bm.IsCompressed() {
-			compressed++
-		}
-	}
-	return lists, compressed
-}
+// PostingLists returns the number of (column, value) posting lists.
+func (s *Store) PostingLists() int { return len(s.postings) }
 
 func (s *Store) appendTuple(d *model.Dataset, a model.TaggingAction) {
 	id := s.n
@@ -147,13 +111,12 @@ func (s *Store) appendTuple(d *model.Dataset, a model.TaggingAction) {
 func (s *Store) posting(k postingKey) *Bitmap {
 	bm, ok := s.postings[k]
 	if !ok {
-		bm = NewBitmap(s.n + 1)
+		bm = NewBitmap(s.n)
 		s.postings[k] = bm
 	}
-	// Grow-before-Set keeps the universe ahead of every appended id in
-	// either layout; nothing here unions a larger universe into a smaller
-	// one, so this path never depended on Or's (formerly stale) growth.
-	bm.Grow(s.n + 1)
+	// The tuple being appended is id s.n-1: growing to s.n keeps every
+	// posting's universe equal to the store's before the Set.
+	bm.Grow(s.n)
 	return bm
 }
 
