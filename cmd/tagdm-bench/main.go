@@ -503,7 +503,9 @@ func runMatrixReuse(st *experiments.Setup, emit *jsonEmitter) {
 // runSparse times OrCount and the DFS-shaped UnionCountInto chain on
 // synthetic sparse tuple sets over a 1M-id universe and records
 // density-sensitive numbers for the performance trajectory (JSON rows
-// carry sweep=density, variant=containers).
+// carry sweep=density, variant=containers). Each timed loop follows one
+// untimed pass over all the sets, so the rows read warm caches as go
+// test's do rather than first-touch misses.
 // The fixture (universe, density table, seed, triple construction) must
 // stay in lockstep with BenchmarkSparseOrCount/UnionCountInto in the root
 // bench_test.go so this trajectory and `go test -bench BenchmarkSparse`
@@ -536,21 +538,23 @@ func runSparse(emit *jsonEmitter) {
 			}
 		}
 		u1, u2 := store.NewBitmap(universe), store.NewBitmap(universe)
-
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			m := sets[r%len(sets)]
-			_ = m[0].OrCount(m[1])
-		}
-		orPer := time.Since(start) / reps
-
-		start = time.Now()
-		for r := 0; r < reps; r++ {
-			m := sets[r%len(sets)]
+		orCount := func(m [3]*store.Bitmap) { _ = m[0].OrCount(m[1]) }
+		unionChain := func(m [3]*store.Bitmap) {
 			_ = m[0].UnionCountInto(m[1], u1)
 			_ = u1.UnionCountInto(m[2], u2)
 		}
-		unionPer := time.Since(start) / reps
+		timed := func(kernel func([3]*store.Bitmap)) time.Duration {
+			for _, m := range sets {
+				kernel(m)
+			}
+			start := time.Now()
+			for r := 0; r < reps; r++ {
+				kernel(sets[r%len(sets)])
+			}
+			return time.Since(start) / reps
+		}
+		orPer := timed(orCount)
+		unionPer := timed(unionChain)
 
 		for _, row := range []struct {
 			kernel string

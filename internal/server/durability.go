@@ -198,11 +198,8 @@ func (s *Server) openDurable(root *obs.Span) error {
 
 	openSpan := root.StartChild("wal_open")
 	log, err := wal.Open(cfg.DataDir, wal.Options{
-		FlushInterval: cfg.FlushInterval,
-		FlushBytes:    cfg.FlushBytes,
-		Sync:          cfg.FsyncMode,
-		SyncEvery:     cfg.SyncEvery,
-		FS:            fs,
+		Sync: cfg.FsyncMode,
+		FS:   fs,
 		OnSync: func(d time.Duration, err error) {
 			s.metrics.walFsyncSeconds.Observe(d.Seconds())
 		},

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,8 +23,8 @@ import (
 )
 
 // durableConfig is the recovery-test baseline: every acknowledged batch is
-// fsync'd before the ack (no group-commit window, no background timing),
-// and checkpoints happen only when a test asks for one.
+// fsync'd before the ack (no background timing), and checkpoints happen
+// only when a test asks for one.
 func durableConfig(ds *model.Dataset, dir string) Config {
 	return Config{
 		Dataset:         ds,
@@ -30,7 +32,6 @@ func durableConfig(ds *model.Dataset, dir string) Config {
 		MinGroupTuples:  2,
 		Seed:            1,
 		FsyncMode:       wal.SyncAlways,
-		FlushInterval:   -1, // flush each enqueue immediately
 		CheckpointEvery: -1, // manual checkpoints only
 	}
 }
@@ -570,29 +571,31 @@ func TestBodyCaps(t *testing.T) {
 
 // BenchmarkIngestDurable measures the serving-path cost of one durable
 // ingest batch against the in-memory baseline: the price of crash safety
-// is the WAL append + fsync on the ack path.
+// is the WAL append + fsync on the ack path. The parallel variant runs two
+// writers and reports how many appends each fsync served: above 1 means
+// ingests that arrive during another's write+fsync share the next one.
 func BenchmarkIngestDurable(b *testing.B) {
-	bench := func(b *testing.B, durable bool, mode wal.SyncMode) {
+	start := func(b *testing.B, durable bool, mode wal.SyncMode) *httptest.Server {
 		cfg := Config{Dataset: testDataset(b), MinGroupTuples: 2, Seed: 1,
 			RefreshEvery: 1 << 30} // isolate the ingest path from snapshot publication
 		if durable {
 			cfg.DataDir = b.TempDir()
 			cfg.FsyncMode = mode
 			cfg.CheckpointEvery = -1
-			// The benchmark client is serial, so the group-commit window
-			// would dominate every ack; flush immediately to measure the
-			// append+fsync cost itself.
-			cfg.FlushInterval = -1
 		}
 		srv, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer srv.Close()
+		b.Cleanup(srv.Close)
 		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		u0, i0 := int32(0), int32(0)
-		batch := IngestRequest{Actions: []IngestAction{{User: &u0, Item: &i0, Tags: []string{"gun"}}}}
+		b.Cleanup(ts.Close)
+		return ts
+	}
+	u0, i0 := int32(0), int32(0)
+	batch := IngestRequest{Actions: []IngestAction{{User: &u0, Item: &i0, Tags: []string{"gun"}}}}
+	bench := func(b *testing.B, durable bool, mode wal.SyncMode) {
+		ts := start(b, durable, mode)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			resp, body := postJSON(b, ts, "/v1/actions", batch)
@@ -603,6 +606,36 @@ func BenchmarkIngestDurable(b *testing.B) {
 	}
 	b.Run("memory", func(b *testing.B) { bench(b, false, 0) })
 	b.Run("durable-fsync-always", func(b *testing.B) { bench(b, true, wal.SyncAlways) })
+	b.Run("durable-fsync-always-parallel", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // two writers
+		ts := start(b, true, wal.SyncAlways)
+		raw, err := json.Marshal(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := getStats(b, ts).Durability
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				resp, err := http.Post(ts.URL+"/v1/actions", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b.Errorf("status %d: %s", resp.StatusCode, body)
+					return
+				}
+			}
+		})
+		b.StopTimer()
+		after := getStats(b, ts).Durability
+		if fsyncs := after.WALFsyncs - before.WALFsyncs; fsyncs > 0 {
+			b.ReportMetric(float64(after.WALAppends-before.WALAppends)/float64(fsyncs), "appends/fsync")
+		}
+	})
 	b.Run("durable-fsync-interval", func(b *testing.B) { bench(b, true, wal.SyncInterval) })
 	b.Run("durable-fsync-none", func(b *testing.B) { bench(b, true, wal.SyncNone) })
 }

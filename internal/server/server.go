@@ -130,15 +130,8 @@ type Config struct {
 	DataDir string
 	// FsyncMode selects when WAL appends are fsynced (default
 	// wal.SyncAlways: every acknowledged batch is crash-durable).
+	// Concurrent ingests share fsyncs by group commit without a timer.
 	FsyncMode wal.SyncMode
-	// FlushInterval is the WAL group-commit window (default 2ms; negative
-	// flushes each enqueue immediately, for tests).
-	FlushInterval time.Duration
-	// FlushBytes flushes the group-commit batch early once this many
-	// payload bytes are pending (default 256 KiB).
-	FlushBytes int
-	// SyncEvery is the fsync period under wal.SyncInterval (default 100ms).
-	SyncEvery time.Duration
 	// CheckpointEvery writes a snapshot checkpoint after this many ingested
 	// actions (default 4096; negative disables automatic checkpoints —
 	// Checkpoint and Shutdown still write them).
@@ -179,18 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SolveTimeout <= 0 {
 		c.SolveTimeout = 30 * time.Second
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 2 * time.Millisecond
-	}
-	if c.FlushInterval < 0 {
-		c.FlushInterval = 0
-	}
-	if c.FlushBytes <= 0 {
-		c.FlushBytes = 256 << 10
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 100 * time.Millisecond
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 4096

@@ -30,6 +30,8 @@ type FaultFS struct {
 	// sync faults
 	syncBudget  int64 // syncs allowed before faulting (<0: unlimited)
 	syncTripped bool
+	// syncHold, when set, blocks the next fsync (see holdNextSync).
+	syncHold *syncHold
 
 	writes int64
 	syncs  int64
@@ -99,17 +101,35 @@ func (f *FaultFS) admitWrite(n int) (allowed int, err error) {
 
 func (f *FaultFS) admitSync() error {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.syncBudget < 0 {
-		f.syncs++
-		return nil
+	if f.syncBudget >= 0 && f.syncs >= f.syncBudget {
+		f.syncTripped = true
+		f.mu.Unlock()
+		return errInjectedSync
 	}
-	if f.syncs < f.syncBudget {
-		f.syncs++
-		return nil
+	f.syncs++
+	h := f.syncHold
+	f.syncHold = nil
+	f.mu.Unlock()
+	if h != nil {
+		close(h.entered)
+		<-h.release
 	}
-	f.syncTripped = true
-	return errInjectedSync
+	return nil
+}
+
+type syncHold struct{ entered, release chan struct{} }
+
+// holdNextSync makes the next fsync (file or directory) through this FS
+// block before it reaches the disk until release is called; entered is
+// closed once that fsync is waiting. The group-commit tests use it to keep
+// a write+fsync in flight for exactly as long as they need.
+func (f *FaultFS) holdNextSync() (entered <-chan struct{}, release func()) {
+	h := &syncHold{entered: make(chan struct{}), release: make(chan struct{})}
+	f.mu.Lock()
+	f.syncHold = h
+	f.mu.Unlock()
+	var once sync.Once
+	return h.entered, func() { once.Do(func() { close(h.release) }) }
 }
 
 var (

@@ -1,8 +1,9 @@
 // Package wal implements the write-ahead log under the server's durable
 // ingest path: length-prefixed, CRC32C-checksummed records appended to
-// segment files with group commit — concurrent appenders share one
-// write+fsync, bounded by a flush interval and a byte threshold — so an
-// ingest batch is only acknowledged after its record is durable.
+// segment files with group commit, so an ingest batch is only
+// acknowledged after its record is durable. The flusher writes and fsyncs
+// whatever is pending as soon as it is kicked; records enqueued while that
+// write+fsync is in flight pile up behind it and share the next one.
 //
 // On-disk format. A segment file named wal-<firstSeq>.log holds frames
 //
@@ -42,14 +43,17 @@ const (
 	// SyncAlways fsyncs every group-committed batch before acknowledging
 	// the records in it. Survives both process crash and OS crash.
 	SyncAlways SyncMode = iota
-	// SyncInterval acknowledges after the buffered write and fsyncs on a
-	// timer (Options.SyncEvery). Survives process crash; an OS crash can
-	// lose up to one interval of acknowledged records.
+	// SyncInterval acknowledges after the buffered write and fsyncs every
+	// syncEvery. Survives process crash; an OS crash can lose up to one
+	// interval of acknowledged records.
 	SyncInterval
 	// SyncNone never fsyncs explicitly; durability is whatever the OS
 	// page cache provides. For benchmarks and tests.
 	SyncNone
 )
+
+// syncEvery is the fsync period under SyncInterval.
+const syncEvery = 100 * time.Millisecond
 
 // ParseSyncMode maps the -fsync flag values to a SyncMode.
 func ParseSyncMode(s string) (SyncMode, error) {
@@ -76,20 +80,12 @@ func (m SyncMode) String() string {
 	return "unknown"
 }
 
-// Options tunes a Log. Zero values get defaults from withDefaults.
+// Options tunes a Log. A batch is whatever piled up behind the
+// write+fsync in flight, so a lone append is flushed at once and
+// concurrent appends share fsyncs.
 type Options struct {
-	// FlushInterval is the group-commit window: how long the flusher waits
-	// after the first pending record for more records to share the
-	// write+fsync. Zero flushes immediately (every append pays its own
-	// fsync under light load). Default 2ms.
-	FlushInterval time.Duration
-	// FlushBytes flushes early once this many payload bytes are pending,
-	// bounding ack latency under heavy streams. Default 256 KiB.
-	FlushBytes int
 	// Sync selects the fsync policy. Default SyncAlways.
 	Sync SyncMode
-	// SyncEvery is the fsync period for SyncInterval. Default 100ms.
-	SyncEvery time.Duration
 	// FS is the filesystem; nil means the real one. Tests inject a FaultFS
 	// here.
 	FS FS
@@ -100,15 +96,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FlushInterval < 0 {
-		o.FlushInterval = 0
-	}
-	if o.FlushBytes <= 0 {
-		o.FlushBytes = 256 << 10
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
 	if o.FS == nil {
 		o.FS = OSFS{}
 	}
@@ -146,8 +133,6 @@ type RecoveryInfo struct {
 // by the server's /metrics gauges and /v1/stats durability block.
 type Stats struct {
 	Appends   int64 // records appended this process
-	Bytes     int64 // payload bytes appended this process
-	Flushes   int64 // group-commit batches written
 	Syncs     int64 // fsyncs issued
 	SizeBytes int64 // bytes across live segments
 	LastSeq   uint64
@@ -178,8 +163,10 @@ func (tk *Ticket) Wait() error { return <-tk.t.done }
 
 // Log is an append-only write-ahead log over segment files. Enqueue is
 // cheap and non-blocking (safe to call under the caller's own write lock
-// to pin ordering); Wait rides the group commit. All methods are safe for
-// concurrent use.
+// to pin ordering); Wait rides the group commit: one flusher goroutine
+// writes (and under SyncAlways fsyncs) everything pending as one batch,
+// and records enqueued meanwhile form the next batch. All methods are safe
+// for concurrent use.
 type Log struct {
 	dir  string
 	opts Options
@@ -188,13 +175,11 @@ type Log struct {
 	// closed/failed flags. It is never held across disk I/O.
 	//
 	//tagdm:mutex nonblocking
-	mu       sync.Mutex
-	pending  []*ticket
-	pendingB int
-	nextSeq  uint64
-	closed   bool
-	failed   error
-	kicked   bool
+	mu      sync.Mutex
+	pending []*ticket
+	nextSeq uint64
+	closed  bool
+	failed  error
 
 	// wmu serializes disk writes: the flusher's batch writes, Rotate and
 	// Close. Taken without mu; never the other way around.
@@ -203,13 +188,11 @@ type Log struct {
 	bw       *bufio.Writer
 	segments []segment // ascending; last is the open one
 
-	kick    chan struct{}
+	kick    chan struct{} // 1-slot: a flush is owed
 	quit    chan struct{}
 	flusher sync.WaitGroup
 
 	nAppends atomic.Int64
-	nBytes   atomic.Int64
-	nFlushes atomic.Int64
 	nSyncs   atomic.Int64
 	size     atomic.Int64
 	lastSeq  atomic.Uint64
@@ -397,10 +380,11 @@ func readFull(r *bufio.Reader, p []byte) (int, error) {
 }
 
 // Enqueue frames payload, assigns it the next sequence number and queues
-// it for the group-commit flusher. It never blocks on disk I/O, so callers
-// may hold their own state lock across it to guarantee the WAL order
-// matches their in-memory apply order. Wait on the ticket after releasing
-// that lock.
+// it for the group-commit flusher: the record joins the batch the next
+// write+fsync takes, which starts as soon as the one in flight (if any)
+// completes. It never blocks on disk I/O, so callers may hold their own
+// state lock across it to guarantee the WAL order matches their in-memory
+// apply order. Wait on the ticket after releasing that lock.
 //
 //tagdm:nonblocking
 func (l *Log) Enqueue(payload []byte) *Ticket {
@@ -424,18 +408,12 @@ func (l *Log) Enqueue(payload []byte) *Ticket {
 	binary.LittleEndian.PutUint32(data[4:8], crc32.Checksum(data[frameHeaderSize:], crcTable))
 	t.frame = data
 	l.pending = append(l.pending, t)
-	l.pendingB += len(payload)
-	kickNow := l.pendingB >= l.opts.FlushBytes
-	if !l.kicked {
-		l.kicked = true
-		kickNow = true
-	}
 	l.mu.Unlock()
-	if kickNow {
-		select {
-		case l.kick <- struct{}{}:
-		default:
-		}
+	// A full slot already owes a flush that runs after this record is
+	// pending, so dropping the send loses nothing.
+	select {
+	case l.kick <- struct{}{}:
+	default:
 	}
 	return &Ticket{t}
 }
@@ -455,19 +433,6 @@ func (l *Log) runFlusher() {
 			return
 		case <-l.kick:
 		}
-		// Group-commit window: wait for more records unless the byte
-		// threshold already tripped.
-		if l.opts.FlushInterval > 0 {
-			timer := time.NewTimer(l.opts.FlushInterval)
-			select {
-			case <-timer.C:
-			case <-l.kick: // byte threshold kicked again: flush now
-				timer.Stop()
-			case <-l.quit:
-				timer.Stop()
-				return
-			}
-		}
 		l.flushPending()
 	}
 }
@@ -477,8 +442,6 @@ func (l *Log) takePending() []*ticket {
 	l.mu.Lock()
 	batch := l.pending
 	l.pending = nil
-	l.pendingB = 0
-	l.kicked = false
 	l.mu.Unlock()
 	return batch
 }
@@ -525,11 +488,7 @@ func (l *Log) writeBatchLocked(batch []*ticket) error {
 		}
 	}
 	last := batch[len(batch)-1].seq
-	l.nFlushes.Add(1)
 	l.nAppends.Add(int64(len(batch)))
-	for _, t := range batch {
-		l.nBytes.Add(int64(len(t.frame) - frameHeaderSize - seqSize))
-	}
 	l.size.Add(wrote)
 	l.segments[len(l.segments)-1].size += wrote
 	l.segments[len(l.segments)-1].lastSeq = last
@@ -552,7 +511,7 @@ func (l *Log) syncLocked() error {
 
 func (l *Log) runSyncTicker() {
 	defer l.flusher.Done()
-	tick := time.NewTicker(l.opts.SyncEvery)
+	tick := time.NewTicker(syncEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -772,8 +731,6 @@ func (l *Log) Recovery() RecoveryInfo { return l.recov }
 func (l *Log) Stats() Stats {
 	return Stats{
 		Appends:   l.nAppends.Load(),
-		Bytes:     l.nBytes.Load(),
-		Flushes:   l.nFlushes.Load(),
 		Syncs:     l.nSyncs.Load(),
 		SizeBytes: l.size.Load(),
 		LastSeq:   l.lastSeq.Load(),

@@ -6,15 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
-// quickOpts keeps test flushes immediate so appends don't wait out a
-// group-commit window.
 func quickOpts() Options {
-	return Options{FlushInterval: 0, Sync: SyncAlways}
+	return Options{Sync: SyncAlways}
 }
 
 func mustOpen(t *testing.T, dir string, opts Options) *Log {
@@ -265,24 +263,34 @@ func TestRotateEmptySegmentIsNoOp(t *testing.T) {
 	}
 }
 
+// TestGroupCommitBatchesFsyncs: records enqueued while a write+fsync is in
+// flight all ride the next one. The first record's fsync is held open
+// while n-1 more are enqueued concurrently, so exactly two fsyncs serve n
+// appends.
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{FlushInterval: 5 * time.Millisecond, Sync: SyncAlways})
+	ffs := NewFaultFS(OSFS{})
+	l := mustOpen(t, dir, Options{Sync: SyncAlways, FS: ffs})
 	defer l.Close()
 
 	const n = 64
+	entered, release := ffs.holdNextSync()
+	defer release()
+	tickets := make([]*Ticket, n)
+	tickets[0] = l.Enqueue([]byte(fmt.Sprintf("conc-%04d", 0)))
+	<-entered // the flusher is inside the first record's fsync
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = l.Append([]byte(fmt.Sprintf("conc-%04d", i)))
+			tickets[i] = l.Enqueue([]byte(fmt.Sprintf("conc-%04d", i)))
 		}(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
+	release()
+	for i, tk := range tickets {
+		if err := tk.Wait(); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -290,10 +298,10 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	if st.Appends != n {
 		t.Fatalf("Appends = %d, want %d", st.Appends, n)
 	}
-	// The whole point of group commit: far fewer fsyncs than appends.
-	// Lenient bound — scheduling can split batches.
-	if st.Syncs >= n {
-		t.Fatalf("Syncs = %d for %d appends; group commit not batching", st.Syncs, n)
+	// One fsync for the first record, one for everything that piled up
+	// behind it.
+	if st.Syncs != 2 {
+		t.Fatalf("Syncs = %d for %d appends, want 2; group commit not batching", st.Syncs, n)
 	}
 	if got := collect(t, l, 0); len(got) != n {
 		t.Fatalf("replayed %d, want %d", len(got), n)
@@ -302,7 +310,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 
 func TestEnqueueOrderIsSeqOrder(t *testing.T) {
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{FlushInterval: time.Millisecond, Sync: SyncNone})
+	l := mustOpen(t, dir, Options{Sync: SyncNone})
 	defer l.Close()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -336,7 +344,7 @@ func TestEnqueueOrderIsSeqOrder(t *testing.T) {
 func TestSyncFailureIsSticky(t *testing.T) {
 	ffs := NewFaultFS(OSFS{})
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{FlushInterval: 0, Sync: SyncAlways, FS: ffs})
+	l := mustOpen(t, dir, Options{Sync: SyncAlways, FS: ffs})
 	defer l.Close()
 	appendN(t, l, 3, "ok")
 	ffs.ArmSyncFault(0) // next fsync fails
@@ -362,7 +370,7 @@ func TestSyncFailureIsSticky(t *testing.T) {
 func TestShortWriteRecoverable(t *testing.T) {
 	ffs := NewFaultFS(OSFS{})
 	dir := t.TempDir()
-	l := mustOpen(t, dir, Options{FlushInterval: 0, Sync: SyncAlways, FS: ffs})
+	l := mustOpen(t, dir, Options{Sync: SyncAlways, FS: ffs})
 	appendN(t, l, 3, "good")
 	// Arm a short write partway into the next frame: the file gains a
 	// torn tail exactly as a crash mid-write would leave it.
@@ -389,22 +397,46 @@ func TestShortWriteRecoverable(t *testing.T) {
 
 func TestCloseFlushesPending(t *testing.T) {
 	dir := t.TempDir()
-	// Long window so records are still pending when Close runs.
-	l := mustOpen(t, dir, Options{FlushInterval: time.Hour, Sync: SyncAlways})
+	ffs := NewFaultFS(OSFS{})
+	l := mustOpen(t, dir, Options{Sync: SyncAlways, FS: ffs})
+	// Hold the first record's fsync so the second is still pending when
+	// Close runs.
+	entered, release := ffs.holdNextSync()
+	defer release()
+	first := l.Enqueue([]byte("in-flight"))
+	<-entered
 	tk := l.Enqueue([]byte("pending"))
 	done := make(chan error, 1)
 	go func() { done <- tk.Wait() }()
-	if err := l.Close(); err != nil {
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	for !l.isClosed() {
+		runtime.Gosched()
+	}
+	if got := l.LastSeq(); got != 0 {
+		t.Fatalf("LastSeq = %d before the held fsync was released, want 0", got)
+	}
+	release()
+	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	if err := first.Wait(); err != nil {
+		t.Fatalf("in-flight ticket failed at close: %v", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("pending ticket failed at close: %v", err)
 	}
 	l2 := mustOpen(t, dir, quickOpts())
 	defer l2.Close()
-	if got := collect(t, l2, 0); got[1] != "pending" {
+	if got := collect(t, l2, 0); got[2] != "pending" {
 		t.Fatalf("pending record lost: %v", got)
 	}
+}
+
+func (l *Log) isClosed() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closed
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {
@@ -425,9 +457,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 // reopen and verify every acknowledged record survived.
 func TestRotateRacingEnqueue(t *testing.T) {
 	dir := t.TempDir()
-	// A non-zero flush interval widens the window between Rotate's drain
-	// and its firstSeq read that the race needed.
-	l := mustOpen(t, dir, Options{FlushInterval: 200 * time.Microsecond, Sync: SyncNone})
+	l := mustOpen(t, dir, Options{Sync: SyncNone})
 
 	const n = 400
 	done := make(chan struct{})
