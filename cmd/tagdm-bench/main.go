@@ -76,6 +76,9 @@ type benchRecord struct {
 	Candidates int64 `json:"candidates,omitempty"`
 	// Pruned is the branch-and-bound pruned-candidate count (bnb records).
 	Pruned int64 `json:"pruned,omitempty"`
+	// Support is the support floor as a fraction of the corpus's tuples
+	// (bnb records).
+	Support float64 `json:"support,omitempty"`
 	// Found is present where the underlying run tracks feasibility
 	// (figures and ablations); k-sweep rows measure time only.
 	Found *bool `json:"found,omitempty"`
@@ -178,7 +181,7 @@ func (e *jsonEmitter) bnbTable(t experiments.BnBTable) {
 		}
 		found := r.Found
 		e.record(benchRecord{Bench: "bnb", Problem: r.Problem, Algorithm: algo,
-			Variant: r.Variant, Millis: millis(r.Elapsed),
+			Variant: r.Variant, Support: r.Support, Millis: millis(r.Elapsed),
 			Candidates: r.Examined, Pruned: r.Pruned, Found: &found})
 	}
 }

@@ -211,8 +211,8 @@ type Result struct {
 	// CandidatesPruned counts candidate sets skipped by branch-and-bound
 	// subtree cuts (Exact only; always 0 for the approximate algorithms and
 	// for pruning-disabled runs). Pruned candidates are reported separately
-	// from examined ones — they were proven unable to beat the incumbent,
-	// never evaluated.
+	// from examined ones — they were proven unable to reach the support
+	// floor or to beat the incumbent, never evaluated.
 	CandidatesPruned int64
 	// Stages is the per-phase wall-time breakdown of the run, keyed by the
 	// Stage* constants. Repeated phases (SM-LSH relaxation rounds) merge

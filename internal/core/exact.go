@@ -24,8 +24,9 @@ type ExactOptions struct {
 	// enumerates every candidate, as the pre-pruning baseline did. Pruning
 	// is on by default; the disabled path is retained as the oracle the
 	// property tests compare against. Either way the returned result is
-	// identical — pruning only skips candidates that provably cannot beat
-	// the incumbent — but CandidatesExamined/CandidatesPruned split
+	// identical — pruning only skips candidates that provably cannot win:
+	// those that cannot reach the support floor, and those that cannot
+	// beat the incumbent — but CandidatesExamined/CandidatesPruned split
 	// differently (see Result).
 	DisablePruning bool
 }
@@ -51,14 +52,20 @@ type ExactOptions struct {
 // k up to 3, the paper's setting, scores are bit-for-bit equal; beyond
 // that the same pair values are summed in a different association order).
 //
-// On top of the incremental scoring, the DFS applies admissible
-// branch-and-bound pruning (on by default; ExactOptions.DisablePruning
-// restores the full enumeration): per-objective max-row vectors cached on
-// the pair matrices upper-bound the pair-sum of any completion of a partial
-// candidate, and subtrees whose bound cannot strictly beat the incumbent
-// are cut wholesale. Pruning never changes Found, the argmax set, Objective
-// or Support — only how the enumeration size splits between
-// CandidatesExamined and CandidatesPruned.
+// On top of the incremental scoring, the DFS applies two admissible
+// branch-and-bound cuts (on by default; ExactOptions.DisablePruning
+// restores the full enumeration), each dropping a prefix's whole subtree.
+// The support cut: a set's support is at most its size-sum, and a
+// completion draws its remaining members from groups after the prefix's
+// last, so a prefix whose size-sum plus that many times the largest later
+// group size misses MinSupport has no feasible leaf. It needs no
+// incumbent and is exact integer arithmetic. The objective cut:
+// per-objective max-row vectors cached on the pair matrices upper-bound
+// the pair-sum of any completion, and a prefix whose bound cannot
+// strictly beat the incumbent is dropped. A cut subtree holds no leaf the
+// full enumeration would accept, so pruning never changes Found, the
+// argmax set, Objective or Support — only how the enumeration size splits
+// between CandidatesExamined and CandidatesPruned.
 // Cancellation: the DFS checks ctx between subtrees (every
 // exactCancelCheck leaves), so a server timeout or client disconnect
 // stops the enumeration within a bounded slice of work instead of
@@ -121,12 +128,15 @@ type exactWorker struct {
 	// matrix-wide maximum (both alias the shared matrices' cached bound
 	// vectors). maxSums[o][d] accumulates max rows over ids[:d+1] like the
 	// pair-sum stacks, so the upper bound on any completion is O(objectives)
-	// at every node. prune gates the whole mechanism (ExactOptions
-	// .DisablePruning turns it off).
+	// at every node. sizeAfter[l] is the largest group size among groups
+	// l+1..n-1 (0 past the end), the support cut's bound on each future
+	// member; nil when there is no support floor. prune gates the whole
+	// mechanism (ExactOptions.DisablePruning turns it off).
 	prune      bool
 	objMaxRows [][]float64
 	objMaxPair []float64
 	maxSums    [][]float64
+	sizeAfter  []int
 
 	depth    int
 	ids      []int
@@ -188,6 +198,14 @@ func newExactWorker(ctx context.Context, e *Engine, spec ProblemSpec, sc *matrix
 		w.maxSums = make([][]float64, len(sc.objMats))
 		for oi := range w.maxSums {
 			w.maxSums[oi] = make([]float64, kMax)
+		}
+		if spec.MinSupport > 0 {
+			// A suffix maximum, not Groups[l+1].Size(): engines need not
+			// order their groups by size.
+			w.sizeAfter = make([]int, len(e.Groups))
+			for l := len(e.Groups) - 2; l >= 0; l-- {
+				w.sizeAfter[l] = max(w.sizeAfter[l+1], e.Groups[l+1].Size())
+			}
 		}
 	}
 	for oi := range w.objSums {
@@ -376,25 +394,38 @@ func (w *exactWorker) leafSupport(g *groups.Group) int {
 	return w.unions[d-1].OrCount(g.Tuples)
 }
 
-// cannotBeat reports whether no completion of the current partial
-// candidate — its depth groups plus r more, drawn from anywhere — can
-// strictly beat the incumbent. The bound is admissible: each of the
-// r*(depth) cross pairs a future member forms with a current member x is at
-// most maxRow[x] (accumulated in maxSums), and each of the r*(r-1)/2 pairs
-// among future members is at most the matrix-wide maximum, so the bounded
-// pair-sum dominates every reachable leaf's. A small relative slack absorbs
-// the floating-point difference between this bound's association order and
-// the leaf evaluation's (the accumulated rounding is ~1e-15 relative; any
+// cannotWin reports whether no completion of the current partial
+// candidate — its depth groups plus r more — can be accepted.
+//
+// First the support cut, which needs no incumbent: the r future members
+// come from groups after the last prefix member ids[depth-1], each of size
+// at most sizeAfter[last], and support never exceeds the size-sum, so a
+// prefix whose size-sum plus r*sizeAfter[last] is below MinSupport has no
+// feasible completion. The arithmetic is on integers, so the cut is exact.
+//
+// Then the objective cut, for r more members drawn from anywhere: no
+// completion can strictly beat the incumbent. The bound is admissible:
+// each of the r*(depth) cross pairs a future member forms with a current
+// member x is at most maxRow[x] (accumulated in maxSums), and each of the
+// r*(r-1)/2 pairs among future members is at most the matrix-wide
+// maximum, so the bounded pair-sum dominates every reachable leaf's. A
+// small relative slack absorbs the floating-point difference between this
+// bound's association order and the leaf evaluation's (the accumulated
+// rounding is ~1e-15 relative; any
 // two candidates whose true scores differ by less than the slack tie for
 // the enumeration's purposes anyway, and ties never displace the incumbent
 // — the DFS keeps the first maximum, so cutting a tying subtree leaves the
-// argmax untouched). Constraints are deliberately not consulted: the bound
-// must hold for any completion, feasible or not.
-func (w *exactWorker) cannotBeat(r int) bool {
+// argmax untouched). The objective bound must hold for any completion,
+// feasible or not, so it ignores constraints; a constraint pair-sum cut
+// on top of the support cut measured slower than the work it saved.
+func (w *exactWorker) cannotWin(r int) bool {
+	d := w.depth
+	if w.sizeAfter != nil && w.sizeSums[d-1]+r*w.sizeAfter[w.ids[d-1]] < w.spec.MinSupport {
+		return true
+	}
 	if !w.found {
 		return false
 	}
-	d := w.depth
 	full := d + r
 	pairs := float64(full * (full - 1) / 2)
 	futureR := float64(r)
@@ -432,11 +463,11 @@ func (w *exactWorker) enumerate(startIdx, k, stride int) {
 	}
 	for i := first; i <= n-k; i += step {
 		w.push(i)
-		// Branch-and-bound: if even the best conceivable completion of this
-		// prefix cannot beat the incumbent, cut the whole subtree — its
+		// Branch-and-bound: if no completion of this prefix can reach the
+		// support floor or beat the incumbent, cut the whole subtree — its
 		// binomial(n-i-1, k-1) candidates are counted as pruned, never
 		// examined.
-		if w.prune && w.cannotBeat(k-1) {
+		if w.prune && w.cannotWin(k-1) {
 			w.pruned += binomial(n-i-1, k-1)
 			w.pop()
 			continue

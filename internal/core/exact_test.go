@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
-
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"tagdm/internal/groups"
 	"tagdm/internal/mining"
+	"tagdm/internal/signature"
+	"tagdm/internal/store"
 )
 
 func TestBinomial(t *testing.T) {
@@ -209,4 +213,163 @@ func TestExactParallelDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sizeSpreadEngine builds an engine over buildEngine's store whose groups
+// are disjoint runs of tuples with deliberately unsorted sizes: a set's
+// support is exactly its size-sum, and the largest group after a given one
+// is often not the next one.
+func sizeSpreadEngine(t *testing.T) *Engine {
+	t.Helper()
+	s := buildEngine(t).Store
+	var gs []*groups.Group
+	lo := 0
+	for _, size := range []int{3, 12, 2, 9, 1, 14, 4, 2, 11, 5} {
+		bm := store.NewBitmap(s.Len())
+		var members []int
+		for id := lo; id < lo+size; id++ {
+			bm.Set(id)
+			members = append(members, id)
+		}
+		lo += size
+		gs = append(gs, &groups.Group{ID: len(gs), Tuples: bm, Members: members})
+	}
+	e, err := NewEngine(s, gs, signature.SummarizeAll(signature.NewFrequency(s), s, gs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// supportCutLeaves counts, leaf by leaf, the k-sets the support cut must
+// prune: those with a proper prefix ids[:d] whose size-sum plus k-d times
+// the largest size after ids[d-1] is below floor. byDepth[d] counts the
+// leaves whose shallowest such prefix has depth d.
+func supportCutLeaves(e *Engine, k, floor int) (cut int64, byDepth []int64) {
+	n := len(e.Groups)
+	byDepth = make([]int64, k)
+	maxAfter := func(l int) int {
+		m := 0
+		for j := l + 1; j < n; j++ {
+			m = max(m, e.Groups[j].Size())
+		}
+		return m
+	}
+	ids := make([]int, 0, k)
+	var rec func(start int)
+	rec = func(start int) {
+		if len(ids) == k {
+			sum := 0
+			for d := 1; d < k; d++ {
+				sum += e.Groups[ids[d-1]].Size()
+				if sum+(k-d)*maxAfter(ids[d-1]) < floor {
+					cut++
+					byDepth[d]++
+					return
+				}
+			}
+			return
+		}
+		for i := start; i < n; i++ {
+			ids = append(ids, i)
+			rec(i + 1)
+			ids = ids[:len(ids)-1]
+		}
+	}
+	rec(0)
+	return cut, byDepth
+}
+
+// TestExactSupportCut checks the support feasibility cut on
+// sizeSpreadEngine against the DisablePruning oracle, serially and as two
+// and three shards: Found, the group IDs, the objective's bits and Support
+// must match, examined + pruned must cover the enumeration, and the cut
+// must examine fewer candidates than the oracle. The fixture's floors make
+// the cut fire at depth 1 for k=2 and at depth 2 for k=3. Under tying pair
+// scores the objective cut never fires, so the pruned count must equal the
+// leaves supportCutLeaves finds. The oracle's winners sit under prefixes
+// whose next group is small but a later one is large: bounding the future
+// members by Groups[last+1] instead of the suffix maximum would cut them.
+func TestExactSupportCut(t *testing.T) {
+	ctx := context.Background()
+	e := sizeSpreadEngine(t)
+	n := len(e.Groups)
+	obj := []Objective{{Dim: mining.Tags, Meas: mining.Similarity, Weight: 1}}
+	scores := []struct {
+		name string
+		f    mining.PairFunc
+	}{
+		{"ties", func(g1, g2 *groups.Group) float64 { return 0.5 }},
+		{"varied", func(g1, g2 *groups.Group) float64 {
+			return float64((g1.ID*g2.ID+g1.ID+g2.ID)%17) / 17
+		}},
+	}
+	cases := []struct{ k, floor, cutDepth int }{{2, 20, 1}, {3, 30, 2}}
+	for _, sc := range scores {
+		e.SetPairFunc(mining.Tags, mining.Similarity, sc.f)
+		for _, c := range cases {
+			spec := ProblemSpec{Name: "support-cut", KLo: c.k, KHi: c.k, MinSupport: c.floor, Objectives: obj}
+			label := fmt.Sprintf("%s k=%d support=%d", sc.name, c.k, c.floor)
+			oracle, err := e.Exact(ctx, spec, ExactOptions{DisablePruning: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !oracle.Found {
+				t.Fatalf("%s: oracle found no feasible set", label)
+			}
+			if !nextGroupCuts(e, oracle.Groups, c.floor) {
+				t.Fatalf("%s: a Groups[last+1] bound would keep the oracle's %v; the fixture tests nothing",
+					label, groupIDs(oracle.Groups))
+			}
+			cut, byDepth := supportCutLeaves(e, c.k, c.floor)
+			if byDepth[c.cutDepth] == 0 {
+				t.Fatalf("%s: the support cut never fires at depth %d (by depth %v)", label, c.cutDepth, byDepth)
+			}
+			modes := []struct {
+				name string
+				run  func() (Result, error)
+			}{
+				{"serial", func() (Result, error) { return e.Exact(ctx, spec, ExactOptions{}) }},
+				{"sharded-2", func() (Result, error) { return e.ExactSharded(ctx, spec, ExactOptions{}, 2) }},
+				{"sharded-3", func() (Result, error) { return e.ExactSharded(ctx, spec, ExactOptions{}, 3) }},
+			}
+			for _, m := range modes {
+				res, err := m.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Found != oracle.Found || !slices.Equal(groupIDs(res.Groups), groupIDs(oracle.Groups)) ||
+					math.Float64bits(res.Objective) != math.Float64bits(oracle.Objective) || res.Support != oracle.Support {
+					t.Fatalf("%s %s: found %v %v objective %v support %d, oracle found %v %v objective %v support %d",
+						label, m.name, res.Found, groupIDs(res.Groups), res.Objective, res.Support,
+						oracle.Found, groupIDs(oracle.Groups), oracle.Objective, oracle.Support)
+				}
+				if got, want := res.CandidatesExamined+res.CandidatesPruned, binomial(n, c.k); got != want {
+					t.Fatalf("%s %s: examined %d + pruned %d = %d, want %d",
+						label, m.name, res.CandidatesExamined, res.CandidatesPruned, got, want)
+				}
+				if res.CandidatesExamined >= oracle.CandidatesExamined {
+					t.Fatalf("%s %s: examined %d, oracle %d", label, m.name, res.CandidatesExamined, oracle.CandidatesExamined)
+				}
+				if sc.name == "ties" && res.CandidatesPruned != cut {
+					t.Fatalf("%s %s: pruned %d, support cut covers %d leaves", label, m.name, res.CandidatesPruned, cut)
+				}
+			}
+		}
+	}
+}
+
+// nextGroupCuts reports whether bounding each future member of best's
+// prefixes by the next group's size, rather than the largest later one,
+// would wrongly declare best infeasible.
+func nextGroupCuts(e *Engine, best []*groups.Group, floor int) bool {
+	k, sum := len(best), 0
+	for d := 1; d < k; d++ {
+		last := best[d-1].ID
+		sum += best[d-1].Size()
+		if last+1 < len(e.Groups) && sum+(k-d)*e.Groups[last+1].Size() < floor {
+			return true
+		}
+	}
+	return false
 }

@@ -90,3 +90,26 @@ func TestKSweep(t *testing.T) {
 		t.Fatal("render missing header")
 	}
 }
+
+// TestBnBSweep runs the branch-and-bound self-check on the FastConfig
+// corpus: every paper problem at both support floors, serial and
+// parallel, pruning off and on. BnBSweep itself errors if pruning changes
+// an answer or never fires.
+func TestBnBSweep(t *testing.T) {
+	st := setup(t)
+	tab, err := BnBSweep(st, PaperParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(bnbSupports) * 6 * 4; len(tab.Rows) != want {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), want)
+	}
+	for i, pct := range bnbSupports {
+		if got := tab.Rows[i*24].Support; got != pct {
+			t.Fatalf("row %d support = %v, want %v", i*24, got, pct)
+		}
+	}
+	if !strings.Contains(tab.Render(), "2%") {
+		t.Fatal("render missing the 2% support level")
+	}
+}

@@ -13,29 +13,37 @@ import (
 	"tagdm/internal/core"
 )
 
-// hashResult folds the fields an answer is judged by into h: feasibility,
-// the chosen group IDs in order, the objective's bits, support and the
-// examined-candidate count.
-func hashResult(h hash.Hash, label string, r core.Result) {
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
+// hashAnswer folds the fields an answer is judged by into h: feasibility,
+// the chosen group IDs in order, the objective's bits and support.
+func hashAnswer(h hash.Hash, label string, r core.Result) {
 	h.Write([]byte(label))
 	if !r.Found {
-		put(0)
+		putUint64(h, 0)
 		return
 	}
-	put(1)
+	putUint64(h, 1)
 	ids := resultIDs(r)
-	put(uint64(len(ids)))
+	putUint64(h, uint64(len(ids)))
 	for _, id := range ids {
-		put(uint64(id))
+		putUint64(h, uint64(id))
 	}
-	put(math.Float64bits(r.Objective))
-	put(uint64(r.Support))
-	put(uint64(r.CandidatesExamined))
+	putUint64(h, math.Float64bits(r.Objective))
+	putUint64(h, uint64(r.Support))
+}
+
+// hashResult is hashAnswer plus, for a found answer, the examined-candidate
+// count.
+func hashResult(h hash.Hash, label string, r core.Result) {
+	hashAnswer(h, label, r)
+	if r.Found {
+		putUint64(h, uint64(r.CandidatesExamined))
+	}
+}
+
+func putUint64(h hash.Hash, v uint64) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	h.Write(buf[:])
 }
 
 // TestSolverAnswersPinned pins every solver's answers to the six paper
@@ -83,5 +91,63 @@ func TestSolverAnswersPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("paper-problem answer digest = %s, want %s", got, want)
+	}
+}
+
+// TestExactSupportCutPinned pins Exact, serial and sharded three ways, on
+// problems 1-6 with k in {2, 3} at 2% and 5% support on the FastConfig
+// corpus: the floors where Exact's support cut fires (at the 1% of
+// TestSolverAnswersPinned it prunes nothing). The answer digest (Found,
+// group IDs, objective bits, support) was taken before the support cut
+// existed and must never move. The examined digest covers each run's
+// examined-candidate count; it moves whenever pruning skips more or less
+// of the enumeration (the cut took serial examined from 69,944 to 64,159
+// at 2% and from 83,353 to 24,032 at 5%).
+func TestExactSupportCutPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus pipeline is slow under -short")
+	}
+	const (
+		wantAnswers  = "869b0b38b78fd655df8e6b9f86fd10f19e177051224ffa78d0a3fec227229061"
+		wantExamined = "31425fd0141fae2f47e5d9bd59384814e0ac5f768661996c6c98b02722280595"
+	)
+	st := setup(t)
+	p := PaperParams()
+	ex, err := st.ExactEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, examined := sha256.New(), sha256.New()
+	for _, pct := range []float64{0.02, 0.05} {
+		p.SupportPct = pct
+		var serial int64
+		for _, k := range []int{2, 3} {
+			for id := 1; id <= 6; id++ {
+				spec, err := core.PaperProblem(id, k, p.support(st), p.Q, p.R)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sharded := range []bool{false, true} {
+					r, err := exactMode(ex, spec, core.ExactOptions{}, sharded)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s/k=%d/support=%v/sharded=%v", spec.Name, k, pct, sharded)
+					hashAnswer(answers, label, r)
+					examined.Write([]byte(label))
+					putUint64(examined, uint64(r.CandidatesExamined))
+					if !sharded {
+						serial += r.CandidatesExamined
+					}
+				}
+			}
+		}
+		t.Logf("support %v: serial Exact examined %d candidates", pct, serial)
+	}
+	if got := hex.EncodeToString(answers.Sum(nil)); got != wantAnswers {
+		t.Errorf("support-cut answer digest = %s, want %s", got, wantAnswers)
+	}
+	if got := hex.EncodeToString(examined.Sum(nil)); got != wantExamined {
+		t.Errorf("support-cut examined digest = %s, want %s", got, wantExamined)
 	}
 }

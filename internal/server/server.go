@@ -542,8 +542,9 @@ type StatsResponse struct {
 		MeanMillis float64 `json:"mean_millis"`
 		// CandidatesExamined/CandidatesPruned split solver work the way
 		// core.Result does: sets actually evaluated versus sets the Exact
-		// branch-and-bound proved unable to beat the incumbent and skipped
-		// (always 0 for the approximate families).
+		// branch-and-bound proved unable to reach the support floor or to
+		// beat the incumbent and skipped (always 0 for the approximate
+		// families).
 		CandidatesExamined int64 `json:"candidates_examined"`
 		CandidatesPruned   int64 `json:"candidates_pruned"`
 		// Families breaks the same numbers down per solver family
