@@ -598,29 +598,11 @@ func BenchmarkObjectiveEvalNaive(b *testing.B) {
 // function calls, no allocation.
 func BenchmarkObjectiveEvalMatrix(b *testing.B) {
 	ex, _, _, ids := benchObjectiveWorld(b)
-	f := mining.Func{Agg: mining.Mean}
 	m := ex.PairMatrix(mining.Tags, mining.Similarity)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.EvalMatrix(m, ids)
-	}
-}
-
-// BenchmarkObjectiveEvalIncremental is the Exact hot loop's shape: extend
-// a 2-set by one group (O(k) lookups), read the mean, backtrack.
-func BenchmarkObjectiveEvalIncremental(b *testing.B) {
-	ex, _, _, ids := benchObjectiveWorld(b)
-	m := ex.PairMatrix(mining.Tags, mining.Similarity)
-	inc := mining.NewIncrementalEval(m, len(ids))
-	inc.Push(ids[0])
-	inc.Push(ids[1])
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		inc.Push(ids[2])
-		_ = inc.Mean()
-		inc.Pop()
+		m.MeanOver(ids)
 	}
 }
 

@@ -11,7 +11,8 @@
 //	            [-min-group-tuples 5] [-workers 4] [-shards 1] [-queue 64]
 //	            [-cache 256] [-refresh-every 1] [-timeout 30s] [-seed 1]
 //	            [-max-ingest-bytes N] [-max-analyze-bytes N]
-//	            [-prewarm] [-access-log] [-slow-ms 0] [-debug-addr addr]
+//	            [-prewarm] [-matrix-budget BYTES] [-access-log] [-slow-ms 0]
+//	            [-debug-addr addr] [-shutdown-timeout 15s]
 //
 // The corpus comes from one of three places: a dataset JSON file written by
 // tagdm-datagen or Dataset.WriteJSON (-data), a synthesized corpus

@@ -67,8 +67,9 @@ func (e *Engine) AdoptCache(from *Engine) { e.cache = from.cache }
 
 // SetMatrixBudget caps the resident bytes of this engine's pair-matrix
 // cache (0 = unlimited). Above the budget the coldest bindings are
-// evicted and one-shot solves degrade to lazy or blocked-row scoring;
-// results are unchanged, only the time/memory trade moves.
+// evicted, and SM-LSH scores a binding whose full matrix cannot fit
+// through the lazy pair function; results are unchanged, only the
+// time/memory trade moves.
 func (e *Engine) SetMatrixBudget(bytes int64) { e.cache.SetBudget(bytes) }
 
 // MatrixStats reports the engine's matrix-cache residency and eviction
@@ -224,11 +225,11 @@ type Result struct {
 	// subset of the same cost class, far cheaper). MatrixHits counts
 	// bindings served from the engine cache, including callers that
 	// waited on another solve's in-flight build; MatrixLazy counts
-	// bindings served without any matrix at all (lazy or blocked-row
-	// scoring on gated one-shot solves). Per binding exactly one of the
-	// four fires, so builds + rebuilds + hits + lazy equals bindings
-	// touched — and a build shared by a solve's shard partials is counted
-	// once.
+	// bindings SM-LSH served without any matrix at all, through the lazy
+	// pair function (a cold one-shot solve, or a matrix over the budget).
+	// Per binding exactly one of the four fires, so builds + rebuilds +
+	// hits + lazy equals bindings touched — and a build shared by a
+	// solve's shard partials is counted once.
 	MatrixBuilds   int
 	MatrixRebuilds int
 	MatrixHits     int
@@ -290,7 +291,7 @@ func (e *Engine) finish(r *Result, spec ProblemSpec, start time.Time) {
 		}
 		var total float64
 		for _, o := range spec.Objectives {
-			var src mining.PairSource
+			var src pairSource
 			if m := e.cache.peek(pairKey{o.Dim, o.Meas}); m != nil {
 				src = m
 			} else {

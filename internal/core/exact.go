@@ -107,15 +107,16 @@ const exactCancelCheck = 4096
 // Prefix state lives in depth-indexed stacks preallocated to the maximum
 // set size: cumulative pair-sums per objective and per constraint,
 // cumulative group sizes, and one union bitmap per prefix level derived
-// from its parent without cloning. The pair-sum stacks are
-// mining.IncrementalEval's scheme (cumulative values, never +delta/-delta,
-// for bit-exact backtracking — see its docs and
-// TestIncrementalEvalBacktrackExact) inlined so every binding shares one
-// ids stack and one non-virtual push loop; composing per-binding
-// IncrementalEvals measured ~30% slower on BenchmarkExactSerial. Keep the
-// two in sync. Leaves are never pushed: scanLeaves extends the parent's
-// sums in the same order push would, so the leaf scores are the same
-// floats. Nothing allocates inside the enumeration.
+// from its parent without cloning. The pair-sum stacks hold one
+// cumulative value per depth rather than one running accumulator adjusted
+// by +delta on push and -delta on pop: floating-point addition does not
+// cancel exactly under subtraction, so a push/pop/push sequence would
+// drift from the forward-computed sum and break the bit-exact agreement
+// with the naive enumeration that TestExactMatchesNaiveReference pins.
+// Popping is dropping a level. All bindings share one ids stack and one
+// non-virtual push loop. Leaves are never pushed: scanLeaves extends the
+// parent's sums in the same order push would, so the leaf scores are the
+// same floats. Nothing allocates inside the enumeration.
 type exactWorker struct {
 	engine *Engine
 	spec   ProblemSpec

@@ -144,17 +144,10 @@ func (c *MatrixCache) SetBudget(bytes int64) {
 	c.evictLocked(nil)
 }
 
-// Budget returns the configured byte cap (0 = unlimited).
-func (c *MatrixCache) Budget() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.budget
-}
-
 // overBudget reports whether adding addBytes of matrix storage would
 // exceed the budget even after evicting everything else — the signal the
-// gated scorer uses to fall back to blocked-row materialization instead
-// of forcing a full build.
+// gated scorer uses to fall back to lazy scoring instead of forcing a full
+// build.
 func (c *MatrixCache) overBudget(addBytes int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -113,9 +113,8 @@ func TestMatrixBudgetEvictsColdest(t *testing.T) {
 }
 
 // TestSolvesUnderTinyBudgetMatchSerial forces the degraded scoring paths —
-// eviction churn for the materializing solvers, blocked-row sources for the
-// gated one — and asserts answers stay bit-identical to an unbudgeted
-// engine.
+// eviction churn for the materializing solvers, lazy sources for the gated
+// one — and asserts answers stay bit-identical to an unbudgeted engine.
 func TestSolvesUnderTinyBudgetMatchSerial(t *testing.T) {
 	ref := buildEngine(t)
 	budgeted := buildEngine(t)
@@ -141,6 +140,60 @@ func TestSolvesUnderTinyBudgetMatchSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestColdBudgetSMLSHScoresLazily drives the gated scorer's budget
+// fallback: on a cold engine whose budget cannot fit one matrix, an SM-LSH
+// solve whose adaptive gate would materialize must score every binding
+// through the lazy pair function instead — building and caching nothing —
+// and answer bit-identically to an unbudgeted engine, which does build.
+func TestColdBudgetSMLSHScoresLazily(t *testing.T) {
+	ctx := context.Background()
+	opts := LSHOptions{DPrime: 1, L: 2, Seed: 9, Mode: Fold}
+	found := false
+	for _, problem := range []int{1, 2, 3} {
+		spec, err := PaperProblem(problem, 3, 5, 0.5, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bindings := len(spec.Constraints) + len(spec.Objectives)
+		ref := buildEngine(t)
+		want, err := ref.SMLSH(ctx, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.MatrixBuilds != bindings {
+			t.Fatalf("problem %d: unbudgeted engine built %d of %d bindings", problem, want.MatrixBuilds, bindings)
+		}
+
+		budgeted := buildEngine(t)
+		budgeted.SetMatrixBudget(64) // far below one matrix
+		if budgeted.smlshPreferLazy(opts) {
+			t.Fatalf("problem %d: the adaptive gate prefers lazy at d'=%d; the budget fallback is not reached", problem, opts.DPrime)
+		}
+		got, err := budgeted.SMLSH(ctx, spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Found != want.Found || !sameGroupIDs(got.Groups, want.Groups) {
+			t.Fatalf("problem %d: budgeted answer %v (found %v), unbudgeted %v (found %v)",
+				problem, groupIDs(got.Groups), got.Found, groupIDs(want.Groups), want.Found)
+		}
+		if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+			t.Fatalf("problem %d: objective %v vs %v", problem, got.Objective, want.Objective)
+		}
+		if got.MatrixLazy != bindings || got.MatrixBuilds+got.MatrixRebuilds+got.MatrixHits != 0 {
+			t.Fatalf("problem %d: lazy %d builds %d rebuilds %d hits %d, want %d lazy bindings",
+				problem, got.MatrixLazy, got.MatrixBuilds, got.MatrixRebuilds, got.MatrixHits, bindings)
+		}
+		if st := budgeted.MatrixStats(); st.Entries != 0 {
+			t.Fatalf("problem %d: budget fallback left matrices resident: %+v", problem, st)
+		}
+		found = found || want.Found
+	}
+	if !found {
+		t.Fatal("no problem found an answer; the comparison is vacuous")
 	}
 }
 

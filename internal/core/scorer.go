@@ -6,12 +6,26 @@ import (
 	"tagdm/internal/store"
 )
 
+// pairSource is the read surface solvers score candidate sets through: a
+// symmetric pair table over the dense group universe. *mining.PairMatrix
+// is the materialized implementation and *mining.LazyPairs calls the pair
+// function on demand; both visit the pairs of an id set in Func.Eval's
+// row-major (i < j) order, so their scores are bit-identical and solvers
+// may read either without changing answers.
+type pairSource interface {
+	// At returns the pair score of groups i and j (0 on the diagonal).
+	At(i, j int) float64
+	// MeanOver is the Mean aggregation over ids (0 below two ids).
+	MeanOver(ids []int) float64
+}
+
 // matrixScorer evaluates candidate sets — identified by dense group IDs —
 // against one spec through per-binding pair sources: precomputed pair
-// matrices when materialized (pure float lookups in the hot loop), lazy or
-// blocked-row sources on gated one-shot solves. Decisions and scores are
-// bit-identical across source kinds and to ObjectiveScore/
-// ConstraintsSatisfied, whose pair visit order every source replicates.
+// matrices when materialized (pure float lookups in the hot loop), lazy
+// sources on gated one-shot solves and bindings over the matrix budget.
+// Decisions and scores are bit-identical across source kinds and to
+// ObjectiveScore/ConstraintsSatisfied, whose pair visit order every source
+// replicates.
 //
 // The objMats/conMats/objSrc/conSrc fields are immutable and safe to read
 // from many goroutines, but idsOf and support mutate the scorer's scratch
@@ -27,8 +41,8 @@ type matrixScorer struct {
 	// scoring surface objective/pairObjective/feasible read.
 	objMats []*mining.PairMatrix
 	conMats []*mining.PairMatrix
-	objSrc  []mining.PairSource
-	conSrc  []mining.PairSource
+	objSrc  []pairSource
+	conSrc  []pairSource
 
 	ids      []int         // reusable id buffer for set-based callers
 	scratch  *store.Bitmap // reusable support union for k >= 3, lazily built
@@ -65,36 +79,26 @@ func (e *Engine) scorer(spec ProblemSpec) *matrixScorer {
 // can: a binding already cached scores through its matrix (a hit), and an
 // uncached binding scores through the lazy pair function when preferLazy
 // holds (the adaptive gate decided expected pair volume is far below
-// n²/2), through a budget-bounded blocked-row source when a full matrix
-// cannot fit the cache budget, and through a freshly built matrix
-// otherwise. Only SM-LSH uses this: its bucket scans touch a small,
-// skewed subset of pairs, so a cold one-shot solve shouldn't pay the full
-// build the repeated-solve families amortize.
+// n²/2) or when a full matrix cannot fit the cache budget, and through a
+// freshly built matrix otherwise. Only SM-LSH uses this: its bucket scans
+// touch a small, skewed subset of pairs, so a cold one-shot solve
+// shouldn't pay the full build the repeated-solve families amortize.
 func (e *Engine) gatedScorer(spec ProblemSpec, preferLazy bool) *matrixScorer {
 	s := newScorer(e, spec)
-	n := len(e.Groups)
-	resolve := func(dim mining.Dimension, meas mining.Measure) (*mining.PairMatrix, mining.PairSource) {
+	n := int64(len(e.Groups))
+	resolve := func(dim mining.Dimension, meas mining.Measure) (*mining.PairMatrix, pairSource) {
 		k := pairKey{dim, meas}
 		if m := e.cache.lookup(k); m != nil {
 			s.hits++
 			return m, m
 		}
-		matrixBytes := int64(n) * int64(n-1) / 2 * 8
-		switch {
-		case preferLazy:
+		if preferLazy || e.cache.overBudget(n*(n-1)/2*8) {
 			s.lazy++
 			return nil, mining.NewLazyPairs(e.Groups, e.PairFunc(dim, meas))
-		case e.cache.overBudget(matrixBytes):
-			// A full matrix cannot fit even an empty cache: degrade to
-			// blocked rows capped at a quarter of the budget.
-			s.lazy++
-			maxRows := int(e.cache.Budget() / 4 / (8 * int64(n)))
-			return nil, mining.NewBlockedPairs(e.Groups, e.PairFunc(dim, meas), maxRows)
-		default:
-			m, outcome := e.pairMatrixTracked(dim, meas)
-			s.note(outcome)
-			return m, m
 		}
+		m, outcome := e.pairMatrixTracked(dim, meas)
+		s.note(outcome)
+		return m, m
 	}
 	for i, o := range spec.Objectives {
 		s.objMats[i], s.objSrc[i] = resolve(o.Dim, o.Meas)
@@ -111,8 +115,8 @@ func newScorer(e *Engine, spec ProblemSpec) *matrixScorer {
 		groups:   e.Groups,
 		objMats:  make([]*mining.PairMatrix, len(spec.Objectives)),
 		conMats:  make([]*mining.PairMatrix, len(spec.Constraints)),
-		objSrc:   make([]mining.PairSource, len(spec.Objectives)),
-		conSrc:   make([]mining.PairSource, len(spec.Constraints)),
+		objSrc:   make([]pairSource, len(spec.Objectives)),
+		conSrc:   make([]pairSource, len(spec.Constraints)),
 		universe: e.Store.Len(),
 	}
 }

@@ -1,7 +1,6 @@
 package mining
 
 import (
-	"reflect"
 	"sync"
 
 	"tagdm/internal/groups"
@@ -66,28 +65,23 @@ func (m *PairMatrix) At(i, j int) float64 { return m.mat.At(i, j) }
 // over many partners j of a fixed x read it instead of calling At per pair.
 func (m *PairMatrix) Row(x int) []float64 { return m.mat.Row(x) }
 
-// SumOver accumulates the pair scores of all unordered pairs drawn from
-// ids, in the same row-major (i < j) order Func.Eval visits them, so the
-// floating-point result is bit-identical to summing the naive pair calls.
-func (m *PairMatrix) SumOver(ids []int) float64 {
-	var s float64
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			s += m.mat.At(ids[i], ids[j])
-		}
-	}
-	return s
-}
-
 // MeanOver is the mean pair score over ids — the Mean aggregation of
-// Definition 3 — computed without materializing the scores. Fewer than two
-// ids score 0, matching Func.Eval.
+// Definition 3 — computed without materializing the scores. Pairs are
+// summed in the same row-major (i < j) order Func.Eval visits them, so the
+// result is bit-identical to the naive evaluation. Fewer than two ids
+// score 0, matching Func.Eval.
 func (m *PairMatrix) MeanOver(ids []int) float64 {
 	k := len(ids)
 	if k < 2 {
 		return 0
 	}
-	return m.SumOver(ids) / float64(k*(k-1)/2)
+	var s float64
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			s += m.mat.At(ids[i], ids[j])
+		}
+	}
+	return s / float64(k*(k-1)/2)
 }
 
 // MaxRows returns the matrix's bound vector: entry i is the largest pair
@@ -136,140 +130,4 @@ func (m *PairMatrix) buildBounds() {
 			}
 		}
 	})
-}
-
-// MinOver is the minimum pair score over ids (the Min aggregation); fewer
-// than two ids score 0.
-func (m *PairMatrix) MinOver(ids []int) float64 {
-	if len(ids) < 2 {
-		return 0
-	}
-	best := m.mat.At(ids[0], ids[1])
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			if v := m.mat.At(ids[i], ids[j]); v < best {
-				best = v
-			}
-		}
-	}
-	return best
-}
-
-var (
-	meanPtr = reflect.ValueOf(Aggregator(Mean)).Pointer()
-	minPtr  = reflect.ValueOf(Aggregator(Min)).Pointer()
-)
-
-// EvalMatrix computes the same aggregate as Eval but over the cached
-// matrix, identified by group IDs instead of group pointers. The package
-// aggregators (Mean — also the nil default — and Min) stream over the
-// matrix with zero allocations; a custom Aggregator still works but pays
-// one scores-slice allocation, exactly as Eval does.
-func (f Func) EvalMatrix(m *PairMatrix, ids []int) float64 {
-	if len(ids) < 2 {
-		return 0
-	}
-	switch {
-	case f.Agg == nil:
-		return m.MeanOver(ids)
-	default:
-		switch reflect.ValueOf(f.Agg).Pointer() {
-		case meanPtr:
-			return m.MeanOver(ids)
-		case minPtr:
-			return m.MinOver(ids)
-		}
-	}
-	scores := make([]float64, 0, len(ids)*(len(ids)-1)/2)
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			scores = append(scores, m.mat.At(ids[i], ids[j]))
-		}
-	}
-	return f.Agg(scores)
-}
-
-// IncrementalEval maintains the running pair-sum of a candidate set that
-// grows and shrinks one group at a time — the access pattern of a
-// depth-first enumeration. Push extends the set by one group at O(k) matrix
-// lookups (instead of the O(k^2) recompute of evaluating the set afresh);
-// Pop backtracks in O(1).
-//
-// Internally it keeps a stack of cumulative sums rather than one running
-// accumulator adjusted by +delta/-delta: floating-point addition does not
-// cancel exactly under subtraction, so a push/pop/push sequence would
-// otherwise drift away from the forward-computed sum and break the exact
-// determinism the brute-force baseline promises.
-type IncrementalEval struct {
-	m    *PairMatrix
-	ids  []int
-	sums []float64
-}
-
-// NewIncrementalEval returns an empty evaluator over m with capacity for
-// sets of up to capHint groups (grown as needed).
-func NewIncrementalEval(m *PairMatrix, capHint int) *IncrementalEval {
-	if capHint < 0 {
-		capHint = 0
-	}
-	return &IncrementalEval{
-		m:    m,
-		ids:  make([]int, 0, capHint),
-		sums: make([]float64, 0, capHint),
-	}
-}
-
-// Reset empties the set without releasing capacity.
-func (e *IncrementalEval) Reset() {
-	e.ids = e.ids[:0]
-	e.sums = e.sums[:0]
-}
-
-// Push adds group id to the set, accumulating its pair scores against every
-// member one pair at a time. Pairs arrive in incremental order — all pairs
-// of the first d groups before any pair involving group d+1 — which
-// coincides with Eval's row-major order for sets of up to three groups (the
-// paper's k), making Mean bit-identical to Eval there; for larger sets the
-// same pairs are summed in a different association order, so results agree
-// only up to floating-point rounding.
-func (e *IncrementalEval) Push(id int) {
-	var sum float64
-	if n := len(e.sums); n > 0 {
-		sum = e.sums[n-1]
-	}
-	for _, x := range e.ids {
-		sum += e.m.At(x, id)
-	}
-	e.ids = append(e.ids, id)
-	e.sums = append(e.sums, sum)
-}
-
-// Pop removes the most recently pushed group.
-func (e *IncrementalEval) Pop() {
-	e.ids = e.ids[:len(e.ids)-1]
-	e.sums = e.sums[:len(e.sums)-1]
-}
-
-// Len returns the current set size.
-func (e *IncrementalEval) Len() int { return len(e.ids) }
-
-// IDs returns the current set contents; the slice is owned by the
-// evaluator and only valid until the next Push/Pop/Reset.
-func (e *IncrementalEval) IDs() []int { return e.ids }
-
-// Sum returns the pair-sum of the current set (0 below two groups).
-func (e *IncrementalEval) Sum() float64 {
-	if len(e.sums) == 0 {
-		return 0
-	}
-	return e.sums[len(e.sums)-1]
-}
-
-// Mean returns the mean pair score of the current set, 0 below two groups.
-func (e *IncrementalEval) Mean() float64 {
-	k := len(e.ids)
-	if k < 2 {
-		return 0
-	}
-	return e.Sum() / float64(k*(k-1)/2)
 }

@@ -64,23 +64,16 @@ func TestPairMatrixMatchesPairFunc(t *testing.T) {
 }
 
 // TestEvalMatrixMatchesEval drives randomized subsets — including the empty
-// and singleton edge cases — through every aggregator and demands exact
-// agreement with the naive Eval, whose pair visit order EvalMatrix
-// replicates.
+// and singleton edge cases — through PairMatrix.MeanOver and demands exact
+// agreement with the naive Mean-aggregated Eval, whose pair visit order
+// MeanOver replicates.
 func TestEvalMatrixMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	sumAgg := func(scores []float64) float64 { // custom: exercises the fallback
-		var s float64
-		for _, x := range scores {
-			s += x
-		}
-		return s
-	}
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(13)
 		gs, pair := syntheticUniverse(n, int64(trial))
 		m := NewPairMatrix(gs, pair, 0)
-		for _, agg := range []Aggregator{nil, Mean, Min, sumAgg} {
+		for _, agg := range []Aggregator{nil, Mean} {
 			f := Func{Dim: Tags, Meas: Similarity, Pair: pair, Agg: agg}
 			for k := 0; k <= n; k++ {
 				ids := rng.Perm(n)[:k]
@@ -89,9 +82,9 @@ func TestEvalMatrixMatchesEval(t *testing.T) {
 					set[i] = gs[id]
 				}
 				want := f.Eval(set)
-				got := f.EvalMatrix(m, ids)
-				if got != want {
-					t.Fatalf("trial %d n=%d k=%d: EvalMatrix = %v, Eval = %v",
+				got := m.MeanOver(ids)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d n=%d k=%d: MeanOver = %v, Eval = %v",
 						trial, n, k, got, want)
 				}
 			}
@@ -99,105 +92,14 @@ func TestEvalMatrixMatchesEval(t *testing.T) {
 	}
 }
 
+// TestEvalMatrixAllocationFree pins that scoring through the matrix reads
+// pure lookups: unlike Eval, MeanOver builds no scores slice.
 func TestEvalMatrixAllocationFree(t *testing.T) {
 	gs, pair := syntheticUniverse(10, 3)
 	m := NewPairMatrix(gs, pair, 0)
 	ids := []int{1, 4, 7, 9}
-	for _, f := range []Func{
-		{Pair: pair}, // nil aggregator defaults to Mean
-		{Pair: pair, Agg: Mean},
-		{Pair: pair, Agg: Min},
-	} {
-		f := f
-		if avg := testing.AllocsPerRun(100, func() { f.EvalMatrix(m, ids) }); avg != 0 {
-			t.Fatalf("EvalMatrix allocated %v per run", avg)
-		}
-	}
-}
-
-// TestIncrementalEvalMatchesEval random-walks a push/pop sequence and
-// checks the running mean against the naive Eval after every step: exactly
-// for sets of up to three groups (where the addition orders coincide), and
-// within floating-point tolerance beyond.
-func TestIncrementalEvalMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(11)
-		gs, pair := syntheticUniverse(n, int64(100+trial))
-		m := NewPairMatrix(gs, pair, 0)
-		f := Func{Pair: pair, Agg: Mean}
-		inc := NewIncrementalEval(m, n)
-		var set []*groups.Group
-		for step := 0; step < 200; step++ {
-			if inc.Len() > 0 && (inc.Len() == n || rng.Intn(3) == 0) {
-				inc.Pop()
-				set = set[:len(set)-1]
-			} else {
-				// Push any group not currently in the set.
-				id := rng.Intn(n)
-				for containsID(inc.IDs(), id) {
-					id = (id + 1) % n
-				}
-				inc.Push(id)
-				set = append(set, gs[id])
-			}
-			want := f.Eval(set)
-			got := inc.Mean()
-			if inc.Len() <= 3 {
-				if got != want {
-					t.Fatalf("trial %d step %d k=%d: incremental %v != naive %v",
-						trial, step, inc.Len(), got, want)
-				}
-			} else if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("trial %d step %d k=%d: incremental %v vs naive %v",
-					trial, step, inc.Len(), got, want)
-			}
-		}
-	}
-}
-
-// TestIncrementalEvalBacktrackExact proves the cumulative-sum stack gives
-// bit-identical results to a fresh forward evaluation after arbitrary
-// backtracking — the property +delta/-delta running sums cannot offer.
-func TestIncrementalEvalBacktrackExact(t *testing.T) {
-	gs, pair := syntheticUniverse(9, 42)
-	m := NewPairMatrix(gs, pair, 0)
-	inc := NewIncrementalEval(m, 4)
-	inc.Push(0)
-	inc.Push(3)
-	inc.Push(5)
-	inc.Pop()
-	inc.Pop()
-	inc.Push(7)
-	inc.Push(8)
-	fresh := NewIncrementalEval(m, 4)
-	for _, id := range []int{0, 7, 8} {
-		fresh.Push(id)
-	}
-	if inc.Sum() != fresh.Sum() || inc.Mean() != fresh.Mean() {
-		t.Fatalf("backtracked sum %v / mean %v != fresh %v / %v",
-			inc.Sum(), inc.Mean(), fresh.Sum(), fresh.Mean())
-	}
-	inc.Reset()
-	if inc.Len() != 0 || inc.Sum() != 0 || inc.Mean() != 0 {
-		t.Fatal("Reset did not empty the evaluator")
-	}
-}
-
-func TestIncrementalEvalEdgeCases(t *testing.T) {
-	gs, pair := syntheticUniverse(4, 5)
-	m := NewPairMatrix(gs, pair, 0)
-	inc := NewIncrementalEval(m, 0)
-	if inc.Mean() != 0 || inc.Sum() != 0 {
-		t.Fatal("empty evaluator must score 0")
-	}
-	inc.Push(2)
-	if inc.Mean() != 0 {
-		t.Fatal("singleton must score 0: no pair evidence")
-	}
-	inc.Push(1)
-	if want := pair(gs[1], gs[2]); inc.Mean() != want {
-		t.Fatalf("pair mean = %v, want %v", inc.Mean(), want)
+	if avg := testing.AllocsPerRun(100, func() { m.MeanOver(ids) }); avg != 0 {
+		t.Fatalf("MeanOver allocated %v per run", avg)
 	}
 }
 
@@ -254,13 +156,4 @@ func TestMaxRowsBoundVectors(t *testing.T) {
 	if m1.MaxPair() != 0 {
 		t.Fatalf("one-group MaxPair = %v, want 0", m1.MaxPair())
 	}
-}
-
-func containsID(ids []int, id int) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
 }

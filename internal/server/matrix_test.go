@@ -90,8 +90,9 @@ func matrixBuildsTotal(t *testing.T, ts *httptest.Server) float64 {
 }
 
 // TestMatrixBudgetServedAndExported wires Config.MatrixBudgetBytes end to
-// end: answers must match an unbudgeted server bit for bit, and /v1/stats
-// and /metrics must expose the cache's residency and eviction counters.
+// end: answers must match an unbudgeted server bit for bit, /v1/stats
+// and /metrics must expose the cache's residency and eviction counters,
+// and a negative budget must be reported as the unlimited 0 it acts as.
 func TestMatrixBudgetServedAndExported(t *testing.T) {
 	ref := httptest.NewServer(newTestServer(t, func(c *Config) { c.Shards = 2 }))
 	defer ref.Close()
@@ -141,6 +142,12 @@ func TestMatrixBudgetServedAndExported(t *testing.T) {
 		if !strings.Contains(string(body), name) {
 			t.Fatalf("/metrics missing %s", name)
 		}
+	}
+
+	negative := httptest.NewServer(newTestServer(t, func(c *Config) { c.MatrixBudgetBytes = -5 }))
+	defer negative.Close()
+	if got := getStats(t, negative).Matrix.BudgetBytes; got != 0 {
+		t.Fatalf("negative budget reported as %d, want 0 (unlimited)", got)
 	}
 }
 

@@ -107,11 +107,11 @@ type Config struct {
 	PrewarmMatrices bool
 	// MatrixBudgetBytes caps the bytes of fully materialized pair matrices
 	// the published engine's cache may hold; the coldest matrices are
-	// evicted when the cap is exceeded, and bindings whose full triangle
-	// would not fit are served through blocked-row materialization instead.
+	// evicted when the cap is exceeded, and SM-LSH scores bindings whose
+	// full triangle would not fit through the lazy pair function instead.
 	// Every shard's partial scores through that one cache, so the budget
 	// covers the whole serving tier regardless of shard count. Zero means
-	// unlimited (the default).
+	// unlimited (the default); a negative value is treated as zero.
 	MatrixBudgetBytes int64
 	// AccessLog, when non-nil, receives one structured line per HTTP
 	// request (request id, method, path, status, duration) plus slow-solve
@@ -181,6 +181,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIngestBytes <= 0 {
 		c.MaxIngestBytes = 32 << 20
+	}
+	if c.MatrixBudgetBytes < 0 {
+		c.MatrixBudgetBytes = 0
 	}
 	return c
 }
