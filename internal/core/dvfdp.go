@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sort"
 	"time"
 
@@ -313,7 +314,7 @@ func (e *Engine) localImprove(ctx context.Context, set []*groups.Group, spec Pro
 		ids[i] = g.ID
 	}
 	curScore := sc.objective(ids)
-	inSet := make(map[int]bool, len(cur))
+	inSet := make([]bool, len(e.Groups)) // by dense group ID
 	for _, g := range cur {
 		inSet[g.ID] = true
 	}
@@ -338,7 +339,7 @@ func (e *Engine) localImprove(ctx context.Context, set []*groups.Group, spec Pro
 				if score := sc.objective(ids); score > curScore+1e-12 &&
 					sc.feasible(ids) {
 					curScore = score
-					delete(inSet, old.ID)
+					inSet[old.ID] = false
 					inSet[cand.ID] = true
 					old = cand
 					improvedThisRound = true
@@ -366,7 +367,8 @@ func (e *Engine) anchoredStart(anchor *groups.Group, spec ProblemSpec, sc *matri
 	set := []*groups.Group{anchor}
 	ids := make([]int, 1, k+1)
 	ids[0] = anchor.ID
-	inSet := map[int]bool{anchor.ID: true}
+	inSet := make([]bool, len(e.Groups)) // by dense group ID
+	inSet[anchor.ID] = true
 	for len(set) < k {
 		var best *groups.Group
 		bestSum := -1.0
@@ -407,17 +409,58 @@ func (e *Engine) anchoredStart(anchor *groups.Group, spec ProblemSpec, sc *matri
 // floor, returning the selected groups (nil when no admissible seed pair
 // exists) and the number of greedy selections performed.
 func (e *Engine) dvfdpOnce(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, dist vec.DistFunc, k, minSize int) ([]*groups.Group, int64) {
-	// Dynamic support-feasibility gate (Fold mode only): a candidate is
-	// admissible only if the support floor can still be reached after
-	// picking it, assuming every remaining slot takes the largest
-	// available group. This prunes dead-end selections without the
-	// bluntness of a flat size floor.
+	if k < 2 {
+		// Degenerate: a single group maximizes nothing pair-wise, so the
+		// pass returns group 0 as its singleton.
+		return []*groups.Group{e.Groups[0]}, 1
+	}
 	maxSize := 0
 	for _, g := range e.Groups {
 		if g.Size() > maxSize {
 			maxSize = g.Size()
 		}
 	}
+	accept := e.dvfdpAccept(spec, opts, sc, k, minSize, maxSize)
+	// The fixed-seed ablation starts from the arbitrary pair (0, 1) when
+	// one probe admits it, and falls back to the max-edge seed otherwise.
+	var a, b int
+	if opts.FixedSeed && (accept == nil || accept([]int{0}, 1)) {
+		a, b = 0, 1
+	} else {
+		var ok bool
+		if a, b, ok = e.dvfdpSeed(spec, opts, sc, k, minSize, maxSize); !ok {
+			return nil, 0 // no admissible seed pair: a null outcome
+		}
+	}
+	n := len(e.Groups)
+	var (
+		run fdp.Result
+		err error
+	)
+	if opts.Criterion == MaxMin && !opts.FixedSeed {
+		run, err = fdp.MaxMinFrom(n, k, a, b, dist, accept)
+	} else {
+		run, err = fdp.MaxAvgFrom(n, k, a, b, dist, accept)
+	}
+	if err != nil {
+		return nil, 0
+	}
+	set := make([]*groups.Group, len(run.Selected))
+	for i, id := range run.Selected {
+		set[i] = e.Groups[id]
+	}
+	return set, int64(len(run.Selected))
+}
+
+// dvfdpAccept builds the greedy add gate of one pass (nil when nothing is
+// gated). The size floor rejects candidates under minSize. In Fold mode
+// with a support floor, a candidate is admissible only if the floor can
+// still be reached after picking it, assuming every remaining slot takes
+// the largest group (maxSize): this prunes dead-end selections without
+// the bluntness of a flat size floor. In Fold mode each constraint's mean
+// pair score from the candidate to the selection must clear its
+// threshold. dvfdpSeed inlines the same gates for the seed pair.
+func (e *Engine) dvfdpAccept(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, k, minSize, maxSize int) fdp.Accept {
 	var accept fdp.Accept
 	if opts.Mode == Fold && spec.MinSupport > 0 {
 		accept = func(selected []int, cand int) bool {
@@ -458,30 +501,66 @@ func (e *Engine) dvfdpOnce(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, 
 			return true
 		}
 	}
+	return accept
+}
 
-	var (
-		run fdp.Result
-		err error
-	)
-	switch {
-	case k < 2:
-		// Degenerate: a single group maximizes nothing pair-wise; pick the
-		// largest group (most support) as the only sensible singleton.
-		run = fdp.Result{Selected: []int{0}}
-	case opts.FixedSeed:
-		run, err = fdp.RandomSeedMaxAvg(len(e.Groups), k, dist, accept)
-	case opts.Criterion == MaxMin:
-		run, err = fdp.MaxMin(len(e.Groups), k, dist, accept)
-	default:
-		run, err = fdp.MaxAvg(len(e.Groups), k, dist, accept)
+// dvfdpSeed returns the seed pair (i < j) of one greedy pass: the first
+// pair in row-major order among those with the largest weighted objective
+// pair score that dvfdpAccept's gate admits in both directions, which is
+// the pair fdp.MaxAvg's own seed scan picks. It reads the upper triangle
+// one contiguous matrix row at a time with the gates inlined (score
+// first: a pair that cannot beat the running best needs no gate), so a
+// pass costs one sweep of the rows with no call or allocation per pair. The pair
+// score sums the objectives in pairObjective's order, so it is
+// bit-identical to the greedy distance; a NaN score never wins.
+func (e *Engine) dvfdpSeed(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, k, minSize, maxSize int) (int, int, bool) {
+	n := len(e.Groups)
+	supportGate := opts.Mode == Fold && spec.MinSupport > 0
+	// A seed pair leaves k-2 slots for the largest group.
+	headroom := (k - 2) * maxSize
+	objRows := make([][]float64, len(spec.Objectives))
+	var conRows [][]float64 // constraints gate the seed in Fold mode only
+	if opts.Mode == Fold {
+		conRows = make([][]float64, len(spec.Constraints))
 	}
-	if err != nil {
-		// No admissible seed pair: a null outcome for this pass.
-		return nil, 0
+	bi, bj, best := -1, -1, math.Inf(-1)
+	for i := 0; i < n-1; i++ {
+		si := e.Groups[i].Size()
+		if si < minSize {
+			continue
+		}
+		for oi := range objRows {
+			objRows[oi] = sc.objMats[oi].Row(i)
+		}
+		for ci := range conRows {
+			conRows[ci] = sc.conMats[ci].Row(i)
+		}
+		// The partner's size floor: the pass's, raised under the support
+		// gate to what the pair needs to keep the support reachable.
+		need := minSize
+		if supportGate {
+			need = max(need, spec.MinSupport-headroom-si)
+		}
+	pairs:
+		for x := 0; x < n-i-1; x++ {
+			var d float64
+			for oi, o := range spec.Objectives {
+				d += o.Weight * objRows[oi][x]
+			}
+			if !(d > best) {
+				continue
+			}
+			j := i + 1 + x
+			if e.Groups[j].Size() < need {
+				continue
+			}
+			for ci, row := range conRows {
+				if row[x] < spec.Constraints[ci].Threshold {
+					continue pairs
+				}
+			}
+			bi, bj, best = i, j, d
+		}
 	}
-	set := make([]*groups.Group, len(run.Selected))
-	for i, id := range run.Selected {
-		set[i] = e.Groups[id]
-	}
-	return set, int64(len(run.Selected))
+	return bi, bj, bi != -1
 }

@@ -20,7 +20,9 @@ import (
 // Accept is an optional admission predicate consulted before a candidate
 // point joins the selection. The DV-FDP-Fo algorithm folds user/item hard
 // constraints into the greedy add step through this hook; a nil Accept
-// admits everything.
+// admits everything. It must not retain or modify selected: the
+// algorithms reuse the slice for later probes and extend it after the
+// call.
 type Accept func(selected []int, candidate int) bool
 
 // Result is the outcome of a dispersion run.
@@ -43,13 +45,21 @@ func MaxAvg(n, k int, dist vec.DistFunc, accept Accept) (Result, error) {
 	if err := validate(n, k); err != nil {
 		return Result{}, err
 	}
-	selected := seedPair(n, dist, accept)
-	if len(selected) < 2 {
+	a, b, ok := seedPair(n, dist, accept)
+	if !ok {
 		return Result{}, fmt.Errorf("fdp: no admissible seed pair among %d points", n)
 	}
-	inSel := make([]bool, n)
-	for _, s := range selected {
-		inSel[s] = true
+	return MaxAvgFrom(n, k, a, b, dist, accept)
+}
+
+// MaxAvgFrom runs MaxAvg's greedy add loop from the given seed pair (a, b)
+// instead of scanning for the maximum edge. The seed is taken as given:
+// callers that found it with their own scan, or that fix it for an
+// ablation, are responsible for its admissibility.
+func MaxAvgFrom(n, k, a, b int, dist vec.DistFunc, accept Accept) (Result, error) {
+	selected, inSel, err := seeded(n, k, a, b)
+	if err != nil {
+		return Result{}, err
 	}
 	// sumDist[c] caches the total distance from candidate c to the current
 	// selection, updated incrementally after each add: O(n) per iteration.
@@ -96,13 +106,19 @@ func MaxMin(n, k int, dist vec.DistFunc, accept Accept) (Result, error) {
 	if err := validate(n, k); err != nil {
 		return Result{}, err
 	}
-	selected := seedPair(n, dist, accept)
-	if len(selected) < 2 {
+	a, b, ok := seedPair(n, dist, accept)
+	if !ok {
 		return Result{}, fmt.Errorf("fdp: no admissible seed pair among %d points", n)
 	}
-	inSel := make([]bool, n)
-	for _, s := range selected {
-		inSel[s] = true
+	return MaxMinFrom(n, k, a, b, dist, accept)
+}
+
+// MaxMinFrom runs MaxMin's greedy add loop from the given seed pair (a, b),
+// taken as given like MaxAvgFrom's.
+func MaxMinFrom(n, k, a, b int, dist vec.DistFunc, accept Accept) (Result, error) {
+	selected, inSel, err := seeded(n, k, a, b)
+	if err != nil {
+		return Result{}, err
 	}
 	minDist := make([]float64, n)
 	for c := 0; c < n; c++ {
@@ -145,49 +161,20 @@ func MaxMin(n, k int, dist vec.DistFunc, accept Accept) (Result, error) {
 	return summarize(selected, dist), nil
 }
 
-// RandomSeedMaxAvg is the ablation variant of MaxAvg that seeds with a
-// fixed arbitrary pair (0, 1) instead of scanning for the maximum edge.
-// It exists to quantify how much the max-edge seed of the paper's
-// Algorithm 2 contributes to result quality.
-func RandomSeedMaxAvg(n, k int, dist vec.DistFunc, accept Accept) (Result, error) {
+// seeded validates a seeded run and returns its initial selection and
+// membership table.
+func seeded(n, k, a, b int) ([]int, []bool, error) {
 	if err := validate(n, k); err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
-	if accept != nil && !accept([]int{0}, 1) {
-		return MaxAvg(n, k, dist, accept) // fall back to admissible seeding
+	if a < 0 || a >= n || b < 0 || b >= n || a == b {
+		return nil, nil, fmt.Errorf("fdp: seed pair (%d, %d) is not two distinct points among %d", a, b, n)
 	}
-	selected := []int{0, 1}
+	selected := make([]int, 2, k)
+	selected[0], selected[1] = a, b
 	inSel := make([]bool, n)
-	inSel[0], inSel[1] = true, true
-	sumDist := make([]float64, n)
-	for c := 2; c < n; c++ {
-		sumDist[c] = dist(c, 0) + dist(c, 1)
-	}
-	for len(selected) < k {
-		best, bestSum := -1, math.Inf(-1)
-		for c := 0; c < n; c++ {
-			if inSel[c] {
-				continue
-			}
-			if sumDist[c] > bestSum {
-				if accept != nil && !accept(selected, c) {
-					continue
-				}
-				best, bestSum = c, sumDist[c]
-			}
-		}
-		if best == -1 {
-			break
-		}
-		selected = append(selected, best)
-		inSel[best] = true
-		for c := 0; c < n; c++ {
-			if !inSel[c] {
-				sumDist[c] += dist(c, best)
-			}
-		}
-	}
-	return summarize(selected, dist), nil
+	inSel[a], inSel[b] = true, true
+	return selected, inSel, nil
 }
 
 // Exact enumerates all k-subsets and returns the one maximizing average
@@ -237,24 +224,32 @@ func validate(n, k int) error {
 	return nil
 }
 
-// seedPair finds the admissible pair with maximum distance.
-func seedPair(n int, dist vec.DistFunc, accept Accept) []int {
+// seedPair finds the admissible pair with maximum distance: the first pair
+// (i < j) in row-major order among those with the largest distance that
+// accept admits in both directions. One probe buffer serves every accept
+// call.
+func seedPair(n int, dist vec.DistFunc, accept Accept) (int, int, bool) {
 	bi, bj := -1, -1
 	best := math.Inf(-1)
+	probe := make([]int, 1)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if d := dist(i, j); d > best {
-				if accept != nil && (!accept([]int{i}, j) || !accept([]int{j}, i)) {
-					continue
+				if accept != nil {
+					probe[0] = i
+					if !accept(probe, j) {
+						continue
+					}
+					probe[0] = j
+					if !accept(probe, i) {
+						continue
+					}
 				}
 				best, bi, bj = d, i, j
 			}
 		}
 	}
-	if bi == -1 {
-		return nil
-	}
-	return []int{bi, bj}
+	return bi, bj, bi != -1
 }
 
 func summarize(selected []int, dist vec.DistFunc) Result {

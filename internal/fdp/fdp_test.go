@@ -185,12 +185,58 @@ func TestRandomSeedVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := RandomSeedMaxAvg(4, 2, lineDist(coords), nil)
+	fixed, err := MaxAvgFrom(4, 2, 0, 1, lineDist(coords), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fixed.AvgDistance > maxSeed.AvgDistance {
 		t.Fatalf("fixed seed %v beat max-edge seed %v", fixed.AvgDistance, maxSeed.AvgDistance)
+	}
+}
+
+func TestSeededRunsValidateSeed(t *testing.T) {
+	d := lineDist([]float64{0, 1, 2, 3})
+	for _, seed := range [][2]int{{0, 0}, {-1, 2}, {1, 4}} {
+		if _, err := MaxAvgFrom(4, 3, seed[0], seed[1], d, nil); err == nil {
+			t.Fatalf("MaxAvgFrom accepted seed %v", seed)
+		}
+		if _, err := MaxMinFrom(4, 3, seed[0], seed[1], d, nil); err == nil {
+			t.Fatalf("MaxMinFrom accepted seed %v", seed)
+		}
+	}
+	if _, err := MaxAvgFrom(4, 1, 0, 1, d, nil); err == nil {
+		t.Fatal("MaxAvgFrom k=1 accepted")
+	}
+	// A seeded run starts from the given pair and keeps it first.
+	res, err := MaxMinFrom(4, 3, 1, 2, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Selected[0] != 1 || res.Selected[1] != 2 || len(res.Selected) != 3 {
+		t.Fatalf("MaxMinFrom(1, 2) selected %v", res.Selected)
+	}
+}
+
+// TestSeedPairProbes pins the seed scan's accept protocol: both directions
+// are probed with a one-element selection, and the first pair in row-major
+// order among the largest admissible distances wins.
+func TestSeedPairProbes(t *testing.T) {
+	// Distances 0..3 on a line: pairs (0,3) is the max edge, but point 0
+	// only admits point 1 and point 3 is never admitted next to 0.
+	accept := func(sel []int, cand int) bool {
+		if len(sel) != 1 {
+			t.Fatalf("seed probe with selection %v", sel)
+		}
+		return !(sel[0] == 0 && cand == 3) && !(sel[0] == 3 && cand == 0)
+	}
+	a, b, ok := seedPair(4, lineDist([]float64{0, 1, 2, 3}), accept)
+	if !ok || a != 0 || b != 2 {
+		t.Fatalf("seedPair = (%d, %d, %v), want (0, 2)", a, b, ok)
+	}
+	// Equal distances everywhere: the first admissible pair wins.
+	flat := func(i, j int) float64 { return 1 }
+	if a, b, _ := seedPair(4, flat, func(sel []int, cand int) bool { return sel[0]+cand > 2 }); a != 0 || b != 3 {
+		t.Fatalf("tie-break picked (%d, %d), want (0, 3)", a, b)
 	}
 }
 

@@ -164,25 +164,6 @@ func (m *Matrix) Row(x int) []float64 {
 	return m.data[start : start+m.n-x-1 : start+m.n-x-1]
 }
 
-// MaxEdge returns the pair (i, j) with the maximum distance and that
-// distance. For n < 2 it returns (-1, -1, 0).
-func (m *Matrix) MaxEdge() (int, int, float64) {
-	if m.n < 2 {
-		return -1, -1, 0
-	}
-	bi, bj, best := 0, 1, math.Inf(-1)
-	idx := 0
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			if m.data[idx] > best {
-				best, bi, bj = m.data[idx], i, j
-			}
-			idx++
-		}
-	}
-	return bi, bj, best
-}
-
 // AvgPairwise returns the mean of dist over all unordered pairs drawn from
 // idxs. With fewer than two indices it returns 0.
 func AvgPairwise(idxs []int, dist DistFunc) float64 {

@@ -109,16 +109,12 @@ func TestMatrixAt(t *testing.T) {
 			t.Fatalf("len(Row(%d)) = %d, want %d", i, got, len(pts)-i-1)
 		}
 	}
-	i, j, d := m.MaxEdge()
-	if i != 0 || j != 3 || !almostEqual(d, 6) {
-		t.Fatalf("MaxEdge = (%d,%d,%v)", i, j, d)
-	}
 }
 
 func TestMatrixDegenerate(t *testing.T) {
 	m := NewMatrix(1, func(i, j int) float64 { return 1 })
-	if i, j, d := m.MaxEdge(); i != -1 || j != -1 || d != 0 {
-		t.Fatalf("MaxEdge on single point = (%d,%d,%v)", i, j, d)
+	if len(m.Row(0)) != 0 {
+		t.Fatal("a single point has no pairs")
 	}
 	if m.At(0, 0) != 0 {
 		t.Fatal("diagonal must be zero")
