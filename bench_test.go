@@ -14,6 +14,7 @@ package tagdm
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -361,8 +362,9 @@ var (
 )
 
 // paperLDAWorld builds the DefaultConfig pipeline (25 topics over the
-// ~12K-tag paper vocabulary) once, for the LDA benchmarks whose count
-// arrays must be paper-sized: on the FastConfig corpus they fit in L1.
+// ~12K-tag paper vocabulary) once, for the benchmarks that need paper
+// sizes: LDA count arrays fit in L1 on the FastConfig corpus, and its
+// 60-group Exact engine is a quarter of the paper's 250.
 func paperLDAWorld(b *testing.B) *experiments.Setup {
 	b.Helper()
 	paperLDAOnce.Do(func() {
@@ -498,6 +500,33 @@ func BenchmarkExactParallel(b *testing.B) {
 		if _, err := ex.ExactSharded(context.Background(), spec, core.ExactOptions{}, runtime.GOMAXPROCS(0)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkExactLeafScanPaper runs Exact over the 250-group paper engine
+// with pruning off, so nearly all its time is the last DFS level's leaf
+// scan, and reports the cost per examined candidate. Problems 4 and 6 at
+// the paper's 1% support are paper-batch's most expensive Exact specs.
+func BenchmarkExactLeafScanPaper(b *testing.B) {
+	st := paperLDAWorld(b)
+	ex, err := st.ExactEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, id := range []int{4, 6} {
+		spec := benchSpec(b, st, id)
+		ex.PrewarmMatrices(spec)
+		b.Run(fmt.Sprintf("Problem%d", id), func(b *testing.B) {
+			var examined int64
+			for i := 0; i < b.N; i++ {
+				res, err := ex.Exact(context.Background(), spec, core.ExactOptions{DisablePruning: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				examined += res.CandidatesExamined
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(examined), "ns/candidate")
+		})
 	}
 }
 

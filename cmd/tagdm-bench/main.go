@@ -79,6 +79,8 @@ type benchRecord struct {
 	// Support is the support floor as a fraction of the corpus's tuples
 	// (bnb records).
 	Support float64 `json:"support,omitempty"`
+	// NsPerCandidate is wall time per examined candidate (bnb records).
+	NsPerCandidate float64 `json:"ns_per_candidate,omitempty"`
 	// Found is present where the underlying run tracks feasibility
 	// (figures and ablations); k-sweep rows measure time only.
 	Found *bool `json:"found,omitempty"`
@@ -182,7 +184,7 @@ func (e *jsonEmitter) bnbTable(t experiments.BnBTable) {
 		found := r.Found
 		e.record(benchRecord{Bench: "bnb", Problem: r.Problem, Algorithm: algo,
 			Variant: r.Variant, Support: r.Support, Millis: millis(r.Elapsed),
-			Candidates: r.Examined, Pruned: r.Pruned, Found: &found})
+			Candidates: r.Examined, Pruned: r.Pruned, NsPerCandidate: r.NsPerCandidate(), Found: &found})
 	}
 }
 

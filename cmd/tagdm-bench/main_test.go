@@ -32,7 +32,7 @@ func decodeRecords(t *testing.T, emit func(*jsonEmitter)) []benchRecord {
 
 // TestBnBRecords pins the -bnb -json record: one line per sweep row,
 // carrying its support floor, the serial/parallel mode as the algorithm,
-// and the examined/pruned split.
+// the examined/pruned split and the wall time per examined candidate.
 func TestBnBRecords(t *testing.T) {
 	tab := experiments.BnBTable{Rows: []experiments.BnBRow{
 		{Problem: "Problem 1", Support: 0.01, Variant: "pruning=off", Elapsed: time.Millisecond, Examined: 100, Found: true},
@@ -56,6 +56,13 @@ func TestBnBRecords(t *testing.T) {
 	}
 	if recs[0].Millis != 1 {
 		t.Fatalf("millis = %v, want 1", recs[0].Millis)
+	}
+	// 1 ms over 100 examined candidates.
+	if recs[0].NsPerCandidate != 10000 {
+		t.Fatalf("ns_per_candidate = %v, want 10000", recs[0].NsPerCandidate)
+	}
+	if recs[1].NsPerCandidate != 0 {
+		t.Fatalf("ns_per_candidate = %v for a row with no elapsed time, want 0", recs[1].NsPerCandidate)
 	}
 }
 

@@ -410,9 +410,20 @@ func (e *Engine) anchoredStart(anchor *groups.Group, spec ProblemSpec, sc *matri
 // exists) and the number of greedy selections performed.
 func (e *Engine) dvfdpOnce(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, dist vec.DistFunc, k, minSize int) ([]*groups.Group, int64) {
 	if k < 2 {
-		// Degenerate: a single group maximizes nothing pair-wise, so the
-		// pass returns group 0 as its singleton.
-		return []*groups.Group{e.Groups[0]}, 1
+		// Degenerate: a singleton has no pairs, so every singleton scores
+		// 0. Filter mode returns group 0 for the post-filter to judge. Fold
+		// mode returns the first group in ID order meeting the pass's floor
+		// and the support floor (a singleton's support is its size), which
+		// is Exact's answer; nil when no group does.
+		if opts.Mode == Filter {
+			return []*groups.Group{e.Groups[0]}, 1
+		}
+		for _, g := range e.Groups {
+			if g.Size() >= minSize && g.Size() >= spec.MinSupport {
+				return []*groups.Group{g}, 1
+			}
+		}
+		return nil, 0
 	}
 	maxSize := 0
 	for _, g := range e.Groups {

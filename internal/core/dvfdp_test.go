@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-
+	"fmt"
 	"testing"
 
 	"tagdm/internal/mining"
@@ -164,6 +164,48 @@ func TestDVFDPKOne(t *testing.T) {
 	}
 	if !res.Found || len(res.Groups) != 1 {
 		t.Fatalf("singleton run: found=%v groups=%d", res.Found, len(res.Groups))
+	}
+}
+
+// TestDVFDPKOneMeetsSupport pins Fold mode's singleton pass: with KHi = 1
+// it must return the first group in ID order that clears the support
+// floor, which is Exact's answer, not group 0 regardless of its size.
+// sizeSpreadEngine's group 0 has 3 tuples and group 1 has 12.
+func TestDVFDPKOneMeetsSupport(t *testing.T) {
+	e := sizeSpreadEngine(t)
+	ctx := context.Background()
+	for _, obj := range []Objective{
+		{Dim: mining.Tags, Meas: mining.Diversity, Weight: 1},
+		{Dim: mining.Users, Meas: mining.Similarity, Weight: 1},
+	} {
+		for _, floor := range []int{0, 10, 13, 15} {
+			spec := ProblemSpec{KLo: 1, KHi: 1, MinSupport: floor, Objectives: []Objective{obj}, Name: "singleton"}
+			want, err := e.Exact(ctx, spec, ExactOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.DVFDP(ctx, spec, FDPOptions{Mode: Fold})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v support=%d", obj.Meas, floor)
+			if got.Found != want.Found || !sameGroupIDs(got.Groups, want.Groups) ||
+				got.Objective != want.Objective || got.Support != want.Support {
+				t.Fatalf("%s: DV-FDP-Fo found %v %v objective %v support %d, Exact found %v %v objective %v support %d",
+					label, got.Found, groupIDs(got.Groups), got.Objective, got.Support,
+					want.Found, groupIDs(want.Groups), want.Objective, want.Support)
+			}
+		}
+	}
+	spec := ProblemSpec{KLo: 1, KHi: 1, MinSupport: 10, Name: "singleton",
+		Objectives: []Objective{{Dim: mining.Tags, Meas: mining.Diversity, Weight: 1}}}
+	res, err := e.DVFDP(ctx, spec, FDPOptions{Mode: Fold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found || len(res.Groups) != 1 || res.Groups[0].ID != 1 || res.Support != 12 {
+		t.Fatalf("support 10: found %v groups %v support %d, want group 1 with support 12",
+			res.Found, groupIDs(res.Groups), res.Support)
 	}
 }
 

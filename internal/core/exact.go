@@ -42,11 +42,14 @@ type ExactOptions struct {
 // objective/constraint pair-sums (O(k) lookups per binding). The last
 // level is one scan over the leaf candidates i: each leaf's pair-sums start
 // from the prefix's and add the prefix members' entries read off their
-// contiguous pair-matrix rows, in the order a push would add them. A leaf
-// is then rejected on its constraints, then on its size-sum support bound,
-// and otherwise scored; only a leaf that would replace the incumbent pays
-// the exact support union (one bitmap pass against the prefix's lazily
-// materialized union). Nothing is recomputed or allocated per candidate.
+// contiguous pair-matrix rows, in the order a push would add them. The
+// scan filters first, then scores: one pass per constraint, then one for
+// the size-sum support bound, narrows the leaves to a survivor list
+// without a data-dependent branch per leaf, and only the survivors are
+// scored, in ascending order. Only a survivor that would replace the
+// incumbent pays the exact support union (one bitmap pass against the
+// prefix's lazily materialized union). Nothing is recomputed or allocated
+// per candidate.
 // Decisions and the returned argmax are identical to evaluating every
 // candidate from scratch with ObjectiveScore and ConstraintsSatisfied (for
 // k up to 3, the paper's setting, scores are bit-for-bit equal; beyond
@@ -66,11 +69,12 @@ type ExactOptions struct {
 // full enumeration would accept, so pruning never changes Found, the
 // argmax set, Objective or Support — only how the enumeration size splits
 // between CandidatesExamined and CandidatesPruned.
-// Cancellation: the DFS checks ctx between subtrees (every
-// exactCancelCheck leaves), so a server timeout or client disconnect
-// stops the enumeration within a bounded slice of work instead of
-// running to completion; the run then returns ctx.Err() with an empty
-// result. The per-leaf cost of the check is one integer increment.
+// Cancellation: the DFS polls ctx at the start of a leaf scan once
+// exactCancelCheck leaves have been examined since the last poll, so a
+// server timeout or client disconnect stops the enumeration within a
+// bounded slice of work instead of running to completion; the run then
+// returns ctx.Err() with an empty result. The check costs one addition
+// per scan, not per leaf.
 // Exact runs as the single-shard case of the shard-aware path (see
 // shard.go): ExactPartial(shard 0 of 1) explores the whole space and
 // MergePartials folds the one partial into the Result, so the serving
@@ -94,9 +98,10 @@ func (e *Engine) Exact(ctx context.Context, spec ProblemSpec, opts ExactOptions)
 	return e.MergePartials(spec, []Partial{p}, start)
 }
 
-// exactCancelCheck is how many leaves a worker visits between ctx polls
-// — large enough that the poll is invisible on the hot path, small
-// enough that cancellation lands within tens of microseconds of work.
+// exactCancelCheck is how many leaves a worker examines between ctx
+// polls — large enough that the poll is invisible on the hot path, small
+// enough that cancellation lands within tens of microseconds of work (one
+// scan past the threshold, at most n leaves).
 const exactCancelCheck = 4096
 
 // exactWorker explores one shard of the candidate space: first elements i
@@ -150,6 +155,13 @@ type exactWorker struct {
 	// headers are refilled per scan, never allocated.
 	objRows [][][]float64
 	conRows [][][]float64
+	// survivors is the leaf scan's filter output, one slot per group:
+	// survivors[:m] lists the current scan's leaves that passed every
+	// filter so far, in ascending order. sizes[i] is Groups[i].Size(),
+	// copied once so the support filter reads one contiguous slice; nil
+	// when there is no support floor.
+	survivors []int
+	sizes     []int
 	// unions[d] is the support union of ids[:d+1] for a prefix of a leaf,
 	// materialized lazily: only the levels up to unionDepth are valid for
 	// the current path, and levels are computed in leafSupport, which the
@@ -166,8 +178,9 @@ type exactWorker struct {
 	pruned    int64
 	offset    int
 
-	// ctx is polled every exactCancelCheck leaves; once it reports an
-	// error, cancelled short-circuits the rest of the DFS.
+	// ctx is polled at the start of a leaf scan once sinceCheck reaches
+	// exactCancelCheck; once it reports an error, cancelled short-circuits
+	// the rest of the DFS.
 	ctx        context.Context
 	sinceCheck int
 	cancelled  bool
@@ -217,6 +230,13 @@ func newExactWorker(ctx context.Context, e *Engine, spec ProblemSpec, sc *matrix
 	}
 	w.objRows = prefixRows(len(sc.objMats), kMax)
 	w.conRows = prefixRows(len(sc.conMats), kMax)
+	w.survivors = make([]int, len(e.Groups))
+	if spec.MinSupport > 0 {
+		w.sizes = make([]int, len(e.Groups))
+		for i, g := range e.Groups {
+			w.sizes[i] = g.Size()
+		}
+	}
 	if spec.MinSupport > 0 && kMax > 1 {
 		// Only prefixes carry a union buffer; a leaf's support is counted
 		// against its prefix's union without being stored.
@@ -292,18 +312,47 @@ func (w *exactWorker) pop() {
 }
 
 // scanLeaves evaluates every leaf that completes the current prefix
-// ids[:depth] with one last member i = first, first+step, ... < n. Per leaf
-// it replays ConstraintsSatisfied's constraint means, then the size-sum
-// support bound, then the objective; the exact support union runs only for
-// a leaf that would replace the incumbent (!found || score > bestScore).
-// A leaf is accepted iff it is feasible and wins, so running the union
-// last changes no decision. Each pair-sum starts from the parent's
-// cumulative sum and adds the prefix members' row entries in ids order —
-// push's order — so every score is bit-identical to pushing the leaf.
+// ids[:depth] with one last member i = first, first+step, ... < n, in two
+// passes over the range.
+//
+// The filter pass keeps the leaves that satisfy every constraint mean and
+// the size-sum support bound. The first constraint runs over the whole
+// range: it writes each i into the worker's survivor buffer and advances
+// the survivor count only when the leaf passes, a conditional add rather
+// than a data-dependent branch. Each later constraint, then the size-sum
+// bound (read off the contiguous sizes buffer), compacts the survivors in
+// place the same way. A constraint rejects a leaf when sum/pairs <
+// Threshold, as ConstraintsSatisfied does, so a NaN mean passes.
+//
+// The score pass walks the survivors in ascending i and scores each one;
+// the exact support union runs only for a leaf that would replace the
+// incumbent (!found || score > bestScore). The filters never read the
+// incumbent, so filtering first changes no decision: a leaf is accepted
+// iff it is feasible and wins, in the same order as a leaf-by-leaf scan.
+// Each pair-sum starts from the parent's cumulative sum and adds the
+// prefix members' row entries in ids order — push's order — so every score
+// is bit-identical to pushing the leaf.
+//
+// The scan counts all its leaves as examined at once, and polls ctx at its
+// start once exactCancelCheck leaves have been examined since the last
+// poll.
 func (w *exactWorker) scanLeaves(first, step int) {
+	n := len(w.engine.Groups)
+	if first >= n {
+		return
+	}
+	if w.sinceCheck >= exactCancelCheck {
+		w.sinceCheck = 0
+		if w.ctx.Err() != nil {
+			w.cancelled = true
+			return
+		}
+	}
+	leaves := (n - first + step - 1) / step
+	w.examined += int64(leaves)
+	w.sinceCheck += leaves
 	d := w.depth
 	k := d + 1
-	n := len(w.engine.Groups)
 	// Re-base the prefix rows at the last prefix member: the scan only
 	// visits i > ids[d-1], and entry i-base of every view is (ids[p], i).
 	base, sizeBase := 0, 0
@@ -321,33 +370,36 @@ func (w *exactWorker) scanLeaves(first, step int) {
 		}
 	}
 	pairs := float64(k * (k - 1) / 2)
+	surv := w.survivors
+	var m int
+	if cons := w.spec.Constraints; k >= 2 && len(cons) > 0 {
+		// A leaf with a prefix is below the outermost level, so step is 1.
+		m = keepFirstConstraint(surv, first, w.conRows[0][:d], first-base, n-base,
+			w.conSums[0][d-1], pairs, cons[0].Threshold)
+		for ci := 1; ci < len(cons); ci++ {
+			m = keepConstraint(surv[:m], base, w.conRows[ci][:d],
+				w.conSums[ci][d-1], pairs, cons[ci].Threshold)
+		}
+	} else {
+		for i := first; i < n; i += step {
+			surv[m] = i
+			m++
+		}
+	}
 	minSupport := w.spec.MinSupport
-leaves:
-	for i := first; i < n; i += step {
-		w.examined++
-		if w.sinceCheck++; w.sinceCheck >= exactCancelCheck {
-			w.sinceCheck = 0
-			if w.ctx.Err() != nil {
-				w.cancelled = true
-				return
+	if minSupport > 0 {
+		need := minSupport - sizeBase
+		kept := 0
+		for _, i := range surv[:m] {
+			surv[kept] = i
+			if w.sizes[i] >= need {
+				kept++
 			}
 		}
+		m = kept
+	}
+	for _, i := range surv[:m] {
 		j := i - base
-		if k >= 2 {
-			for ci, c := range w.spec.Constraints {
-				sum := w.conSums[ci][d-1]
-				for _, row := range w.conRows[ci][:d] {
-					sum += row[j]
-				}
-				if sum/pairs < c.Threshold {
-					continue leaves
-				}
-			}
-		}
-		g := w.engine.Groups[i]
-		if minSupport > 0 && sizeBase+g.Size() < minSupport {
-			continue
-		}
 		var score float64
 		for oi, o := range w.spec.Objectives {
 			var v float64
@@ -363,6 +415,7 @@ leaves:
 		if w.found && score <= w.bestScore {
 			continue
 		}
+		g := w.engine.Groups[i]
 		if minSupport > 0 && w.leafSupport(g) < minSupport {
 			continue
 		}
@@ -374,6 +427,85 @@ leaves:
 		w.best = append(w.best, g)
 		w.found = true
 	}
+}
+
+// keepFirstConstraint is the filter pass's first constraint over the dense
+// leaf range: leaf first+x has its prefix pair scores at rows[p][lo+x], for
+// lo+x < hi. It writes every leaf into surv, keeps those whose mean
+// (sum0 plus the row entries in prefix order, over pairs) is not below
+// threshold, and returns how many it kept. One and two prefix members (the
+// paper's k <= 3) get their own loops.
+func keepFirstConstraint(surv []int, first int, rows [][]float64, lo, hi int, sum0, pairs, threshold float64) int {
+	m := 0
+	switch len(rows) {
+	case 1:
+		for x, v := range rows[0][lo:hi] {
+			surv[m] = first + x
+			if !((sum0+v)/pairs < threshold) {
+				m++
+			}
+		}
+	case 2:
+		r0, r1 := rows[0][lo:hi], rows[1][lo:hi]
+		r1 = r1[:len(r0)]
+		for x, v := range r0 {
+			surv[m] = first + x
+			if !((sum0+v+r1[x])/pairs < threshold) {
+				m++
+			}
+		}
+	default:
+		for x := range hi - lo {
+			sum := sum0
+			for _, row := range rows {
+				sum += row[lo+x]
+			}
+			surv[m] = first + x
+			if !(sum/pairs < threshold) {
+				m++
+			}
+		}
+	}
+	return m
+}
+
+// keepConstraint compacts the survivors surv in place to those passing
+// one more constraint, leaf i reading its prefix pair scores at
+// rows[p][i-base], and returns how many it kept.
+func keepConstraint(surv []int, base int, rows [][]float64, sum0, pairs, threshold float64) int {
+	m := 0
+	switch len(rows) {
+	case 1:
+		r0 := rows[0]
+		for _, i := range surv {
+			s := sum0 + r0[i-base]
+			surv[m] = i
+			if !(s/pairs < threshold) {
+				m++
+			}
+		}
+	case 2:
+		r0, r1 := rows[0], rows[1]
+		for _, i := range surv {
+			s := sum0 + r0[i-base] + r1[i-base]
+			surv[m] = i
+			if !(s/pairs < threshold) {
+				m++
+			}
+		}
+	default:
+		for _, i := range surv {
+			sum := sum0
+			for _, row := range rows {
+				sum += row[i-base]
+			}
+			surv[m] = i
+			if !(sum/pairs < threshold) {
+				m++
+			}
+		}
+	}
+	return m
 }
 
 // leafSupport returns the support of the current prefix plus g, first

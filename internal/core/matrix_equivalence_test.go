@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -267,6 +268,54 @@ func TestExactLeafScanTiesAndSupportOrder(t *testing.T) {
 			exactModes(t, e, spec, fmt.Sprintf("%s support=%d", spec.Name, spec.MinSupport))
 		}
 	})
+}
+
+// TestExactLeafScanKeepsNaNConstraints pins the leaf scan's filter on NaN
+// constraint means. A constraint rejects a leaf only when its mean is below
+// the threshold, so a leaf whose mean is NaN passes, as it does in
+// ConstraintsSatisfied. Every constraint binding here returns NaN on a
+// fixed third of the pairs, and Exact in every mode (pruning on and off,
+// sharded over 2 and 3) must match the naive enumeration. The test also
+// requires some naive winner to have a NaN constraint mean; otherwise a
+// filter that drops NaN leaves would pass too.
+func TestExactLeafScanKeepsNaNConstraints(t *testing.T) {
+	e := buildEngine(t)
+	nanPair := func(a, b int) bool { return (a+b)%3 == 0 }
+	for _, dim := range []mining.Dimension{mining.Users, mining.Items} {
+		for _, meas := range []mining.Measure{mining.Similarity, mining.Diversity} {
+			base := e.PairFunc(dim, meas)
+			e.SetPairFunc(dim, meas, func(g1, g2 *groups.Group) float64 {
+				if nanPair(g1.ID, g2.ID) {
+					return math.NaN()
+				}
+				return base(g1, g2)
+			})
+		}
+	}
+	nanWinner := false
+	for id := 1; id <= 6; id++ {
+		for _, kLo := range []int{1, 2} {
+			for _, floor := range []int{0, 5, 12} {
+				spec, err := PaperProblem(id, 3, floor, 0.5, 0.5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.KLo = kLo
+				found, best, _, _ := naiveExact(e, spec)
+				if found {
+					for _, c := range spec.Constraints {
+						if math.IsNaN(e.miningFunc(c.Dim, c.Meas).Eval(best)) {
+							nanWinner = true
+						}
+					}
+				}
+				exactModes(t, e, spec, fmt.Sprintf("%s kLo=%d support=%d", spec.Name, kLo, floor))
+			}
+		}
+	}
+	if !nanWinner {
+		t.Fatal("no naive winner has a NaN constraint mean; the NaN pairs exercise nothing")
+	}
 }
 
 func groupIDs(gs []*groups.Group) []int {

@@ -26,6 +26,16 @@ type BnBRow struct {
 	Found    bool
 }
 
+// NsPerCandidate is the run's wall time per examined candidate, the leaf
+// scan's cost per leaf plus its share of the interior DFS; 0 when nothing
+// was examined.
+func (r BnBRow) NsPerCandidate() float64 {
+	if r.Examined == 0 {
+		return 0
+	}
+	return float64(r.Elapsed.Nanoseconds()) / float64(r.Examined)
+}
+
 // BnBTable collects the branch-and-bound sweep.
 type BnBTable struct {
 	Rows []BnBRow
@@ -35,16 +45,16 @@ type BnBTable struct {
 func (t BnBTable) Render() string {
 	var b strings.Builder
 	b.WriteString("== Branch-and-bound pruning: Exact with and without subtree cuts ==\n")
-	fmt.Fprintf(&b, "%-12s %-8s %-12s %-10s %12s %12s %12s\n",
-		"problem", "support", "variant", "mode", "time", "examined", "pruned")
+	fmt.Fprintf(&b, "%-12s %-8s %-12s %-10s %12s %12s %12s %10s\n",
+		"problem", "support", "variant", "mode", "time", "examined", "pruned", "ns/cand")
 	for _, r := range t.Rows {
 		mode := "serial"
 		if r.Parallel {
 			mode = "parallel"
 		}
-		fmt.Fprintf(&b, "%-12s %-8s %-12s %-10s %12s %12d %12d\n",
+		fmt.Fprintf(&b, "%-12s %-8s %-12s %-10s %12s %12d %12d %10.1f\n",
 			r.Problem, fmt.Sprintf("%g%%", r.Support*100), r.Variant, mode,
-			r.Elapsed.Round(time.Microsecond), r.Examined, r.Pruned)
+			r.Elapsed.Round(time.Microsecond), r.Examined, r.Pruned, r.NsPerCandidate())
 	}
 	return b.String()
 }
