@@ -530,6 +530,35 @@ func BenchmarkExactLeafScanPaper(b *testing.B) {
 	}
 }
 
+// BenchmarkDVFDPPaper runs DV-FDP-Fo over the 250-group paper engine on
+// Problems 4 and 6 at the paper's parameters, the diversity specs
+// paper-batch answers with DV-FDP, and reports the cost per solve and per
+// examined candidate (greedy adds plus local-search swap trials).
+func BenchmarkDVFDPPaper(b *testing.B) {
+	st := paperLDAWorld(b)
+	ex, err := st.ExactEngine()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, id := range []int{4, 6} {
+		spec := benchSpec(b, st, id)
+		ex.PrewarmMatrices(spec)
+		b.Run(fmt.Sprintf("Problem%d", id), func(b *testing.B) {
+			var examined int64
+			for i := 0; i < b.N; i++ {
+				res, err := ex.DVFDP(context.Background(), spec, core.FDPOptions{Mode: core.Fold})
+				if err != nil {
+					b.Fatal(err)
+				}
+				examined += res.CandidatesExamined
+			}
+			ns := float64(b.Elapsed().Nanoseconds())
+			b.ReportMetric(ns/float64(examined), "ns/examined")
+			b.ReportMetric(ns/float64(b.N), "ns/solve")
+		})
+	}
+}
+
 // BenchmarkIncrementalInsert measures per-insert maintenance cost
 // (store append + group routing) without signature refresh.
 func BenchmarkIncrementalInsert(b *testing.B) {

@@ -108,6 +108,40 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecValidateNonFinite rejects NaN and infinite objective weights and
+// NaN constraint thresholds, on hand-built specs and through PaperProblem
+// (whose q and r the public tagdm.Problem passes through unchanged).
+func TestSpecValidateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, w := range []float64{nan, inf, math.Inf(-1)} {
+		spec := ProblemSpec{KLo: 1, KHi: 2, Objectives: []Objective{{Dim: mining.Tags, Weight: w}}}
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "non-positive weight") {
+			t.Errorf("weight %v: Validate() = %v, want the non-positive weight error", w, err)
+		}
+	}
+	for _, th := range []float64{nan, inf, math.Inf(-1)} {
+		spec := ProblemSpec{KLo: 1, KHi: 2, Objectives: []Objective{{Dim: mining.Tags, Weight: 1}},
+			Constraints: []Constraint{{Dim: mining.Users, Threshold: th}}}
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "out of [0,1]") {
+			t.Errorf("threshold %v: Validate() = %v, want the out-of-range error", th, err)
+		}
+	}
+	for _, qr := range [][2]float64{{nan, 0.5}, {0.5, nan}} {
+		spec, err := PaperProblem(4, 3, 10, qr[0], qr[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("PaperProblem(4, 3, 10, %v, %v) validates", qr[0], qr[1])
+		}
+	}
+	edge := ProblemSpec{KLo: 1, KHi: 2, Objectives: []Objective{{Dim: mining.Tags, Weight: math.MaxFloat64}},
+		Constraints: []Constraint{{Dim: mining.Users, Threshold: 0}, {Dim: mining.Items, Threshold: 1}}}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("finite edge values rejected: %v", err)
+	}
+}
+
 func TestPaperProblems(t *testing.T) {
 	for id := 1; id <= 6; id++ {
 		spec, err := PaperProblem(id, 3, 100, 0.5, 0.5)

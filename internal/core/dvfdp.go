@@ -214,6 +214,7 @@ func (e *Engine) dvfdpPartial(ctx context.Context, spec ProblemSpec, opts FDPOpt
 	p.builds, p.rebuilds, p.hits, p.lazy = scorer.builds, scorer.rebuilds, scorer.hits, scorer.lazy
 
 	tasks, k := e.dvfdpPlan(spec, opts)
+	dv := newDVFDPScratch(e, spec, scorer)
 
 	// Gather feasible starting sets from this shard's tasks; bySize is
 	// materialized lazily because only Fold-mode largest/anchored tasks
@@ -241,7 +242,7 @@ func (e *Engine) dvfdpPartial(ctx context.Context, spec ProblemSpec, opts FDPOpt
 		}
 		switch task.kind {
 		case dvTaskPass:
-			set, adds := e.dvfdpOnce(spec, opts, scorer, dist, k, task.floor)
+			set, adds := e.dvfdpOnce(spec, opts, scorer, dv, dist, k, task.floor)
 			p.examined += adds
 			if set != nil && scorer.feasible(scorer.idsOf(set)) {
 				starts = append(starts, startSet{task: ti, set: set})
@@ -263,7 +264,7 @@ func (e *Engine) dvfdpPartial(ctx context.Context, spec ProblemSpec, opts FDPOpt
 			if bySize == nil {
 				bySize = e.groupsBySize()
 			}
-			set := e.anchoredStart(bySize[task.anchor], spec, scorer, dist, k)
+			set := e.anchoredStart(bySize[task.anchor], spec, dv, k)
 			p.examined += int64(len(set))
 			if set != nil && scorer.feasible(scorer.idsOf(set)) {
 				starts = append(starts, startSet{task: ti, set: set})
@@ -280,7 +281,7 @@ func (e *Engine) dvfdpPartial(ctx context.Context, spec ProblemSpec, opts FDPOpt
 	for _, st := range starts {
 		set := st.set
 		if !opts.DisableLocalSearch {
-			improved, swaps, err := e.localImprove(ctx, set, spec, scorer)
+			improved, swaps, err := e.localImprove(ctx, set, spec, scorer, dv)
 			if err != nil {
 				lt.end()
 				return Partial{}, err
@@ -303,21 +304,37 @@ func (e *Engine) dvfdpPartial(ctx context.Context, spec ProblemSpec, opts FDPOpt
 // unselected group when the swap keeps the set feasible and raises the
 // objective, until a round yields no improvement (capped at 8 rounds).
 // It returns the improved set and the number of candidate evaluations.
-// Candidates are scored through the spec's pair matrices: a swap trial is
-// O(k^2) float lookups, with no per-trial allocation. Cancellation is
-// checked once per round.
-func (e *Engine) localImprove(ctx context.Context, set []*groups.Group, spec ProblemSpec, sc *matrixScorer) ([]*groups.Group, int64, error) {
-	cur := make([]*groups.Group, len(set))
+// Cancellation is checked once per round.
+//
+// Each position's scan filters first and then scores. While position pos
+// is scanned the other members stay fixed, so per binding a candidate's
+// set pair-sum is R + V[c]: R sums the pairs among the other members and
+// V[c] sums c's column entries against them, both read off the members'
+// cached columns (swapFilter). The filter keeps c unless its objective
+// estimate falls below the scan-start curScore+1e-12, a constraint
+// estimate falls below its threshold, or its size sum cannot reach
+// MinSupport; the estimates are held to each bound less filterBound, the
+// most a sum taken in another order can differ, and a NaN estimate always
+// survives. The survivors then run the unchanged sc.objective and
+// sc.feasible in ID order against the live curScore, so every decision
+// and every score is the one a trial-by-trial scan makes. A trial the
+// filter drops is still counted: each position examines every
+// non-member, plus the swapped-out group once more when a swap takes a
+// lower ID first, as the trial-by-trial scan then reaches it.
+func (e *Engine) localImprove(ctx context.Context, set []*groups.Group, spec ProblemSpec, sc *matrixScorer, dv *dvfdpScratch) ([]*groups.Group, int64, error) {
+	n, k := len(e.Groups), len(set)
+	cur := make([]*groups.Group, k)
 	copy(cur, set)
-	ids := make([]int, len(cur))
+	ids := make([]int, k)
+	members := make([]*dvColumns, k)
+	inSet := dv.inSet // by dense group ID
+	clear(inSet)
 	for i, g := range cur {
 		ids[i] = g.ID
-	}
-	curScore := sc.objective(ids)
-	inSet := make([]bool, len(e.Groups)) // by dense group ID
-	for _, g := range cur {
+		members[i] = dv.columns(g.ID)
 		inSet[g.ID] = true
 	}
+	curScore := sc.objective(ids)
 	var evals int64
 	//tagdm:cancellable
 	for round := 0; round < 8; round++ {
@@ -325,28 +342,34 @@ func (e *Engine) localImprove(ctx context.Context, set []*groups.Group, spec Pro
 			return nil, evals, err
 		}
 		improvedThisRound := false
-		for pos := 0; pos < len(cur); pos++ {
-			old := cur[pos]
-			for _, cand := range e.Groups {
-				if inSet[cand.ID] {
+		for pos := range cur {
+			out := ids[pos]
+			evals += int64(n - k)
+			surv := dv.swapFilter(ids, members, pos, curScore+1e-12)
+			first := -1
+			for _, c := range surv {
+				if inSet[c] || c == out {
 					continue
 				}
-				cur[pos] = cand
-				ids[pos] = cand.ID
-				evals++
-				// Score first: it rejects most candidates and is cheaper
-				// than the full feasibility battery.
+				ids[pos] = c
 				if score := sc.objective(ids); score > curScore+1e-12 &&
 					sc.feasible(ids) {
 					curScore = score
-					inSet[old.ID] = false
-					inSet[cand.ID] = true
-					old = cand
+					inSet[cur[pos].ID] = false
+					inSet[c] = true
+					cur[pos] = e.Groups[c]
+					if first < 0 {
+						first = c
+					}
 					improvedThisRound = true
-					continue
 				}
-				cur[pos] = old
-				ids[pos] = old.ID
+			}
+			ids[pos] = cur[pos].ID
+			if first >= 0 {
+				if first < out {
+					evals++
+				}
+				members[pos] = dv.columns(ids[pos])
 			}
 		}
 		if !improvedThisRound {
@@ -360,39 +383,60 @@ func (e *Engine) localImprove(ctx context.Context, set []*groups.Group, spec Pro
 // the candidate that maximizes the objective pair-sum to the partial set
 // while keeping it feasible-so-far (constraint aggregates evaluated on the
 // partial set; support deferred to the caller's final check). Returns nil
-// when no candidate can be added at some step. Trial sets are scored as id
-// slices against the constraint matrices, so probing every candidate per
-// step allocates nothing.
-func (e *Engine) anchoredStart(anchor *groups.Group, spec ProblemSpec, sc *matrixScorer, dist vec.DistFunc, k int) []*groups.Group {
+// when no candidate can be added at some step. Each step first drops,
+// branch-free, the candidates whose constraint estimates off the set's
+// cached columns fall short (keepConstraints; the same bound as the swap
+// filter, so no candidate that clears a constraint is dropped). The
+// survivors then run in ID order: the pair-sum adds the members' cached
+// objective columns, whose entries are the greedy distance bit for bit,
+// and a candidate that beats the best sum has each constraint mean summed
+// off the cached constraint columns in MeanOver's row-major order. So
+// every score and decision matches scoring the trial sets through the
+// pair matrices.
+func (e *Engine) anchoredStart(anchor *groups.Group, spec ProblemSpec, dv *dvfdpScratch, k int) []*groups.Group {
 	set := []*groups.Group{anchor}
-	ids := make([]int, 1, k+1)
+	ids := make([]int, 1, k)
 	ids[0] = anchor.ID
-	inSet := make([]bool, len(e.Groups)) // by dense group ID
+	cols := make([]*dvColumns, 1, k)
+	cols[0] = dv.columns(anchor.ID)
+	inSet := dv.inSet // by dense group ID
+	clear(inSet)
 	inSet[anchor.ID] = true
 	for len(set) < k {
 		var best *groups.Group
 		bestSum := -1.0
-		for _, cand := range e.Groups {
-			if inSet[cand.ID] {
+		pairs := len(ids) * (len(ids) + 1) / 2
+		for c := range dv.surv {
+			dv.surv[c] = c
+		}
+		m := dv.keepConstraints(dv.others(ids, cols, -1), pairs, len(dv.surv))
+		for _, c := range dv.surv[:m] {
+			if inSet[c] {
 				continue
 			}
 			var sum float64
-			for _, s := range set {
-				sum += dist(s.ID, cand.ID)
+			for _, col := range cols {
+				sum += col.obj[c]
 			}
 			if sum <= bestSum {
 				continue
 			}
-			trial := append(ids, cand.ID)
 			ok := true
-			for ci, c := range spec.Constraints {
-				if sc.conSrc[ci].MeanOver(trial) < c.Threshold {
+			for ci, con := range spec.Constraints {
+				var s float64
+				for i, col := range cols {
+					for _, later := range cols[i+1:] {
+						s += later.con[ci][ids[i]]
+					}
+					s += col.con[ci][c]
+				}
+				if s/float64(pairs) < con.Threshold {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				best, bestSum = cand, sum
+				best, bestSum = e.Groups[c], sum
 			}
 		}
 		if best == nil {
@@ -400,6 +444,7 @@ func (e *Engine) anchoredStart(anchor *groups.Group, spec ProblemSpec, sc *matri
 		}
 		set = append(set, best)
 		ids = append(ids, best.ID)
+		cols = append(cols, dv.columns(best.ID))
 		inSet[best.ID] = true
 	}
 	return set
@@ -408,7 +453,7 @@ func (e *Engine) anchoredStart(anchor *groups.Group, spec ProblemSpec, sc *matri
 // dvfdpOnce runs one greedy dispersion pass with the given candidate size
 // floor, returning the selected groups (nil when no admissible seed pair
 // exists) and the number of greedy selections performed.
-func (e *Engine) dvfdpOnce(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, dist vec.DistFunc, k, minSize int) ([]*groups.Group, int64) {
+func (e *Engine) dvfdpOnce(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, dv *dvfdpScratch, dist vec.DistFunc, k, minSize int) ([]*groups.Group, int64) {
 	if k < 2 {
 		// Degenerate: a singleton has no pairs, so every singleton scores
 		// 0. Filter mode returns group 0 for the post-filter to judge. Fold
@@ -439,7 +484,7 @@ func (e *Engine) dvfdpOnce(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, 
 		a, b = 0, 1
 	} else {
 		var ok bool
-		if a, b, ok = e.dvfdpSeed(spec, opts, sc, k, minSize, maxSize); !ok {
+		if a, b, ok = e.dvfdpSeed(spec, opts, sc, dv, k, minSize, maxSize); !ok {
 			return nil, 0 // no admissible seed pair: a null outcome
 		}
 	}
@@ -470,7 +515,9 @@ func (e *Engine) dvfdpOnce(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, 
 // the largest group (maxSize): this prunes dead-end selections without
 // the bluntness of a flat size floor. In Fold mode each constraint's mean
 // pair score from the candidate to the selection must clear its
-// threshold. dvfdpSeed inlines the same gates for the seed pair.
+// threshold. dvfdpSeed applies the same gates to the seed pair as
+// branch-free survivor filters over each matrix row, and then takes the
+// argmax over the survivors.
 func (e *Engine) dvfdpAccept(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, k, minSize, maxSize int) fdp.Accept {
 	var accept fdp.Accept
 	if opts.Mode == Fold && spec.MinSupport > 0 {
@@ -519,24 +566,29 @@ func (e *Engine) dvfdpAccept(spec ProblemSpec, opts FDPOptions, sc *matrixScorer
 // pair in row-major order among those with the largest weighted objective
 // pair score that dvfdpAccept's gate admits in both directions, which is
 // the pair fdp.MaxAvg's own seed scan picks. It reads the upper triangle
-// one contiguous matrix row at a time with the gates inlined (score
-// first: a pair that cannot beat the running best needs no gate), so a
-// pass costs one sweep of the rows with no call or allocation per pair. The pair
-// score sums the objectives in pairObjective's order, so it is
-// bit-identical to the greedy distance; a NaN score never wins.
-func (e *Engine) dvfdpSeed(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, k, minSize, maxSize int) (int, int, bool) {
+// one contiguous matrix row at a time. Each row first runs the gates
+// branch-free into the survivor list: every Fold constraint through
+// keepFirstConstraint/keepConstraint as a one-member prefix (sum0 = 0,
+// pairs = 1, so the test is row[x] < Threshold bit for bit and a NaN
+// score passes), then the partner's size floor. The argmax then scores
+// only the survivors, in ascending order. A pass allocates nothing: the
+// buffers are the partial's scratch. The pair score sums the objectives
+// in pairObjective's order, so it is bit-identical to the greedy
+// distance; a NaN score never wins.
+func (e *Engine) dvfdpSeed(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, dv *dvfdpScratch, k, minSize, maxSize int) (int, int, bool) {
 	n := len(e.Groups)
 	supportGate := opts.Mode == Fold && spec.MinSupport > 0
 	// A seed pair leaves k-2 slots for the largest group.
 	headroom := (k - 2) * maxSize
-	objRows := make([][]float64, len(spec.Objectives))
+	objRows := dv.objRows
 	var conRows [][]float64 // constraints gate the seed in Fold mode only
 	if opts.Mode == Fold {
-		conRows = make([][]float64, len(spec.Constraints))
+		conRows = dv.conRows
 	}
+	surv := dv.surv
 	bi, bj, best := -1, -1, math.Inf(-1)
 	for i := 0; i < n-1; i++ {
-		si := e.Groups[i].Size()
+		si := dv.sizes[i]
 		if si < minSize {
 			continue
 		}
@@ -546,32 +598,261 @@ func (e *Engine) dvfdpSeed(spec ProblemSpec, opts FDPOptions, sc *matrixScorer, 
 		for ci := range conRows {
 			conRows[ci] = sc.conMats[ci].Row(i)
 		}
+		first := i + 1
+		var m int
+		if len(conRows) > 0 {
+			m = keepFirstConstraint(surv, first, conRows[:1], 0, n-first, 0, 1, spec.Constraints[0].Threshold)
+			for ci := 1; ci < len(conRows); ci++ {
+				m = keepConstraint(surv[:m], first, conRows[ci:ci+1], 0, 1, spec.Constraints[ci].Threshold)
+			}
+		} else {
+			for j := first; j < n; j++ {
+				surv[m] = j
+				m++
+			}
+		}
 		// The partner's size floor: the pass's, raised under the support
 		// gate to what the pair needs to keep the support reachable.
 		need := minSize
 		if supportGate {
 			need = max(need, spec.MinSupport-headroom-si)
 		}
-	pairs:
-		for x := 0; x < n-i-1; x++ {
+		if need > 0 {
+			m = keepSize(surv[:m], dv.sizes, need)
+		}
+		for _, j := range surv[:m] {
 			var d float64
 			for oi, o := range spec.Objectives {
-				d += o.Weight * objRows[oi][x]
+				d += o.Weight * objRows[oi][j-first]
 			}
-			if !(d > best) {
-				continue
+			if d > best {
+				bi, bj, best = i, j, d
 			}
-			j := i + 1 + x
-			if e.Groups[j].Size() < need {
-				continue
-			}
-			for ci, row := range conRows {
-				if row[x] < spec.Constraints[ci].Threshold {
-					continue pairs
-				}
-			}
-			bi, bj, best = i, j, d
 		}
 	}
 	return bi, bj, bi != -1
+}
+
+// keepSize compacts the survivors surv in place to those of at least need
+// tuples and returns how many it kept.
+func keepSize(surv, sizes []int, need int) int {
+	m := 0
+	for _, i := range surv {
+		surv[m] = i
+		if sizes[i] >= need {
+			m++
+		}
+	}
+	return m
+}
+
+// dvfdpScratch is one partial's DV-FDP working memory: group sizes, the
+// survivor list and row headers the seed scan and the swap filter
+// compact into, a membership mask, and the column cache. It belongs to
+// one goroutine; every partial builds its own, so shards share no buffers.
+type dvfdpScratch struct {
+	spec    ProblemSpec
+	sc      *matrixScorer
+	sizes   []int  // by dense group ID
+	surv    []int  // survivor list, one slot per group
+	inSet   []bool // membership mask by dense group ID
+	objRows [][]float64
+	conRows [][]float64
+	// cols caches, by group ID, the columns gathered so far; gather is the
+	// per-objective staging column the weighted sum is built from.
+	cols   []*dvColumns
+	gather []float64
+	free   []dvColumns // zeroed columns not yet handed out
+	// The members a filter pass estimates against (others): their IDs,
+	// each binding's column headers, and per binding (objectives, then
+	// constraints) the largest |entry| over their columns.
+	otherIDs  []int
+	objOthers [][]float64
+	conOthers [][][]float64
+	otherAbs  []float64
+}
+
+// dvColumns is one group x's full columns over the group universe: obj[c]
+// is sc.pairObjective(x, c) bit for bit (the weighted objective sum, in
+// objective order), con[ci][c] the ci-th constraint's pair score. abs
+// holds, per binding (objectives, then constraints), the largest |score|
+// x has against any group; NaN scores are not counted.
+type dvColumns struct {
+	obj []float64
+	con [][]float64
+	abs []float64
+}
+
+// dvColumnChunk is how many groups' columns the scratch allocates at once.
+const dvColumnChunk = 8
+
+func newDVFDPScratch(e *Engine, spec ProblemSpec, sc *matrixScorer) *dvfdpScratch {
+	n := len(e.Groups)
+	dv := &dvfdpScratch{
+		spec:      spec,
+		sc:        sc,
+		sizes:     make([]int, n),
+		surv:      make([]int, n),
+		inSet:     make([]bool, n),
+		objRows:   make([][]float64, len(spec.Objectives)),
+		conRows:   make([][]float64, len(spec.Constraints)),
+		cols:      make([]*dvColumns, n),
+		gather:    make([]float64, n),
+		conOthers: make([][][]float64, len(spec.Constraints)),
+		otherAbs:  make([]float64, len(spec.Objectives)+len(spec.Constraints)),
+	}
+	for i, g := range e.Groups {
+		dv.sizes[i] = g.Size()
+	}
+	return dv
+}
+
+// columns returns group x's columns, gathering them from the pair
+// matrices on first use.
+func (dv *dvfdpScratch) columns(x int) *dvColumns {
+	if c := dv.cols[x]; c != nil {
+		return c
+	}
+	n := len(dv.cols)
+	no, nc := len(dv.spec.Objectives), len(dv.spec.Constraints)
+	if len(dv.free) == 0 {
+		// Carve columns out of chunks of dvColumnChunk groups: a paper
+		// solve gathers 12-28 groups, so a few allocations serve it.
+		dv.free = make([]dvColumns, dvColumnChunk)
+		data := make([]float64, dvColumnChunk*(1+nc)*n)
+		con := make([][]float64, dvColumnChunk*nc)
+		abs := make([]float64, dvColumnChunk*(no+nc))
+		for g := range dv.free {
+			f := &dv.free[g]
+			f.obj, data = data[:n:n], data[n:]
+			f.con, con = con[:nc:nc], con[nc:]
+			f.abs, abs = abs[:no+nc:no+nc], abs[no+nc:]
+			for ci := range f.con {
+				f.con[ci], data = data[:n:n], data[n:]
+			}
+		}
+	}
+	c := &dv.free[0]
+	dv.free = dv.free[1:]
+	for oi, o := range dv.spec.Objectives {
+		dv.sc.objMats[oi].Col(x, dv.gather)
+		for j, v := range dv.gather {
+			c.obj[j] += o.Weight * v
+		}
+		c.abs[oi] = maxAbs(dv.gather)
+	}
+	for ci, col := range c.con {
+		dv.sc.conMats[ci].Col(x, col)
+		c.abs[no+ci] = maxAbs(col)
+	}
+	dv.cols[x] = c
+	return c
+}
+
+// maxAbs is the largest |v| over the non-NaN entries of vs.
+func maxAbs(vs []float64) float64 {
+	m := 0.0
+	for _, v := range vs {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// swapFilter returns, in ascending ID order, the groups c that may pass
+// sc.objective(ids) > thr && sc.feasible(ids) with c at position pos, the
+// other members fixed (members[p] holds ids[p]'s columns): the objective
+// estimate first over the whole universe, then each constraint's and the
+// size sum over the survivors. Every group whose trial beats thr and is
+// feasible survives; current members may survive too, and the caller
+// skips them.
+func (dv *dvfdpScratch) swapFilter(ids []int, members []*dvColumns, pos int, thr float64) []int {
+	others := dv.others(ids, members, pos)
+	pairs := len(ids) * (len(ids) - 1) / 2
+	var scale float64
+	for oi, o := range dv.spec.Objectives {
+		scale += math.Abs(o.Weight) * dv.otherAbs[oi]
+	}
+	m := keepFirstConstraint(dv.surv, 0, dv.objOthers, 0, len(dv.surv), pairSum(dv.objOthers, others), float64(pairs),
+		thr-filterBound(pairs, len(dv.spec.Objectives), scale, thr))
+	m = dv.keepConstraints(others, pairs, m)
+	if dv.spec.MinSupport > 0 {
+		need := dv.spec.MinSupport
+		for _, id := range others {
+			need -= dv.sizes[id]
+		}
+		m = keepSize(dv.surv[:m], dv.sizes, need)
+	}
+	return dv.surv[:m]
+}
+
+// others points the scratch's per-binding headers at the columns of every
+// member but skip (-1 keeps them all), records each binding's largest
+// |score| over them, and returns the kept members' IDs.
+func (dv *dvfdpScratch) others(ids []int, members []*dvColumns, skip int) []int {
+	dv.otherIDs, dv.objOthers = dv.otherIDs[:0], dv.objOthers[:0]
+	for ci := range dv.conOthers {
+		dv.conOthers[ci] = dv.conOthers[ci][:0]
+	}
+	clear(dv.otherAbs)
+	for p, col := range members {
+		if p == skip {
+			continue
+		}
+		dv.otherIDs = append(dv.otherIDs, ids[p])
+		dv.objOthers = append(dv.objOthers, col.obj)
+		for ci := range dv.conOthers {
+			dv.conOthers[ci] = append(dv.conOthers[ci], col.con[ci])
+		}
+		for b, a := range col.abs {
+			dv.otherAbs[b] = max(dv.otherAbs[b], a)
+		}
+	}
+	return dv.otherIDs
+}
+
+// keepConstraints compacts dv.surv[:m] to the groups c whose every
+// constraint estimate, with c joining the members others (whose columns
+// dv.others set up) in a set of pairs pairs, is not below the threshold
+// less filterBound, and returns how many it kept.
+func (dv *dvfdpScratch) keepConstraints(others []int, pairs, m int) int {
+	no := len(dv.spec.Objectives)
+	for ci, c := range dv.spec.Constraints {
+		cols := dv.conOthers[ci]
+		m = keepConstraint(dv.surv[:m], 0, cols, pairSum(cols, others), float64(pairs),
+			c.Threshold-filterBound(pairs, 0, dv.otherAbs[no+ci], c.Threshold))
+	}
+	return m
+}
+
+// pairSum is the pair-sum among ids, read off their columns cols: the sum
+// of cols[q][ids[p]] over p < q.
+func pairSum(cols [][]float64, ids []int) float64 {
+	var s float64
+	for q, col := range cols {
+		for _, id := range ids[:q] {
+			s += col[id]
+		}
+	}
+	return s
+}
+
+// filterBound bounds how far an estimate can fall below the score it
+// stands for. Both are means over the same P = pairs pair values per
+// binding, at most scale in magnitude (for the objective: sum_o |w_o| times
+// each binding's largest |entry|), summed in different orders. Recursive
+// summation of P terms errs by at most (P-1)*u*sum|x| <= (P-1)*u*P*scale
+// (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 4.2),
+// with u = 2^-53; the division by P, the weights and the terms-way
+// objective sum add a few rounding steps more, and subtracting the bound
+// from thr one more. 4*(P+terms+1)*u*(scale+|thr|) covers both sides with
+// room to spare. It is +Inf, which turns the filter off, when scale or thr
+// is not finite or large enough that a sum could overflow.
+func filterBound(pairs, terms int, scale, thr float64) float64 {
+	s := scale + math.Abs(thr)
+	if !(s <= 0x1p900) {
+		return math.Inf(1)
+	}
+	return 4 * float64(pairs+terms+1) * 0x1p-53 * s
 }

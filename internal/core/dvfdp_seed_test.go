@@ -20,6 +20,13 @@ import (
 // many pairs tie on every objective and every constraint, plus a few NaN
 // scores.
 func quantizedEngine(t *testing.T, n int, seed int64) *Engine {
+	return leveledEngine(t, n, seed, []float64{-0.5, 0, 0.5, 1}, 40, 0)
+}
+
+// leveledEngine is quantizedEngine with the pair scores drawn from levels,
+// one pair in nanEvery scoring NaN on each binding, and every user and
+// item score of the first zeroGroups groups 0.
+func leveledEngine(t *testing.T, n int, seed int64, levels []float64, nanEvery, zeroGroups int) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	s := buildWideEngine(t, 1, seed).Store
@@ -49,9 +56,12 @@ func quantizedEngine(t *testing.T, n int, seed int64) *Engine {
 			}
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
-					v := float64(rng.Intn(4))/2 - 0.5
-					if rng.Intn(40) == 0 {
+					v := levels[rng.Intn(len(levels))]
+					if rng.Intn(nanEvery) == 0 {
 						v = math.NaN() // never a seed score, admitted by a constraint
+					}
+					if i < zeroGroups && dim != mining.Tags {
+						v = 0
 					}
 					tab[i][j], tab[j][i] = v, v
 				}
@@ -122,7 +132,8 @@ func TestDVFDPSeedMatchesGenericScan(t *testing.T) {
 			dist := vec.DistFunc(sc.pairObjective)
 			k := min(spec.KHi, n)
 			maxSize := maxGroupSize(e)
-			free, _, _ := e.dvfdpSeed(spec, FDPOptions{Mode: Filter}, sc, k, 0, maxSize)
+			dv := newDVFDPScratch(e, spec, sc)
+			free, _, _ := e.dvfdpSeed(spec, FDPOptions{Mode: Filter}, sc, dv, k, 0, maxSize)
 			for _, mode := range []ConstraintMode{Fold, Filter} {
 				opts := FDPOptions{Mode: mode}
 				for _, floor := range seedFloors(e, spec) {
@@ -130,7 +141,7 @@ func TestDVFDPSeedMatchesGenericScan(t *testing.T) {
 					// k=2 stops the oracle right after its seed scan; the
 					// accept closure keeps the pass's own k.
 					want, err := fdp.MaxAvg(n, 2, dist, accept)
-					a, b, ok := e.dvfdpSeed(spec, opts, sc, k, floor, maxSize)
+					a, b, ok := e.dvfdpSeed(spec, opts, sc, dv, k, floor, maxSize)
 					compared++
 					if err != nil {
 						none++
@@ -173,6 +184,7 @@ func TestDVFDPOnceMatchesGenericGreedy(t *testing.T) {
 			dist := vec.DistFunc(sc.pairObjective)
 			k := min(spec.KHi, n)
 			maxSize := maxGroupSize(e)
+			dv := newDVFDPScratch(e, spec, sc)
 			for _, opts := range []FDPOptions{{Mode: Fold}, {Mode: Filter}, {Mode: Fold, Criterion: MaxMin}, {Mode: Fold, FixedSeed: true}} {
 				for _, floor := range seedFloors(e, spec) {
 					accept := e.dvfdpAccept(spec, opts, sc, k, floor, maxSize)
@@ -186,7 +198,7 @@ func TestDVFDPOnceMatchesGenericGreedy(t *testing.T) {
 					default:
 						want, err = fdp.MaxAvg(n, k, dist, accept)
 					}
-					got, adds := e.dvfdpOnce(spec, opts, sc, dist, k, floor)
+					got, adds := e.dvfdpOnce(spec, opts, sc, dv, dist, k, floor)
 					if err != nil {
 						if got != nil {
 							t.Fatalf("seed %d trial %d %+v floor %d: got %v, generic run failed: %v", seed, trial, opts, floor, groupIDs(got), err)
@@ -220,8 +232,9 @@ func TestDVFDPSeedAllocations(t *testing.T) {
 		Constraints: []Constraint{{Dim: mining.Items, Meas: mining.Similarity, Threshold: 0}},
 	}
 	sc := e.scorer(spec)
+	dv := newDVFDPScratch(e, spec, sc)
 	allocs := testing.AllocsPerRun(20, func() {
-		e.dvfdpSeed(spec, FDPOptions{Mode: Fold}, sc, 3, 0, 64)
+		e.dvfdpSeed(spec, FDPOptions{Mode: Fold}, sc, dv, 3, 0, 64)
 	})
 	if allocs > 2 {
 		t.Fatalf("dvfdpSeed made %.0f allocations per pass, want at most 2", allocs)

@@ -66,7 +66,8 @@ func TestLocalImproveKeepsFeasibility(t *testing.T) {
 	if !res.Found {
 		t.Skip("no feasible start in this world")
 	}
-	improved, _, _ := e.localImprove(context.Background(), res.Groups, spec, e.scorer(spec))
+	sc := e.scorer(spec)
+	improved, _, _ := e.localImprove(context.Background(), res.Groups, spec, sc, newDVFDPScratch(e, spec, sc))
 	if !e.ConstraintsSatisfied(improved, spec) {
 		t.Fatal("local search returned infeasible set")
 	}
@@ -85,7 +86,8 @@ func TestLocalImproveIdempotentOnOptimum(t *testing.T) {
 	if !exact.Found {
 		t.Skip("no exact optimum")
 	}
-	improved, _, _ := e.localImprove(context.Background(), exact.Groups, spec, e.scorer(spec))
+	sc := e.scorer(spec)
+	improved, _, _ := e.localImprove(context.Background(), exact.Groups, spec, sc, newDVFDPScratch(e, spec, sc))
 	got := e.ObjectiveScore(improved, spec)
 	if got > exact.Objective+1e-9 {
 		t.Fatalf("local search beat the exact optimum: %v > %v", got, exact.Objective)
@@ -98,9 +100,7 @@ func TestLocalImproveIdempotentOnOptimum(t *testing.T) {
 func TestAnchoredStartFeasiblePartials(t *testing.T) {
 	e := buildEngine(t)
 	spec, _ := PaperProblem(6, 3, 5, 0.5, 0.5)
-	div := e.PairFunc(mining.Tags, mining.Diversity)
-	dist := func(i, j int) float64 { return div(e.Groups[i], e.Groups[j]) }
-	set := e.anchoredStart(e.Groups[0], spec, e.scorer(spec), dist, 3)
+	set := e.anchoredStart(e.Groups[0], spec, newDVFDPScratch(e, spec, e.scorer(spec)), 3)
 	if set == nil {
 		t.Skip("no anchored completion in this world")
 	}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"tagdm/internal/mining"
 )
@@ -63,13 +64,16 @@ func (p ProblemSpec) Validate() error {
 	if len(p.Objectives) == 0 {
 		return fmt.Errorf("core: no objectives")
 	}
+	// Negated comparisons, so that NaN fails them: a NaN threshold would
+	// switch its constraint off (mean < NaN never holds), and the solvers'
+	// rounding bounds assume finite positive weights.
 	for _, o := range p.Objectives {
-		if o.Weight <= 0 {
+		if !(o.Weight > 0 && o.Weight <= math.MaxFloat64) {
 			return fmt.Errorf("core: objective %s has non-positive weight", o)
 		}
 	}
 	for _, c := range p.Constraints {
-		if c.Threshold < 0 || c.Threshold > 1 {
+		if !(c.Threshold >= 0 && c.Threshold <= 1) {
 			return fmt.Errorf("core: constraint %s threshold out of [0,1]", c)
 		}
 	}

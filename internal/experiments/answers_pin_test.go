@@ -151,3 +151,55 @@ func TestExactSupportCutPinned(t *testing.T) {
 		t.Errorf("support-cut examined digest = %s, want %s", got, wantExamined)
 	}
 }
+
+// TestDVFDPAnswersPinned pins DV-FDP's answers and examined counts on the
+// FastConfig corpus: problems 1-6 with k in {2, 3, 4} at 1%, 2% and 5%
+// support, in Fold and Filter mode under both dispersion criteria, plus
+// the fixed-seed and no-local-search ablations on the Fold/MaxAvg slice.
+// The digest was taken before the local search and the seed scan learned
+// to filter candidates ahead of scoring them; a filter that drops a trial
+// the full score would accept, or a count that drifts, moves it.
+func TestDVFDPAnswersPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus pipeline is slow under -short")
+	}
+	const want = "65322dd9179d3ac20a0f1ef6043bfa851ebab79a759df9882aac79eb8fe7c629"
+	ctx := context.Background()
+	st := setup(t)
+	p := PaperParams()
+	h := sha256.New()
+	answers, found := 0, 0
+	var examined int64
+	for _, pct := range []float64{0.01, 0.02, 0.05} {
+		p.SupportPct = pct
+		for _, k := range []int{2, 3, 4} {
+			for id := 1; id <= 6; id++ {
+				spec, err := core.PaperProblem(id, k, p.support(st), p.Q, p.R)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := []core.FDPOptions{
+					{Mode: core.Fold}, {Mode: core.Filter},
+					{Mode: core.Fold, Criterion: core.MaxMin}, {Mode: core.Filter, Criterion: core.MaxMin},
+					{Mode: core.Fold, FixedSeed: true}, {Mode: core.Fold, DisableLocalSearch: true},
+				}
+				for _, o := range opts {
+					r, err := st.Engine.DVFDP(ctx, spec, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hashResult(h, fmt.Sprintf("%s/k=%d/support=%v/%+v", spec.Name, k, pct, o), r)
+					answers++
+					if r.Found {
+						found++
+						examined += r.CandidatesExamined
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d DV-FDP answers hashed, %d found, %d candidates examined", answers, found, examined)
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("DV-FDP answer digest = %s, want %s", got, want)
+	}
+}

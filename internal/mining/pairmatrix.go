@@ -65,6 +65,10 @@ func (m *PairMatrix) At(i, j int) float64 { return m.mat.At(i, j) }
 // over many partners j of a fixed x read it instead of calling At per pair.
 func (m *PairMatrix) Row(x int) []float64 { return m.mat.Row(x) }
 
+// Col writes group x's scores against every group into dst[:Len()]:
+// dst[j] == At(j, x), with dst[x] == 0.
+func (m *PairMatrix) Col(x int, dst []float64) { m.mat.Col(x, dst) }
+
 // MeanOver is the mean pair score over ids — the Mean aggregation of
 // Definition 3 — computed without materializing the scores. Pairs are
 // summed in the same row-major (i < j) order Func.Eval visits them, so the

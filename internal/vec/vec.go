@@ -164,6 +164,20 @@ func (m *Matrix) Row(x int) []float64 {
 	return m.data[start : start+m.n-x-1 : start+m.n-x-1]
 }
 
+// Col writes point x's distance to every point into dst[:Len()]:
+// dst[j] == At(j, x), with dst[x] == 0. The entries for j > x are Row(x);
+// those for j < x are strided through the rows above it.
+func (m *Matrix) Col(x int, dst []float64) {
+	dst = dst[:m.n]
+	idx := x - 1 // (0, x); (j+1, x) sits n-j-2 entries after (j, x)
+	for j := 0; j < x; j++ {
+		dst[j] = m.data[idx]
+		idx += m.n - j - 2
+	}
+	dst[x] = 0
+	copy(dst[x+1:], m.Row(x))
+}
+
 // AvgPairwise returns the mean of dist over all unordered pairs drawn from
 // idxs. With fewer than two indices it returns 0.
 func AvgPairwise(idxs []int, dist DistFunc) float64 {

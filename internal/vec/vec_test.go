@@ -111,6 +111,25 @@ func TestMatrixAt(t *testing.T) {
 	}
 }
 
+func TestMatrixCol(t *testing.T) {
+	for n := 1; n <= 7; n++ {
+		m := NewMatrix(n, func(i, j int) float64 { return float64(10*i + j) })
+		col := make([]float64, n+2) // Col writes only the first n
+		for x := 0; x < n; x++ {
+			col[n], col[n+1] = -1, -1
+			m.Col(x, col)
+			for j := 0; j < n; j++ {
+				if col[j] != m.At(j, x) {
+					t.Fatalf("n=%d: Col(%d)[%d] = %v, At = %v", n, x, j, col[j], m.At(j, x))
+				}
+			}
+			if col[n] != -1 || col[n+1] != -1 {
+				t.Fatalf("n=%d: Col(%d) wrote past Len()", n, x)
+			}
+		}
+	}
+}
+
 func TestMatrixDegenerate(t *testing.T) {
 	m := NewMatrix(1, func(i, j int) float64 { return 1 })
 	if len(m.Row(0)) != 0 {

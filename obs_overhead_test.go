@@ -2,12 +2,14 @@ package tagdm
 
 // Tracing must be effectively free: BenchmarkExactSerialTraced mirrors
 // BenchmarkExactSerial with a live span collector attached, and
-// TestTracedExactOverhead pins the gap below 5% using min-of-runs so the
-// guard survives scheduler noise. Span recording with NO collector in the
+// TestTracedExactOverhead pins the gap below 5%, timing traced and untraced
+// solves interleaved and taking medians and min-of-runs so the guard
+// survives scheduler noise. Span recording with NO collector in the
 // context is separately pinned allocation-free in internal/obs.
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,24 +35,50 @@ func BenchmarkExactSerialTraced(b *testing.B) {
 	}
 }
 
-// exactRun times iters back-to-back Exact solves under contexts produced by
-// ctxFor and returns the total wall time.
-func exactRun(t testing.TB, ex *core.Engine, spec core.ProblemSpec, ctxFor func() (context.Context, *obs.Span), iters int) time.Duration {
+// timeSolve times one Exact solve, under a fresh root span when traced;
+// starting and ending the trace count toward the time.
+func timeSolve(t testing.TB, ex *core.Engine, spec core.ProblemSpec, traced bool) time.Duration {
 	start := time.Now()
-	for i := 0; i < iters; i++ {
-		ctx, root := ctxFor()
-		if _, err := ex.Exact(ctx, spec, core.ExactOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		root.End()
+	ctx := context.Background()
+	var root *obs.Span
+	if traced {
+		root = obs.NewTrace("bench")
+		ctx = obs.WithSpan(ctx, root)
 	}
+	if _, err := ex.Exact(ctx, spec, core.ExactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
 	return time.Since(start)
 }
 
+// interleavedRun times iters untraced and iters traced solves, alternating
+// the two and which goes first, and returns each side's median solve
+// time: drift in the host's speed during the run then lands on both sides
+// alike, and a solve the scheduler preempts moves neither median.
+func interleavedRun(t testing.TB, ex *core.Engine, spec core.ProblemSpec, iters int) (untraced, traced time.Duration) {
+	us := make([]time.Duration, 0, iters)
+	ts := make([]time.Duration, 0, iters)
+	for i := 0; i < iters; i++ {
+		if i%2 == 0 {
+			us = append(us, timeSolve(t, ex, spec, false))
+			ts = append(ts, timeSolve(t, ex, spec, true))
+		} else {
+			ts = append(ts, timeSolve(t, ex, spec, true))
+			us = append(us, timeSolve(t, ex, spec, false))
+		}
+	}
+	slices.Sort(us)
+	slices.Sort(ts)
+	return us[iters/2], ts[iters/2]
+}
+
 // TestTracedExactOverhead asserts that solving with a span collector attached
-// costs less than 5% over the untraced path. Minimum-of-runs on both sides
-// filters scheduler noise, and the comparison retries before failing so a
-// single noisy interval cannot produce a spurious regression report.
+// costs less than 5% over the untraced path. Each timed run interleaves
+// traced and untraced solves and takes each side's median solve time,
+// minimum-of-runs on both sides filters scheduler noise further, and the
+// comparison retries before failing so a single noisy interval cannot
+// produce a spurious regression report.
 func TestTracedExactOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short")
@@ -63,18 +91,11 @@ func TestTracedExactOverhead(t *testing.T) {
 	st, _ := benchWorld(t)
 	spec := benchSpec(t, st, 1)
 
-	untraced := func() (context.Context, *obs.Span) {
-		return context.Background(), nil
-	}
-	traced := func() (context.Context, *obs.Span) {
-		root := obs.NewTrace("bench")
-		return obs.WithSpan(context.Background(), root), root
-	}
-
 	// Warm the engine's pair-matrix cache so both sides measure steady state,
-	// then size a run to ~50ms so one timing quantum cannot dominate.
-	exactRun(t, ex, spec, untraced, 2)
-	per := exactRun(t, ex, spec, untraced, 1)
+	// then size a run to ~50ms per side so one timing quantum cannot dominate.
+	timeSolve(t, ex, spec, false)
+	timeSolve(t, ex, spec, true)
+	per := timeSolve(t, ex, spec, false)
 	iters := int(50*time.Millisecond/per) + 1
 	if iters > 2000 {
 		iters = 2000
@@ -86,12 +107,8 @@ func TestTracedExactOverhead(t *testing.T) {
 	for attempt := 1; attempt <= 3; attempt++ {
 		base, withSpans := time.Duration(1<<62), time.Duration(1<<62)
 		for r := 0; r < runs; r++ {
-			if d := exactRun(t, ex, spec, untraced, iters); d < base {
-				base = d
-			}
-			if d := exactRun(t, ex, spec, traced, iters); d < withSpans {
-				withSpans = d
-			}
+			u, tr := interleavedRun(t, ex, spec, iters)
+			base, withSpans = min(base, u), min(withSpans, tr)
 		}
 		ratio = float64(withSpans) / float64(base)
 		if ratio <= budget {
