@@ -29,7 +29,6 @@ import (
 	"tagdm/internal/groups"
 	"tagdm/internal/incremental"
 	"tagdm/internal/lda"
-	"tagdm/internal/lsh"
 	"tagdm/internal/mining"
 	"tagdm/internal/model"
 	"tagdm/internal/query"
@@ -414,16 +413,51 @@ func BenchmarkSubstrateLDATrainPaper(b *testing.B) {
 	}
 }
 
-func BenchmarkSubstrateLSHBuild(b *testing.B) {
-	st, _ := benchWorld(b)
-	vectors := make([][]float64, len(st.Sigs))
-	for i, s := range st.Sigs {
-		vectors[i] = s.Weights
+// BenchmarkSubstrateLSHColdEpoch is SM-LSH's cost on a fresh epoch, as the
+// server pays it after every ingest batch: a new engine over the
+// datagen.Small corpus's frequency signatures (cold cache), then two shard
+// partials of an SM-LSH-Fo Problem 1 solve (users and items folded) run
+// concurrently, as a two-shard server runs them. The hashing work (sparse
+// vectors, plane draw, sign bits) is paid once per epoch and shared by
+// both shards; B/op is the garbage one cold solve leaves.
+func BenchmarkSubstrateLSHColdEpoch(b *testing.B) {
+	world, err := datagen.Generate(datagen.Small())
+	if err != nil {
+		b.Fatal(err)
 	}
+	s, err := store.New(world.Dataset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gs := (&groups.Enumerator{Store: s, MinTuples: 5}).FullyDescribed()
+	sigs := signature.SummarizeAll(signature.NewFrequency(s), s, gs)
+	spec, err := core.PaperProblem(1, 3, s.Len()/100, 0.5, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.SolveOptions{LSH: core.LSHOptions{DPrime: 10, L: 1, Seed: 1, Mode: core.Fold}}
+	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lsh.Build(vectors, lsh.Params{DPrime: 10, L: 1, Seed: 1}); err != nil {
+		e, err := core.NewEngine(s, gs, sigs)
+		if err != nil {
 			b.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for shard := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[shard] = e.SolvePartial(ctx, spec, opts, shard, 2)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"tagdm/internal/lsh"
 	"tagdm/internal/mining"
@@ -10,8 +11,10 @@ import (
 // MatrixCache is the shared pair-matrix lifecycle behind one snapshot
 // epoch's engines: the per-binding matrices, the pair-function overrides,
 // a single-flight build coordinator, an optional memory budget with LRU
-// eviction, the carry link to the previous epoch's cache, and the
-// epoch-scoped LSH side caches (hash vectors and built indexes).
+// eviction, the carry link to the previous epoch's cache, and the epoch's
+// SM-LSH sign bits: one table per (fold flags, L·DPrime, seed), computed
+// once in a single dot-product pass that every shard and relaxation round
+// of every request then slices.
 //
 // Every shard partial of a solve, and every concurrent request, scores
 // through the one published engine's cache, so each binding is built
@@ -53,14 +56,15 @@ type MatrixCache struct {
 	parent      *MatrixCache
 	parentDirty []bool
 
-	// Epoch-scoped LSH side caches. Hash vectors depend only on the
-	// engine's groups, signatures and the spec's fold flags; a built index
-	// additionally on (DPrime, L, Seed). Both are deterministic, so sharing
-	// them across shards and requests changes nothing but the wall clock. Not budget-accounted (vectors and
-	// tables are O(n·d), far below one matrix); indexCap bounds the index
-	// map against unbounded distinct parameter sets.
-	vectors map[vectorsKey][][]float64
-	indexes map[indexKey]*lsh.Index
+	// Epoch-scoped SM-LSH sign bits, one table per lshKey. A table
+	// depends only on the engine's groups, signatures, the spec's fold
+	// flags and the key's width and seed, so every shard, relaxation round
+	// and request of the epoch slices the same one. Not budget-accounted
+	// (n·⌈width/64⌉ words, far below one matrix); lshCap bounds the map
+	// against unbounded distinct parameter sets. lshBuilds counts tables
+	// computed.
+	lsh       map[lshKey]*lshEntry
+	lshBuilds atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -77,20 +81,28 @@ type inflightBuild struct {
 	m    *mining.PairMatrix
 }
 
-type vectorsKey struct {
+// lshKey names one sign-bit table: the fold flags pick the hashed
+// vectors, width (L·DPrime) and seed the planes. Every relaxation round
+// slices the one table, and (L, DPrime) pairs with equal products share
+// it, since both read rows [0, width) of one stream.
+type lshKey struct {
 	foldUsers, foldItems bool
-}
-
-type indexKey struct {
-	foldUsers, foldItems bool
-	dprime, l            int
+	width                int
 	seed                 int64
 }
 
-// indexCap bounds the per-epoch LSH index cache. Relaxation explores
-// O(log DPrime) distinct d' values per (spec, seed), so real workloads
-// stay far below it; the cap only guards pathological parameter churn.
-const indexCap = 64
+// lshEntry is one single-flight table: once runs the build, and bits and
+// err are read only after once.Do returns.
+type lshEntry struct {
+	once sync.Once
+	bits *lsh.Bits
+	err  error
+}
+
+// lshCap bounds the per-epoch sign-bit tables. One table serves every
+// relaxation round of a (fold flags, L·DPrime, seed), so real workloads
+// hold a handful; the cap only guards pathological parameter churn.
+const lshCap = 64
 
 // matrixOutcome classifies how a binding was served.
 type matrixOutcome uint8
@@ -107,8 +119,7 @@ func newMatrixCache() *MatrixCache {
 		inflight:  make(map[pairKey]*inflightBuild),
 		overrides: make(map[pairKey]mining.PairFunc),
 		vers:      make(map[pairKey]uint64),
-		vectors:   make(map[vectorsKey][][]float64),
-		indexes:   make(map[indexKey]*lsh.Index),
+		lsh:       make(map[lshKey]*lshEntry),
 	}
 }
 
@@ -355,54 +366,31 @@ func (c *MatrixCache) evictLocked(keep *cacheEntry) {
 	}
 }
 
-// hashVectors returns the epoch's hash-vector set for a fold-flag
-// combination, building it once. Duplicate racing builds are tolerated
-// (identical outputs, first publication wins) — vectors are O(n·d), far
-// cheaper than serializing callers behind the build.
-func (c *MatrixCache) hashVectors(key vectorsKey, build func() [][]float64) [][]float64 {
+// lshBits returns the epoch's sign-bit table for a key, building it once:
+// the first caller runs build inside the entry's sync.Once, outside mu,
+// and every concurrent caller (the other shards of a solve, other
+// requests, later relaxation rounds) waits on that Once and shares the
+// table. build is deterministic in the key, so a cached error is the
+// answer every retry would get.
+func (c *MatrixCache) lshBits(k lshKey, build func() (*lsh.Bits, error)) (*lsh.Bits, error) {
 	c.mu.Lock()
-	if v, ok := c.vectors[key]; ok {
-		c.mu.Unlock()
-		return v
-	}
-	c.mu.Unlock()
-	v := build()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if exist, ok := c.vectors[key]; ok {
-		return exist
-	}
-	c.vectors[key] = v
-	return v
-}
-
-// index returns the epoch's built LSH index for a parameter set, building
-// it once; like hashVectors, racing duplicate builds publish first-wins
-// with identical results (lsh.Build is deterministic in its seed).
-func (c *MatrixCache) index(key indexKey, build func() (*lsh.Index, error)) (*lsh.Index, error) {
-	c.mu.Lock()
-	if idx, ok := c.indexes[key]; ok {
-		c.mu.Unlock()
-		return idx, nil
-	}
-	c.mu.Unlock()
-	idx, err := build()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if exist, ok := c.indexes[key]; ok {
-		return exist, nil
-	}
-	if len(c.indexes) >= indexCap {
-		// Arbitrary victim: the cap is a safety valve, not an LRU —
-		// hitting it means parameter churn no cache policy would help.
-		for k := range c.indexes {
-			delete(c.indexes, k)
-			break
+	ent, ok := c.lsh[k]
+	if !ok {
+		if len(c.lsh) >= lshCap {
+			// Arbitrary victim: the cap is a safety valve, not an LRU —
+			// hitting it means parameter churn no cache policy would help.
+			for old := range c.lsh {
+				delete(c.lsh, old)
+				break
+			}
 		}
+		ent = &lshEntry{}
+		c.lsh[k] = ent
 	}
-	c.indexes[key] = idx
-	return idx, nil
+	c.mu.Unlock()
+	ent.once.Do(func() {
+		c.lshBuilds.Add(1)
+		ent.bits, ent.err = build()
+	})
+	return ent.bits, ent.err
 }

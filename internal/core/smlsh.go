@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"tagdm/internal/groups"
 	"tagdm/internal/lsh"
 	"tagdm/internal/mining"
-	"tagdm/internal/vec"
+	"tagdm/internal/model"
 )
 
 // ConstraintMode selects how an approximate algorithm handles the hard
@@ -78,11 +77,12 @@ func (o LSHOptions) withDefaults() LSHOptions {
 // keeps the lazy pair-function path and skips the O(n²) build entirely,
 // so one-shot runs over large universes no longer pay for matrices
 // they'd barely read. Repeated solves (server snapshots, prewarmed
-// engines) still amortize full matrices. Hash vectors and built indexes
-// are shared per epoch through the same cache: every relaxation round and
-// every concurrent request against one snapshot reuses them.
+// engines) still amortize full matrices. The groups' sign bits are shared
+// per epoch through the same cache: one dot-product pass hashes L·DPrime
+// bits per group, and every relaxation round and every concurrent request
+// against one snapshot slices that table.
 // Cancellation: ctx is checked once per relaxation round (each round is
-// one LSH build plus one full bucket scan, the unit of work here); a
+// one bucket slicing plus one full bucket scan, the unit of work here); a
 // cancelled run returns ctx.Err() with an empty result.
 //
 // Like the other families, this entry point is the single-shard case of
@@ -116,11 +116,14 @@ func smlshName(opts LSHOptions) string {
 }
 
 // smlshPartial runs the relaxation loop scanning only this shard's slice
-// of each round's deterministically sorted bucket list. Every shard reads
-// the same seeded index per round from the engine cache, so the bucket
-// lists agree; a shard breaks at its own first multi-group round
-// and records per-round examined counts so the merge can discard rounds
-// the serial run would never have reached.
+// of each round's deterministically sorted bucket list. The options are
+// checked before any work. Every shard then reads one sign-bit table from
+// the engine cache (the first caller of the epoch computes it, the others
+// wait for it), and each round slices table t's bits [t·d', (t+1)·d')
+// into its bucket list, so the lists agree across shards. A shard breaks
+// at its own first multi-group round and records per-round examined
+// counts so the merge can discard rounds the serial run would never have
+// reached.
 func (e *Engine) smlshPartial(ctx context.Context, spec ProblemSpec, opts LSHOptions, shard, of int) (Partial, error) {
 	if err := spec.Validate(); err != nil {
 		return Partial{}, err
@@ -132,6 +135,10 @@ func (e *Engine) smlshPartial(ctx context.Context, spec ProblemSpec, opts LSHOpt
 		return Partial{}, err
 	}
 	opts = opts.withDefaults()
+	params := lsh.Params{DPrime: opts.DPrime, L: opts.L, Seed: opts.Seed}
+	if err := params.Check(len(e.Groups)); err != nil {
+		return Partial{}, err
+	}
 	p := Partial{
 		kind: kindSMLSH, algorithm: smlshName(opts), shard: shard, of: of,
 		bestTask: -1, multiRound: -1, multiBucket: -1, singleRound: -1, singleBucket: -1,
@@ -146,10 +153,17 @@ func (e *Engine) smlshPartial(ctx context.Context, spec ProblemSpec, opts LSHOpt
 	p.builds, p.rebuilds, p.hits, p.lazy = scorer.builds, scorer.rebuilds, scorer.hits, scorer.lazy
 	foldUsers, foldItems := e.foldFlags(spec, opts.Mode)
 	ht := startStage(ctx, &p.stages, StageLSHBuild)
-	vectors := e.cache.hashVectors(vectorsKey{foldUsers, foldItems}, func() [][]float64 {
-		return e.buildHashVectors(foldUsers, foldItems)
+	bits, err := e.cache.lshBits(lshKey{foldUsers, foldItems, opts.L * opts.DPrime, opts.Seed}, func() (*lsh.Bits, error) {
+		v, err := e.buildHashVectors(foldUsers, foldItems)
+		if err != nil {
+			return nil, err
+		}
+		return lsh.Hash(v, params)
 	})
 	ht.end()
+	if err != nil {
+		return Partial{}, err
+	}
 
 	// Binary-search relaxation over d' (Algorithm 1): try the current d';
 	// on a null result, move to a coarser partition (fewer hyperplanes =>
@@ -167,15 +181,10 @@ func (e *Engine) smlshPartial(ctx context.Context, spec ProblemSpec, opts LSHOpt
 			return Partial{}, err
 		}
 		bt := startStage(ctx, &p.stages, StageLSHBuild)
-		idx, err := e.cache.index(indexKey{foldUsers, foldItems, dprime, opts.L, opts.Seed}, func() (*lsh.Index, error) {
-			return lsh.Build(vectors, lsh.Params{DPrime: dprime, L: opts.L, Seed: opts.Seed})
-		})
+		buckets := bits.Buckets(opts.L, dprime)
 		bt.end()
-		if err != nil {
-			return Partial{}, err
-		}
 		st := startStage(ctx, &p.stages, StageBucketScan)
-		scan := e.scanBuckets(idx, spec, opts, scorer, shard, of)
+		scan := e.scanBuckets(buckets, spec, opts, scorer, shard, of)
 		st.end()
 		p.roundExam = append(p.roundExam, scan.examined)
 		if scan.multi != nil {
@@ -254,48 +263,70 @@ func (e *Engine) foldFlags(spec ProblemSpec, mode ConstraintMode) (foldUsers, fo
 	return foldUsers, foldItems
 }
 
-// buildHashVectors builds the per-group vectors to hash. Without folding
-// the vector is the (normalized) tag signature alone; with foldUsers/
-// foldItems set, one-hot encodings of the group's structural description
-// are concatenated in (Section 4.3), so groups that agree on those
-// attributes tend to collide. Deterministic in the engine's groups and
-// signatures, so the shards of a solve and repeated requests share one
-// build through the engine cache.
-func (e *Engine) buildHashVectors(foldUsers, foldItems bool) [][]float64 {
+// buildHashVectors builds the per-group vectors to hash, as sparse rows
+// that leave out exact zeros. Without folding the vector is the
+// (normalized) tag signature alone; with foldUsers/foldItems set, one-hot
+// encodings of the group's structural description come first, each block
+// normalized on its own (Section 4.3), so groups that agree on those
+// attributes tend to collide. Each value is what normalizing the dense
+// block would give: a block's norm sums the squares of its non-zero
+// coordinates in ascending order, which equals the dense sum. Every
+// group's signature must be as long as group 0's.
+func (e *Engine) buildHashVectors(foldUsers, foldItems bool) (*lsh.Sparse, error) {
 	us, is := e.Store.UserSchema, e.Store.ItemSchema
 	uOffs, iOffs := us.OneHotOffsets(), is.OneHotOffsets()
 	uDim, iDim := us.TotalCardinality(), is.TotalCardinality()
-
-	vectors := make([][]float64, len(e.Groups))
-	for gi, g := range e.Groups {
-		sig := make([]float64, len(e.Sigs[gi].Weights))
-		copy(sig, e.Sigs[gi].Weights)
-		vec.Normalize(sig)
-		parts := make([][]float64, 0, 3)
-		if foldUsers {
-			oh := make([]float64, uDim)
-			for a := 0; a < us.Len(); a++ {
-				if v := g.UserValue(a); v != 0 {
-					oh[uOffs[a]+int(v)-1] = 1
-				}
+	v := &lsh.Sparse{Start: make([]int, 1, len(e.Groups)+1)}
+	// oneHot appends the block of schema attribute values a group has set:
+	// a 1 at offs[a]+value-1 for each, all divided by the block's norm.
+	oneHot := func(n int, offs []int, value func(a int) model.ValueCode) {
+		lo := len(v.Index)
+		for a := 0; a < n; a++ {
+			if x := value(a); x != 0 {
+				v.Index = append(v.Index, int32(v.Dim+offs[a]+int(x)-1))
 			}
-			vec.Normalize(oh)
-			parts = append(parts, oh)
+		}
+		norm := math.Sqrt(float64(len(v.Index) - lo))
+		for range v.Index[lo:] {
+			v.Value = append(v.Value, 1/norm)
+		}
+	}
+	sigDim := 0
+	if len(e.Sigs) > 0 {
+		sigDim = len(e.Sigs[0].Weights)
+	}
+	for gi, g := range e.Groups {
+		v.Dim = 0
+		if foldUsers {
+			oneHot(us.Len(), uOffs, g.UserValue)
+			v.Dim += uDim
 		}
 		if foldItems {
-			oh := make([]float64, iDim)
-			for a := 0; a < is.Len(); a++ {
-				if v := g.ItemValue(a); v != 0 {
-					oh[iOffs[a]+int(v)-1] = 1
-				}
-			}
-			vec.Normalize(oh)
-			parts = append(parts, oh)
+			oneHot(is.Len(), iOffs, g.ItemValue)
+			v.Dim += iDim
 		}
-		parts = append(parts, sig)
-		vectors[gi] = vec.Concat(parts...)
+		w := e.Sigs[gi].Weights
+		if len(w) != sigDim {
+			return nil, fmt.Errorf("core: group %d signature has dim %d, want %d", gi, len(w), sigDim)
+		}
+		lo := len(v.Index)
+		var sq float64
+		for c, x := range w {
+			if x != 0 {
+				v.Index = append(v.Index, int32(v.Dim+c))
+				v.Value = append(v.Value, x)
+				sq += x * x
+			}
+		}
+		if norm := math.Sqrt(sq); norm != 0 {
+			for k := range v.Value[lo:] {
+				v.Value[lo+k] /= norm
+			}
+		}
+		v.Dim += sigDim
+		v.Start = append(v.Start, len(v.Index))
 	}
-	return vectors
+	return v, nil
 }
 
 // bucketScan is one round's shard-local outcome: the best multi-group set
@@ -312,21 +343,13 @@ type bucketScan struct {
 	examined     int64
 }
 
-// scanBuckets scans this shard's slice of the index's buckets — positions
-// congruent to shard mod of in the deterministically sorted bucket list —
+// scanBuckets scans this shard's slice of a round's buckets — positions
+// congruent to shard mod of in the list sorted by (Table, Signature) —
 // keeps those whose group count fits [KLo, KHi] (trimming oversized
 // buckets unless strict), checks feasibility, and ranks by objective
-// score. (Table, Signature) keys are unique, so the sort is a total order
-// every shard agrees on.
-func (e *Engine) scanBuckets(idx *lsh.Index, spec ProblemSpec, opts LSHOptions, sc *matrixScorer, shard, of int) bucketScan {
-	buckets := idx.Buckets()
-	// Deterministic processing order regardless of map iteration.
-	sort.Slice(buckets, func(i, j int) bool {
-		if buckets[i].Table != buckets[j].Table {
-			return buckets[i].Table < buckets[j].Table
-		}
-		return buckets[i].Signature < buckets[j].Signature
-	})
+// score. (Table, Signature) keys are unique, so the order is a total
+// order every shard agrees on.
+func (e *Engine) scanBuckets(buckets []lsh.Bucket, spec ProblemSpec, opts LSHOptions, sc *matrixScorer, shard, of int) bucketScan {
 	out := bucketScan{multiScore: -1.0, multiBucket: -1, singleBucket: -1}
 	for bi, b := range buckets {
 		if of > 1 && bi%of != shard {

@@ -2,18 +2,29 @@ package core
 
 import (
 	"context"
-
 	"testing"
 
 	"tagdm/internal/groups"
 	"tagdm/internal/mining"
 )
 
-// hashVectorsFor mirrors the pre-split hashVectors(spec, mode) helper the
-// tests were written against: resolve fold flags, then build the vectors.
-func hashVectorsFor(e *Engine, spec ProblemSpec, mode ConstraintMode) [][]float64 {
+// hashVectorsFor resolves the spec's fold flags, builds the sparse hash
+// vectors and expands them to dense rows for inspection.
+func hashVectorsFor(t *testing.T, e *Engine, spec ProblemSpec, mode ConstraintMode) [][]float64 {
+	t.Helper()
 	foldUsers, foldItems := e.foldFlags(spec, mode)
-	return e.buildHashVectors(foldUsers, foldItems)
+	v, err := e.buildHashVectors(foldUsers, foldItems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]float64, v.Len())
+	for i := range out {
+		out[i] = make([]float64, v.Dim)
+		for k := v.Start[i]; k < v.Start[i+1]; k++ {
+			out[i][v.Index[k]] = v.Value[k]
+		}
+	}
+	return out
 }
 
 func TestHashVectorsDimensions(t *testing.T) {
@@ -24,7 +35,7 @@ func TestHashVectorsDimensions(t *testing.T) {
 	iDim := e.Store.ItemSchema.TotalCardinality()
 
 	// Filter mode hashes the signature alone.
-	filterVecs := hashVectorsFor(e, spec, Filter)
+	filterVecs := hashVectorsFor(t, e, spec, Filter)
 	if len(filterVecs) != len(e.Groups) {
 		t.Fatalf("vector count %d", len(filterVecs))
 	}
@@ -32,7 +43,7 @@ func TestHashVectorsDimensions(t *testing.T) {
 		t.Fatalf("filter dim = %d, want %d", len(filterVecs[0]), sigDim)
 	}
 	// Problem 1 folds both user and item similarity constraints.
-	foldVecs := hashVectorsFor(e, spec, Fold)
+	foldVecs := hashVectorsFor(t, e, spec, Fold)
 	want := uDim + iDim + sigDim
 	if len(foldVecs[0]) != want {
 		t.Fatalf("fold dim = %d, want %d (u=%d i=%d sig=%d)",
@@ -45,7 +56,7 @@ func TestHashVectorsFoldOnlySimilarityConstraints(t *testing.T) {
 	// Problem 2: user similarity, item DIVERSITY. Only the user block can
 	// fold (diversity cannot fold into LSH).
 	spec, _ := PaperProblem(2, 2, 5, 0.5, 0.5)
-	foldVecs := hashVectorsFor(e, spec, Fold)
+	foldVecs := hashVectorsFor(t, e, spec, Fold)
 	want := e.Store.UserSchema.TotalCardinality() + len(e.Sigs[0].Weights)
 	if len(foldVecs[0]) != want {
 		t.Fatalf("fold dim = %d, want %d", len(foldVecs[0]), want)
@@ -55,7 +66,7 @@ func TestHashVectorsFoldOnlySimilarityConstraints(t *testing.T) {
 func TestHashVectorsOneHotPlacement(t *testing.T) {
 	e := buildEngine(t)
 	spec, _ := PaperProblem(1, 2, 5, 0.5, 0.5)
-	vecs := hashVectorsFor(e, spec, Fold)
+	vecs := hashVectorsFor(t, e, spec, Fold)
 	us := e.Store.UserSchema
 	uDim := us.TotalCardinality()
 	// The user one-hot block of every group must have exactly one

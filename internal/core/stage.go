@@ -18,8 +18,11 @@ const (
 	// StageEnumerate is the Exact DFS over candidate sets, including
 	// branch-and-bound pruning work.
 	StageEnumerate = "enumerate"
-	// StageLSHBuild is hash-vector construction plus per-round LSH index
-	// builds (SM-LSH).
+	// StageLSHBuild is SM-LSH's hashing: fetching the epoch's sign-bit
+	// table (on a cold epoch, the sparse hash vectors, the plane draw and
+	// one dot-product pass, or the wait for the shard computing them) plus
+	// each relaxation round's slicing of that table into its sorted
+	// bucket list.
 	StageLSHBuild = "lsh_build"
 	// StageBucketScan is per-round bucket scanning/ranking (SM-LSH).
 	StageBucketScan = "bucket_scan"

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"tagdm/internal/core"
+	"tagdm/internal/incremental"
+	"tagdm/internal/signature"
 )
 
 // hashAnswer folds the fields an answer is judged by into h: feasibility,
@@ -201,5 +203,79 @@ func TestDVFDPAnswersPinned(t *testing.T) {
 	t.Logf("%d DV-FDP answers hashed, %d found, %d candidates examined", answers, found, examined)
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("DV-FDP answer digest = %s, want %s", got, want)
+	}
+}
+
+// TestSMLSHAnswersPinned pins SM-LSH's answers and examined counts on two
+// signature kinds over the datagen.Small corpus: the FastConfig LDA
+// signatures (dense) and frequency signatures (sparse, as the server
+// builds them). It covers problems 1-3 with k in {2, 3}, SM-LSH-Fi and
+// SM-LSH-Fo, L in {1, 2, 3} and d' in {1, 10, 30} (L·d' = 90 hashes more
+// bits than one word holds), with relaxation on and off, serial and
+// sharded two ways. The digests were taken while every relaxation round
+// still built its own dense index; a hashing path whose buckets differ
+// from that one moves them.
+func TestSMLSHAnswersPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus pipeline is slow under -short")
+	}
+	const (
+		wantLDA       = "27d010f0dca21853e540e784a2170e37577384f45ef619fd7ed7f6d00c010753"
+		wantFrequency = "7f0d840f9e0e779b16008cec8122b14e8ed4ab3a999cf0250f1aab93ed7ce4e1"
+	)
+	ctx := context.Background()
+	st := setup(t)
+	m, err := incremental.New(st.World.Dataset, st.Config.MinTuples, signature.NewFrequency(st.Store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	freq, err := m.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := PaperParams()
+	for _, c := range []struct {
+		name string
+		e    *core.Engine
+		want string
+	}{{"lda", st.Engine, wantLDA}, {"frequency", freq, wantFrequency}} {
+		h := sha256.New()
+		answers, found := 0, 0
+		for _, k := range []int{2, 3} {
+			for id := 1; id <= 3; id++ {
+				spec, err := core.PaperProblem(id, k, p.support(st), p.Q, p.R)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, mode := range []core.ConstraintMode{core.Filter, core.Fold} {
+					for _, l := range []int{1, 2, 3} {
+						for _, dprime := range []int{1, 10, 30} {
+							for _, norelax := range []bool{false, true} {
+								o := core.LSHOptions{DPrime: dprime, L: l, Seed: 1, Mode: mode, DisableRelaxation: norelax}
+								label := fmt.Sprintf("%s/k=%d/%+v", spec.Name, k, o)
+								r, err := c.e.SMLSH(ctx, spec, o)
+								if err != nil {
+									t.Fatal(err)
+								}
+								hashResult(h, label, r)
+								sr, err := c.e.SolveSharded(ctx, spec, core.SolveOptions{LSH: o}, 2)
+								if err != nil {
+									t.Fatal(err)
+								}
+								hashResult(h, label+"/sharded", sr)
+								answers++
+								if r.Found {
+									found++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d SM-LSH answers hashed, %d found", c.name, answers, found)
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s SM-LSH answer digest = %s, want %s", c.name, got, c.want)
+		}
 	}
 }

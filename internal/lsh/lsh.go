@@ -6,7 +6,10 @@
 //
 // Unlike classical LSH usage (nearest-neighbor lookups for a query point),
 // the TagDM algorithms enumerate the buckets themselves and rank them by a
-// scoring function, so the index exposes its buckets directly.
+// scoring function, so the package exposes buckets directly. Hashing is
+// one pass: Hash computes every vector's sign bits under the first L·d'
+// planes of one seeded stream, and Buckets slices those bits into the
+// tables of any d' up to that width, as Algorithm 1's relaxation needs.
 package lsh
 
 import (
@@ -17,21 +20,7 @@ import (
 	"tagdm/internal/vec"
 )
 
-// Index is a set of l hash tables over n input vectors, each table keyed by
-// a d'-bit signature.
-type Index struct {
-	d      int // input dimensionality
-	dprime int // hyperplanes per table (signature bits)
-	tables []table
-	n      int
-}
-
-type table struct {
-	planes [][]float64      // dprime rows of d Gaussian coordinates
-	bucket map[uint64][]int // signature -> vector ids
-}
-
-// Params configures index construction.
+// Params configures hashing.
 type Params struct {
 	// DPrime is the number of hyperplanes (signature bits) per table.
 	// Must be in [1, 64]; the paper starts at 10.
@@ -42,62 +31,110 @@ type Params struct {
 	Seed int64
 }
 
-// Build hashes all vectors into l tables of d'-bit signatures.
-// All vectors must share the same dimensionality.
-func Build(vectors [][]float64, p Params) (*Index, error) {
-	if len(vectors) == 0 {
-		return nil, fmt.Errorf("lsh: no vectors")
+// Check reports why p cannot hash n vectors: no vectors, DPrime outside
+// [1, 64], or L below 1, tested in that order. Callers that do work before
+// hashing check first, so a bad parameter set fails before that work.
+func (p Params) Check(n int) error {
+	if n == 0 {
+		return fmt.Errorf("lsh: no vectors")
 	}
 	if p.DPrime < 1 || p.DPrime > 64 {
-		return nil, fmt.Errorf("lsh: DPrime %d out of [1, 64]", p.DPrime)
+		return fmt.Errorf("lsh: DPrime %d out of [1, 64]", p.DPrime)
 	}
 	if p.L < 1 {
-		return nil, fmt.Errorf("lsh: L must be >= 1, got %d", p.L)
+		return fmt.Errorf("lsh: L must be >= 1, got %d", p.L)
 	}
-	d := len(vectors[0])
-	for i, v := range vectors {
-		if len(v) != d {
-			return nil, fmt.Errorf("lsh: vector %d has dim %d, want %d", i, len(v), d)
-		}
+	return nil
+}
+
+// Sparse is a set of vectors of one dimension in compressed rows: vector
+// i's non-zero coordinates are Index[Start[i]:Start[i+1]], strictly
+// ascending, with values Value[Start[i]:Start[i+1]]. A coordinate left
+// out reads as zero. Start has one entry more than there are vectors.
+type Sparse struct {
+	Dim   int
+	Start []int
+	Index []int32
+	Value []float64
+}
+
+// Len returns the number of vectors.
+func (s *Sparse) Len() int { return max(len(s.Start)-1, 0) }
+
+// Bits holds every vector's sign bits under the first width planes of a
+// seeded stream. Bit b of vector i is 1 iff plane b · v_i >= 0; it lives
+// in word words[i*perVec + b/64] at position b%64.
+type Bits struct {
+	n, width, perVec int
+	words            []uint64
+}
+
+// Hash draws planes rows [0, L·DPrime) of the stream seeded by p.Seed,
+// each of v.Dim Gaussian coordinates, and computes every vector's L·DPrime
+// sign bits in one pass. Each dot product sums only the vector's non-zero
+// coordinates, in ascending order: a left-out term is plane·(±0) = ±0, so
+// the sum differs from the dense one at most in the sign of a zero, which
+// the >= 0 test does not see.
+func Hash(v *Sparse, p Params) (*Bits, error) {
+	n := v.Len()
+	if err := p.Check(n); err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	idx := &Index{d: d, dprime: p.DPrime, n: len(vectors)}
-	idx.tables = make([]table, p.L)
-	for t := range idx.tables {
-		planes := make([][]float64, p.DPrime)
-		for h := range planes {
-			row := make([]float64, d)
-			for c := range row {
-				row[c] = rng.NormFloat64()
+	for i := 0; i < n; i++ {
+		prev := int32(-1)
+		for _, c := range v.Index[v.Start[i]:v.Start[i+1]] {
+			if c <= prev || int(c) >= v.Dim {
+				return nil, fmt.Errorf("lsh: vector %d: coordinate %d out of order or outside dim %d", i, c, v.Dim)
 			}
-			planes[h] = row
-		}
-		tb := table{planes: planes, bucket: make(map[uint64][]int)}
-		for id, v := range vectors {
-			sig := signatureOf(planes, v)
-			tb.bucket[sig] = append(tb.bucket[sig], id)
-		}
-		idx.tables[t] = tb
-	}
-	return idx, nil
-}
-
-// signatureOf computes the d'-bit signature of v under the given planes:
-// bit h is 1 iff planes[h] . v >= 0.
-func signatureOf(planes [][]float64, v []float64) uint64 {
-	var sig uint64
-	for h, plane := range planes {
-		if vec.Dot(plane, v) >= 0 {
-			sig |= 1 << uint(h)
+			prev = c
 		}
 	}
-	return sig
+	width := p.L * p.DPrime
+	// planes[c*width+r] is coordinate c of plane r: the stream is drawn
+	// row by row, stored column-major so one non-zero coordinate feeds
+	// all width partial sums from one contiguous run.
+	planes := make([]float64, v.Dim*width)
+	rng := rand.New(rand.NewSource(p.Seed))
+	for r := 0; r < width; r++ {
+		for c := 0; c < v.Dim; c++ {
+			planes[c*width+r] = rng.NormFloat64()
+		}
+	}
+	b := &Bits{n: n, width: width, perVec: (width + 63) / 64}
+	b.words = make([]uint64, n*b.perVec)
+	sums := make([]float64, width)
+	for i := 0; i < n; i++ {
+		clear(sums)
+		lo, hi := v.Start[i], v.Start[i+1]
+		for k, c := range v.Index[lo:hi] {
+			x := v.Value[lo+k]
+			col := planes[int(c)*width : int(c)*width+width]
+			for r, pc := range col {
+				sums[r] += pc * x
+			}
+		}
+		w := b.words[i*b.perVec : (i+1)*b.perVec]
+		for r, s := range sums {
+			if s >= 0 {
+				w[r>>6] |= 1 << uint(r&63)
+			}
+		}
+	}
+	return b, nil
 }
 
-// Signature returns v's signature in table t (exported for tests and for
-// Query).
-func (x *Index) Signature(t int, v []float64) uint64 {
-	return signatureOf(x.tables[t].planes, v)
+// signature returns vector i's bits [lo, lo+w), bit lo first, for w <= 64.
+func (b *Bits) signature(i, lo, w int) uint64 {
+	words := b.words[i*b.perVec : (i+1)*b.perVec]
+	wi, off := lo>>6, uint(lo&63)
+	s := words[wi] >> off
+	if int(off)+w > 64 {
+		s |= words[wi+1] << (64 - off)
+	}
+	if w < 64 {
+		s &= 1<<uint(w) - 1
+	}
+	return s
 }
 
 // Bucket is one hash bucket: the ids of the vectors sharing a signature in
@@ -108,44 +145,58 @@ type Bucket struct {
 	IDs       []int
 }
 
-// Buckets returns every non-empty bucket of every table. Order is
-// deterministic given deterministic map iteration is not guaranteed, so
-// buckets are keyed by (table, signature) and callers needing determinism
-// should sort; Rank below does.
-func (x *Index) Buckets() []Bucket {
+// Buckets slices l tables of dprime bits each: table t's signature of a
+// vector is its bits [t·dprime, (t+1)·dprime). These are the buckets a
+// dense index would build from planes drawn as rows [t·dprime,
+// (t+1)·dprime) of the same stream. Every non-empty bucket of every table
+// is returned, sorted by (Table, Signature), with IDs ascending. It
+// panics when l·dprime exceeds the hashed L·DPrime bits or dprime is
+// outside [1, 64].
+func (b *Bits) Buckets(l, dprime int) []Bucket {
+	if dprime < 1 || dprime > 64 || l*dprime > b.width {
+		panic(fmt.Sprintf("lsh: %d tables of %d bits from %d hashed bits", l, dprime, b.width))
+	}
+	type member struct {
+		sig uint64
+		id  int
+	}
+	members, spare := make([]member, b.n), make([]member, b.n)
+	ids := make([]int, l*b.n)
 	var out []Bucket
-	for t := range x.tables {
-		for sig, ids := range x.tables[t].bucket {
-			out = append(out, Bucket{Table: t, Signature: sig, IDs: ids})
+	for t := 0; t < l; t++ {
+		for i := range members {
+			members[i] = member{b.signature(i, t*dprime, dprime), i}
 		}
-	}
-	return out
-}
-
-// NumBuckets returns the total bucket count across tables.
-func (x *Index) NumBuckets() int {
-	n := 0
-	for t := range x.tables {
-		n += len(x.tables[t].bucket)
-	}
-	return n
-}
-
-// Query returns the ids co-hashed with v in any table (the classical
-// approximate nearest neighbor candidate set), excluding duplicates.
-func (x *Index) Query(v []float64) []int {
-	if len(v) != x.d {
-		return nil
-	}
-	seen := make(map[int]struct{})
-	var out []int
-	for t := range x.tables {
-		sig := signatureOf(x.tables[t].planes, v)
-		for _, id := range x.tables[t].bucket[sig] {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				out = append(out, id)
+		// LSD radix sort on the signature, eight bits a pass. Each pass is
+		// stable and ids enter ascending, so each bucket's ids stay
+		// ascending.
+		src, dst := members, spare
+		for shift := 0; shift < dprime; shift += 8 {
+			var start [257]int
+			for _, m := range src {
+				start[(m.sig>>uint(shift))&0xff+1]++
 			}
+			for d := 1; d < len(start); d++ {
+				start[d] += start[d-1]
+			}
+			for _, m := range src {
+				d := (m.sig >> uint(shift)) & 0xff
+				dst[start[d]] = m
+				start[d]++
+			}
+			src, dst = dst, src
+		}
+		tids := ids[t*b.n : (t+1)*b.n]
+		for i, m := range src {
+			tids[i] = m.id
+		}
+		for lo := 0; lo < b.n; {
+			hi := lo + 1
+			for hi < b.n && src[hi].sig == src[lo].sig {
+				hi++
+			}
+			out = append(out, Bucket{Table: t, Signature: src[lo].sig, IDs: tids[lo:hi:hi]})
+			lo = hi
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package lsh
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -34,34 +35,119 @@ func clusterVectors(n, d int, seed int64) ([][]float64, []int) {
 	return vectors, labels
 }
 
-func TestBuildValidation(t *testing.T) {
-	if _, err := Build(nil, Params{DPrime: 8, L: 1}); err == nil {
-		t.Fatal("empty input accepted")
+// sparseOf converts dense rows of one length to compressed rows, leaving
+// out exact zeros.
+func sparseOf(vectors [][]float64) *Sparse {
+	s := &Sparse{Start: []int{0}}
+	if len(vectors) > 0 {
+		s.Dim = len(vectors[0])
 	}
-	v := [][]float64{{1, 2}}
-	if _, err := Build(v, Params{DPrime: 0, L: 1}); err == nil {
-		t.Fatal("DPrime 0 accepted")
+	for _, v := range vectors {
+		for c, x := range v {
+			if x != 0 {
+				s.Index = append(s.Index, int32(c))
+				s.Value = append(s.Value, x)
+			}
+		}
+		s.Start = append(s.Start, len(s.Index))
 	}
-	if _, err := Build(v, Params{DPrime: 65, L: 1}); err == nil {
-		t.Fatal("DPrime 65 accepted")
+	return s
+}
+
+func hash(t *testing.T, vectors [][]float64, p Params) *Bits {
+	t.Helper()
+	b, err := Hash(sparseOf(vectors), p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Build(v, Params{DPrime: 8, L: 0}); err == nil {
-		t.Fatal("L 0 accepted")
+	return b
+}
+
+func TestHashValidation(t *testing.T) {
+	v := sparseOf([][]float64{{1, 2}})
+	for _, c := range []struct {
+		v    *Sparse
+		p    Params
+		want string
+	}{
+		{&Sparse{}, Params{DPrime: 8, L: 1}, "lsh: no vectors"},
+		{&Sparse{}, Params{DPrime: 0, L: 0}, "lsh: no vectors"},
+		{v, Params{DPrime: 0, L: 1}, "lsh: DPrime 0 out of [1, 64]"},
+		{v, Params{DPrime: 65, L: 1}, "lsh: DPrime 65 out of [1, 64]"},
+		{v, Params{DPrime: 8, L: 0}, "lsh: L must be >= 1, got 0"},
+	} {
+		if err := c.p.Check(c.v.Len()); err == nil || err.Error() != c.want {
+			t.Errorf("Check(%+v, %d) = %v, want %q", c.p, c.v.Len(), err, c.want)
+		}
+		if _, err := Hash(c.v, c.p); err == nil || err.Error() != c.want {
+			t.Errorf("Hash(%+v) = %v, want %q", c.p, err, c.want)
+		}
 	}
-	if _, err := Build([][]float64{{1, 2}, {1}}, Params{DPrime: 8, L: 1}); err == nil {
-		t.Fatal("ragged input accepted")
+	bad := []*Sparse{
+		{Dim: 2, Start: []int{0, 2}, Index: []int32{1, 0}, Value: []float64{1, 1}}, // descending
+		{Dim: 2, Start: []int{0, 2}, Index: []int32{1, 1}, Value: []float64{1, 1}}, // repeated
+		{Dim: 2, Start: []int{0, 1}, Index: []int32{2}, Value: []float64{1}},       // outside Dim
+	}
+	for i, s := range bad {
+		if _, err := Hash(s, Params{DPrime: 8, L: 1}); err == nil {
+			t.Errorf("malformed rows %d accepted", i)
+		}
+	}
+}
+
+// TestHashMatchesDenseSigns checks every bit against the dense dot product
+// with the stream's plane of that row, over rows that mix ±0 and non-zero
+// coordinates and one all-zero row, at a width spanning two words.
+func TestHashMatchesDenseSigns(t *testing.T) {
+	const n, d, l, dprime = 40, 9, 3, 30
+	rng := rand.New(rand.NewSource(29))
+	negZero := math.Copysign(0, -1)
+	vectors := make([][]float64, n)
+	for i := range vectors {
+		v := make([]float64, d)
+		for c := range v {
+			switch {
+			case i == 0:
+			case rng.Intn(3) == 0:
+				v[c] = rng.NormFloat64()
+			case c%2 == 1:
+				v[c] = negZero
+			}
+		}
+		vectors[i] = v
+	}
+	b := hash(t, vectors, Params{DPrime: dprime, L: l, Seed: 31})
+	planes := rand.New(rand.NewSource(31))
+	want := make([][]uint64, l) // want[t][i]: vector i's table-t signature
+	for tb := range want {
+		want[tb] = make([]uint64, n)
+		for h := 0; h < dprime; h++ {
+			plane := make([]float64, d)
+			for c := range plane {
+				plane[c] = planes.NormFloat64()
+			}
+			for i, v := range vectors {
+				if dot(plane, v) >= 0 {
+					want[tb][i] |= 1 << uint(h)
+				}
+			}
+		}
+	}
+	for _, bk := range b.Buckets(l, dprime) {
+		for _, id := range bk.IDs {
+			if got := bk.Signature; got != want[bk.Table][id] {
+				t.Fatalf("vector %d table %d: signature %#x, dense %#x", id, bk.Table, got, want[bk.Table][id])
+			}
+		}
 	}
 }
 
 func TestBucketsPartitionInput(t *testing.T) {
 	vectors, _ := clusterVectors(100, 10, 3)
-	idx, err := Build(vectors, Params{DPrime: 6, L: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := hash(t, vectors, Params{DPrime: 6, L: 1, Seed: 3})
 	seen := make(map[int]int)
-	for _, b := range idx.Buckets() {
-		for _, id := range b.IDs {
+	for _, bk := range b.Buckets(1, 6) {
+		for _, id := range bk.IDs {
 			seen[id]++
 		}
 	}
@@ -73,45 +159,60 @@ func TestBucketsPartitionInput(t *testing.T) {
 			t.Fatalf("vector %d appears in %d buckets of one table", id, n)
 		}
 	}
-	if idx.NumBuckets() != len(idx.Buckets()) {
-		t.Fatal("NumBuckets inconsistent")
-	}
 }
 
 func TestMultipleTablesMultiplyBuckets(t *testing.T) {
 	vectors, _ := clusterVectors(60, 8, 5)
-	idx, err := Build(vectors, Params{DPrime: 4, L: 3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := hash(t, vectors, Params{DPrime: 4, L: 3, Seed: 5})
 	// Each table partitions all inputs, so total membership = 3 * 60.
 	total := 0
-	for _, b := range idx.Buckets() {
-		if b.Table < 0 || b.Table > 2 {
-			t.Fatalf("bad table %d", b.Table)
+	buckets := b.Buckets(3, 4)
+	for i, bk := range buckets {
+		if bk.Table < 0 || bk.Table > 2 {
+			t.Fatalf("bad table %d", bk.Table)
 		}
-		total += len(b.IDs)
+		if i > 0 {
+			prev := buckets[i-1]
+			if prev.Table > bk.Table || prev.Table == bk.Table && prev.Signature >= bk.Signature {
+				t.Fatalf("bucket %d out of (Table, Signature) order", i)
+			}
+		}
+		for j := 1; j < len(bk.IDs); j++ {
+			if bk.IDs[j-1] >= bk.IDs[j] {
+				t.Fatalf("bucket %d ids not ascending: %v", i, bk.IDs)
+			}
+		}
+		total += len(bk.IDs)
 	}
 	if total != 180 {
 		t.Fatalf("total membership = %d, want 180", total)
 	}
 }
 
+func TestBucketsPanicsBeyondWidth(t *testing.T) {
+	vectors, _ := clusterVectors(4, 3, 1)
+	b := hash(t, vectors, Params{DPrime: 5, L: 2, Seed: 1})
+	b.Buckets(1, 10) // one table may read all ten bits
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Buckets(3, 5) over 10 hashed bits did not panic")
+		}
+	}()
+	b.Buckets(3, 5)
+}
+
 func TestSimilarVectorsCollide(t *testing.T) {
 	vectors, labels := clusterVectors(200, 12, 7)
-	idx, err := Build(vectors, Params{DPrime: 8, L: 1, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := hash(t, vectors, Params{DPrime: 8, L: 1, Seed: 7})
 	// With two antipodal tight clusters and 8 hyperplanes, same-cluster
 	// vectors should overwhelmingly share a bucket and cross-cluster
 	// vectors should not.
 	sameOK, crossBad := 0, 0
 	samePairs, crossPairs := 0, 0
-	for _, b := range idx.Buckets() {
-		for i := 0; i < len(b.IDs); i++ {
-			for j := i + 1; j < len(b.IDs); j++ {
-				if labels[b.IDs[i]] == labels[b.IDs[j]] {
+	for _, bk := range b.Buckets(1, 8) {
+		for i := 0; i < len(bk.IDs); i++ {
+			for j := i + 1; j < len(bk.IDs); j++ {
+				if labels[bk.IDs[i]] == labels[bk.IDs[j]] {
 					sameOK++
 				} else {
 					crossBad++
@@ -133,29 +234,6 @@ func TestSimilarVectorsCollide(t *testing.T) {
 	}
 	if float64(sameOK) < 0.5*float64(samePairs) {
 		t.Fatalf("only %d/%d same-cluster pairs collided", sameOK, samePairs)
-	}
-}
-
-func TestQuery(t *testing.T) {
-	vectors, labels := clusterVectors(100, 10, 11)
-	idx, err := Build(vectors, Params{DPrime: 6, L: 2, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Query with a fresh vector near cluster 0.
-	q := make([]float64, 10)
-	copy(q, vectors[0])
-	got := idx.Query(q)
-	if len(got) == 0 {
-		t.Fatal("query returned nothing")
-	}
-	for _, id := range got {
-		if labels[id] != labels[0] {
-			t.Fatalf("query returned cross-cluster vector %d", id)
-		}
-	}
-	if idx.Query([]float64{1}) != nil {
-		t.Fatal("dimension mismatch should return nil")
 	}
 }
 
@@ -195,35 +273,22 @@ func dot(a, b []float64) float64 {
 
 func TestDeterministicWithSeed(t *testing.T) {
 	vectors, _ := clusterVectors(50, 6, 19)
-	a, err := Build(vectors, Params{DPrime: 5, L: 2, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
+	a := hash(t, vectors, Params{DPrime: 5, L: 2, Seed: 19})
+	b := hash(t, vectors, Params{DPrime: 5, L: 2, Seed: 19})
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("same seed, different sign bits")
 	}
-	b, err := Build(vectors, Params{DPrime: 5, L: 2, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range vectors {
-		for tbl := 0; tbl < 2; tbl++ {
-			if a.Signature(tbl, v) != b.Signature(tbl, v) {
-				t.Fatalf("vector %d table %d: signatures differ across builds", i, tbl)
-			}
-		}
+	c := hash(t, vectors, Params{DPrime: 5, L: 2, Seed: 20})
+	if reflect.DeepEqual(a, c) {
+		t.Fatal("different seeds, same sign bits")
 	}
 }
 
 func TestLowerDPrimeCoarsensPartition(t *testing.T) {
 	vectors, _ := clusterVectors(200, 10, 23)
-	fine, err := Build(vectors, Params{DPrime: 12, L: 1, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarse, err := Build(vectors, Params{DPrime: 2, L: 1, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coarse.NumBuckets() > fine.NumBuckets() {
-		t.Fatalf("coarse index has more buckets (%d) than fine (%d)",
-			coarse.NumBuckets(), fine.NumBuckets())
+	b := hash(t, vectors, Params{DPrime: 12, L: 1, Seed: 23})
+	fine, coarse := b.Buckets(1, 12), b.Buckets(1, 2)
+	if len(coarse) > len(fine) {
+		t.Fatalf("coarse slicing has more buckets (%d) than fine (%d)", len(coarse), len(fine))
 	}
 }
