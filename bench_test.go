@@ -462,6 +462,32 @@ func BenchmarkSubstrateLSHColdEpoch(b *testing.B) {
 	}
 }
 
+// BenchmarkTagMatrixFrequency is a scratch build of the tag-diversity pair
+// matrix over the datagen.Small corpus's frequency signatures (400
+// dimensions, about 13 non-zeros per group): the build the server pays
+// for the unscoped engine whenever an epoch has no carry to rebuild from.
+func BenchmarkTagMatrixFrequency(b *testing.B) {
+	world, err := datagen.Generate(datagen.Small())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := store.New(world.Dataset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gs := (&groups.Enumerator{Store: s, MinTuples: 5}).FullyDescribed()
+	e, err := core.NewEngine(s, gs, signature.SummarizeAll(signature.NewFrequency(s), s, gs))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pair := e.PairFunc(mining.Tags, mining.Diversity)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mining.NewPairMatrix(gs, pair, 0)
+	}
+}
+
 func BenchmarkSubstrateFDPGreedy(b *testing.B) {
 	st, _ := benchWorld(b)
 	n := len(st.Sigs)

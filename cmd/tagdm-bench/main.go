@@ -45,7 +45,9 @@ import (
 	"tagdm/internal/core"
 	"tagdm/internal/datagen"
 	"tagdm/internal/experiments"
+	"tagdm/internal/groups"
 	"tagdm/internal/mining"
+	"tagdm/internal/signature"
 	"tagdm/internal/store"
 	"tagdm/internal/userstudy"
 )
@@ -433,21 +435,64 @@ func runSetup(cfg experiments.Config, emit *jsonEmitter) {
 
 // --- pair-matrix lifecycle ---
 
-// runMatrixReuse measures the three ways a solve can obtain a pair matrix
-// after PR 10: a from-scratch build (what every epoch paid before), a
-// dirty-row rebuild carrying the previous epoch's matrix with one group
-// changed (what a 1-group insert pays now), and a shared-cache hit (what
-// every replica and every later solve of the same epoch pays). Each variant
-// is verified bit-identical to the scratch build before its time is
-// reported; any mismatch aborts the run — the carry-over contract is that
-// reuse never changes a single bit.
+// runMatrixReuse measures the three ways a solve can obtain a pair matrix:
+// a from-scratch build (what an epoch pays without a carry), a dirty-row
+// rebuild carrying the previous epoch's matrix with one group changed
+// (what a 1-group insert pays), and a shared-cache hit (what every replica
+// and every later solve of the same epoch pays). It sweeps the tag
+// measure over two signature forms: the setup's LDA topic mixtures (dense,
+// Topics dimensions) and the server corpus's tag-frequency signatures (one
+// dimension per tag, mostly zero). Each
+// variant is verified bit-identical to the scratch build before its time
+// is reported; any mismatch aborts the run — the carry-over contract is
+// that reuse never changes a single bit.
 func runMatrixReuse(st *experiments.Setup, emit *jsonEmitter) {
-	gs := st.Groups
-	n := len(gs)
-	if n < 2 {
+	if len(st.Groups) < 2 {
 		log.Fatal("matrix-reuse: corpus has fewer than 2 groups")
 	}
-	pair := st.Engine.PairFunc(mining.Tags, mining.Diversity)
+	freq, err := serverFrequencyEngine()
+	if err != nil {
+		log.Fatalf("matrix-reuse: %v", err)
+	}
+	if emit == nil {
+		fmt.Println("== Pair-matrix lifecycle: scratch vs dirty-row rebuild vs cache hit ==")
+		fmt.Printf("%-10s %-18s %12s\n", "signature", "variant", "millis")
+	}
+	for _, sweep := range []struct {
+		name string
+		e    *core.Engine
+	}{{"lda", st.Engine}, {"frequency", freq}} {
+		matrixReuseSweep(sweep.name, sweep.e, emit)
+	}
+	if emit == nil {
+		fmt.Println()
+	}
+}
+
+// serverFrequencyEngine builds the engine the analysis server builds over
+// its generated corpus: datagen.Small's fully-described groups of at least
+// 5 tuples with tag-frequency signatures (400 tags, about 13 non-zeros per
+// group). It does not follow -scale: frequency signatures of the paper
+// corpus would span its 12,000-tag vocabulary, over 400 MB of weights.
+func serverFrequencyEngine() (*core.Engine, error) {
+	w, err := datagen.Generate(datagen.Small())
+	if err != nil {
+		return nil, err
+	}
+	s, err := store.New(w.Dataset)
+	if err != nil {
+		return nil, err
+	}
+	gs := (&groups.Enumerator{Store: s, MinTuples: 5}).FullyDescribed()
+	return core.NewEngine(s, gs, signature.SummarizeAll(signature.NewFrequency(s), s, gs))
+}
+
+// matrixReuseSweep times the lifecycle of one engine's tag-diversity
+// matrix and reports it under the signature form's name.
+func matrixReuseSweep(name string, e *core.Engine, emit *jsonEmitter) {
+	gs := e.Groups
+	n := len(gs)
+	pair := e.PairFunc(mining.Tags, mining.Diversity)
 
 	timeIt := func(reps int, f func()) time.Duration {
 		start := time.Now()
@@ -469,38 +514,37 @@ func runMatrixReuse(st *experiments.Setup, emit *jsonEmitter) {
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rebuilt.At(i, j) != scratch.At(i, j) {
-				log.Fatalf("matrix-reuse: rebuild diverged from scratch at (%d,%d): %v != %v",
-					i, j, rebuilt.At(i, j), scratch.At(i, j))
+				log.Fatalf("matrix-reuse %s: rebuild diverged from scratch at (%d,%d): %v != %v",
+					name, i, j, rebuilt.At(i, j), scratch.At(i, j))
 			}
 		}
 	}
 
 	// Shared-cache hit: the first PairMatrix call materializes, every
 	// later one (same engine, any replica adopting its cache) is a lookup.
-	cached := st.Engine.PairMatrix(mining.Tags, mining.Diversity)
-	hitPer := timeIt(1000, func() { cached = st.Engine.PairMatrix(mining.Tags, mining.Diversity) })
+	cached := e.PairMatrix(mining.Tags, mining.Diversity)
+	hitPer := timeIt(1000, func() { cached = e.PairMatrix(mining.Tags, mining.Diversity) })
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if cached.At(i, j) != scratch.At(i, j) {
-				log.Fatalf("matrix-reuse: cached matrix diverged from scratch at (%d,%d)", i, j)
+				log.Fatalf("matrix-reuse %s: cached matrix diverged from scratch at (%d,%d)", name, i, j)
 			}
 		}
 	}
 
 	speedup := float64(coldPer) / float64(rebuildPer)
-	if emit != nil {
-		emit.record(benchRecord{Bench: "matrix-reuse", NumGroups: n, Variant: "scratch", Millis: millis(coldPer)})
-		emit.record(benchRecord{Bench: "matrix-reuse", NumGroups: n, Variant: "rebuild-1-dirty", Millis: millis(rebuildPer)})
-		emit.record(benchRecord{Bench: "matrix-reuse", NumGroups: n, Variant: "cache-hit", Millis: millis(hitPer)})
-	} else {
-		fmt.Println("== Pair-matrix lifecycle: scratch vs dirty-row rebuild vs cache hit ==")
-		fmt.Printf("%-18s %12s\n", "variant", "millis")
-		fmt.Printf("%-18s %12.4f\n", "scratch", millis(coldPer))
-		fmt.Printf("%-18s %12.4f\n", "rebuild-1-dirty", millis(rebuildPer))
-		fmt.Printf("%-18s %12.4f\n", "cache-hit", millis(hitPer))
-		fmt.Printf("rebuild speedup over scratch: %.1fx (%d groups)\n\n", speedup, n)
+	rows := []struct {
+		variant string
+		d       time.Duration
+	}{{"scratch", coldPer}, {"rebuild-1-dirty", rebuildPer}, {"cache-hit", hitPer}}
+	for _, r := range rows {
+		if emit != nil {
+			emit.record(benchRecord{Bench: "matrix-reuse", Sweep: name, NumGroups: n, Variant: r.variant, Millis: millis(r.d)})
+		} else {
+			fmt.Printf("%-10s %-18s %12.4f\n", name, r.variant, millis(r.d))
+		}
 	}
-	fmt.Fprintf(os.Stderr, "matrix-reuse: %d groups, rebuild %.1fx cheaper than scratch\n", n, speedup)
+	fmt.Fprintf(os.Stderr, "matrix-reuse %s: %d groups, rebuild %.1fx cheaper than scratch\n", name, n, speedup)
 }
 
 // --- sparse-corpus union kernels ---

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 
 	"math"
 	"strings"
@@ -493,6 +494,29 @@ func TestApproxNeverBeatsExact(t *testing.T) {
 		}
 		if res.Found && res.Objective > exact.Objective+1e-9 {
 			t.Fatalf("problem %d: approx %v beats exact %v", id, res.Objective, exact.Objective)
+		}
+	}
+}
+
+// TestNewEngineRejectsInvalidSignatures: signatures of unequal length, or
+// with a NaN or ±Inf weight, fail engine construction with the typed
+// error instead of surfacing at solve time.
+func TestNewEngineRejectsInvalidSignatures(t *testing.T) {
+	e := buildEngine(t)
+	for _, c := range []struct {
+		name   string
+		mutate func(w []float64) []float64
+	}{
+		{"ragged", func(w []float64) []float64 { return w[:len(w)-1] }},
+		{"nan", func(w []float64) []float64 { w[0] = math.NaN(); return w }},
+		{"inf", func(w []float64) []float64 { w[len(w)-1] = math.Inf(-1); return w }},
+	} {
+		sigs := append([]signature.Signature(nil), e.Sigs...)
+		sigs[3] = signature.Signature{Weights: c.mutate(append([]float64(nil), sigs[3].Weights...))}
+		_, err := NewEngine(e.Store, e.Groups, sigs)
+		var inv *signature.InvalidError
+		if !errors.As(err, &inv) || inv.Index != 3 {
+			t.Fatalf("%s: NewEngine error %v, want *signature.InvalidError for signature 3", c.name, err)
 		}
 	}
 }

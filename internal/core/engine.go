@@ -17,6 +17,11 @@ type Engine struct {
 	Groups []*groups.Group
 	Sigs   []signature.Signature
 
+	// sigs is the sparse view of Sigs, built and validated once by
+	// NewEngine (so Sigs must not change afterwards): the tag measure's
+	// cosine and SM-LSH's hash vectors both read it.
+	sigs *signature.Sparse
+
 	// cache is the matrix lifecycle this engine scores through: pair
 	// matrices build lazily (single-flight) on first use, pair-function
 	// overrides live beside them, and a budget bounds residency. A fresh
@@ -33,7 +38,9 @@ type pairKey struct {
 }
 
 // NewEngine prepares an engine. Groups must carry their enumeration IDs
-// (0..len-1) and sigs must be indexed by group ID.
+// (0..len-1) and sigs must be indexed by group ID, all of one length and
+// with finite weights; a signature set that breaks either is rejected with
+// a *signature.InvalidError.
 func NewEngine(s *store.Store, gs []*groups.Group, sigs []signature.Signature) (*Engine, error) {
 	if len(gs) != len(sigs) {
 		return nil, fmt.Errorf("core: %d groups but %d signatures", len(gs), len(sigs))
@@ -43,10 +50,15 @@ func NewEngine(s *store.Store, gs []*groups.Group, sigs []signature.Signature) (
 			return nil, fmt.Errorf("core: group at position %d has ID %d; re-enumerate before building the engine", i, g.ID)
 		}
 	}
+	view, err := signature.NewSparse(sigs)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	e := &Engine{
 		Store:  s,
 		Groups: gs,
 		Sigs:   sigs,
+		sigs:   view,
 		cache:  newMatrixCache(),
 	}
 	return e, nil
@@ -84,7 +96,7 @@ func (e *Engine) PairFunc(dim mining.Dimension, meas mining.Measure) mining.Pair
 	if f, ok := e.cache.override(pairKey{dim, meas}); ok {
 		return f
 	}
-	return mining.For(e.Store, e.Sigs, dim, meas).Pair
+	return mining.For(e.Store, e.sigs, dim, meas).Pair
 }
 
 // SetPairFunc overrides the concrete measure for one (dimension, measure)

@@ -226,7 +226,11 @@ func (c *MatrixCache) AttachCarry(prev *MatrixCache, dirty []bool) {
 // carryFor returns the previous epoch's matrix for a binding plus the
 // dirty flags to rebuild against, or (nil, nil) when no valid carry
 // exists: no parent, a pair-function override on either side (carried
-// entries embody the default measure), or a shape mismatch.
+// entries embody the default measure), or a shape mismatch. When the
+// previous epoch is still building the binding, carryFor waits for that
+// build instead of giving up: rebuilding the dirty rows of its result
+// costs a fraction of the scratch build this epoch would otherwise pay. A
+// parent build that a SetPairFunc invalidated leaves no carry.
 func (c *MatrixCache) carryFor(k pairKey) (*mining.PairMatrix, []bool) {
 	c.mu.Lock()
 	parent, dirty := c.parent, c.parentDirty
@@ -236,15 +240,24 @@ func (c *MatrixCache) carryFor(k pairKey) (*mining.PairMatrix, []bool) {
 		return nil, nil
 	}
 	parent.mu.Lock()
-	defer parent.mu.Unlock()
-	if _, ok := parent.overrides[k]; ok {
+	_, parentOverridden := parent.overrides[k]
+	ent, built := parent.entries[k]
+	fl, building := parent.inflight[k]
+	parent.mu.Unlock()
+	var m *mining.PairMatrix
+	switch {
+	case parentOverridden:
+		return nil, nil
+	case built:
+		m = ent.m
+	case building:
+		<-fl.done
+		m = fl.m
+	}
+	if m == nil || m.Len() != len(dirty) {
 		return nil, nil
 	}
-	ent, ok := parent.entries[k]
-	if !ok || ent.m.Len() != len(dirty) {
-		return nil, nil
-	}
-	return ent.m, dirty
+	return m, dirty
 }
 
 // lookup returns the cached matrix for a binding without building,

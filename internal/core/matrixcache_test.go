@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"tagdm/internal/groups"
 	"tagdm/internal/mining"
@@ -264,5 +265,62 @@ func TestAttachCarryFoldsThroughQuietEpoch(t *testing.T) {
 	next.Cache().AttachCarry(quiet.Cache(), make([]bool, len(quiet.Groups)))
 	if _, outcome := next.pairMatrixTracked(mining.Tags, mining.Diversity); outcome != matrixRebuilt {
 		t.Fatalf("carry did not fold through the quiet epoch: outcome %d", outcome)
+	}
+}
+
+// TestCarryWaitsForParentBuild: a new epoch whose previous epoch is still
+// building a binding must wait for that build and rebuild only its dirty
+// rows from the result, not build from scratch beside it. The parent's
+// build is held open while the child starts; the child must report a
+// rebuild, and its matrix must be bit-identical to a scratch build.
+func TestCarryWaitsForParentBuild(t *testing.T) {
+	const dim, meas = mining.Tags, mining.Diversity
+	prev := buildEngine(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	parentDone := make(chan struct{})
+	go func() {
+		defer close(parentDone)
+		prev.cache.matrix(pairKey{dim, meas}, func(*mining.PairMatrix, []bool) *mining.PairMatrix {
+			close(entered)
+			<-release
+			return mining.NewPairMatrix(prev.Groups, prev.PairFunc(dim, meas), 0)
+		})
+	}()
+	<-entered
+
+	next := buildEngine(t)
+	dirty := make([]bool, len(prev.Groups))
+	dirty[1] = true
+	next.Cache().AttachCarry(prev.Cache(), dirty)
+	type served struct {
+		m       *mining.PairMatrix
+		outcome matrixOutcome
+	}
+	child := make(chan served, 1)
+	go func() {
+		m, outcome := next.pairMatrixTracked(dim, meas)
+		child <- served{m, outcome}
+	}()
+	// Give the child time to reach the parent's in-flight build; without
+	// the wait it would finish a scratch build here.
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case got := <-child:
+		t.Fatalf("child served (outcome %d) while the parent's build was held", got.outcome)
+	default:
+	}
+	close(release)
+	<-parentDone
+	got := <-child
+	if got.outcome != matrixRebuilt {
+		t.Fatalf("child outcome %d, want rebuild from the parent's build", got.outcome)
+	}
+	want := mining.NewPairMatrix(next.Groups, next.PairFunc(dim, meas), 0)
+	for i := 0; i < want.Len(); i++ {
+		for j := i + 1; j < want.Len(); j++ {
+			if math.Float64bits(got.m.At(i, j)) != math.Float64bits(want.At(i, j)) {
+				t.Fatalf("rebuilt matrix differs from scratch at (%d,%d)", i, j)
+			}
+		}
 	}
 }

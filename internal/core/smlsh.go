@@ -270,13 +270,26 @@ func (e *Engine) foldFlags(spec ProblemSpec, mode ConstraintMode) (foldUsers, fo
 // normalized on its own (Section 4.3), so groups that agree on those
 // attributes tend to collide. Each value is what normalizing the dense
 // block would give: a block's norm sums the squares of its non-zero
-// coordinates in ascending order, which equals the dense sum. Every
-// group's signature must be as long as group 0's.
+// coordinates in ascending order, which equals the dense sum. The
+// signature block copies each group's non-zeros and norm from the
+// engine's sparse view. Nothing here can fail, since NewEngine validated
+// the signatures; the error result matches the sign-bit build it feeds.
 func (e *Engine) buildHashVectors(foldUsers, foldItems bool) (*lsh.Sparse, error) {
 	us, is := e.Store.UserSchema, e.Store.ItemSchema
 	uOffs, iOffs := us.OneHotOffsets(), is.OneHotOffsets()
 	uDim, iDim := us.TotalCardinality(), is.TotalCardinality()
-	v := &lsh.Sparse{Start: make([]int, 1, len(e.Groups)+1)}
+	nnz := e.sigs.NNZ()
+	if foldUsers {
+		nnz += len(e.Groups) * us.Len()
+	}
+	if foldItems {
+		nnz += len(e.Groups) * is.Len()
+	}
+	v := &lsh.Sparse{
+		Start: make([]int, 1, len(e.Groups)+1),
+		Index: make([]int32, 0, nnz),
+		Value: make([]float64, 0, nnz),
+	}
 	// oneHot appends the block of schema attribute values a group has set:
 	// a 1 at offs[a]+value-1 for each, all divided by the block's norm.
 	oneHot := func(n int, offs []int, value func(a int) model.ValueCode) {
@@ -291,10 +304,6 @@ func (e *Engine) buildHashVectors(foldUsers, foldItems bool) (*lsh.Sparse, error
 			v.Value = append(v.Value, 1/norm)
 		}
 	}
-	sigDim := 0
-	if len(e.Sigs) > 0 {
-		sigDim = len(e.Sigs[0].Weights)
-	}
 	for gi, g := range e.Groups {
 		v.Dim = 0
 		if foldUsers {
@@ -305,25 +314,16 @@ func (e *Engine) buildHashVectors(foldUsers, foldItems bool) (*lsh.Sparse, error
 			oneHot(is.Len(), iOffs, g.ItemValue)
 			v.Dim += iDim
 		}
-		w := e.Sigs[gi].Weights
-		if len(w) != sigDim {
-			return nil, fmt.Errorf("core: group %d signature has dim %d, want %d", gi, len(w), sigDim)
-		}
-		lo := len(v.Index)
-		var sq float64
-		for c, x := range w {
-			if x != 0 {
-				v.Index = append(v.Index, int32(v.Dim+c))
-				v.Value = append(v.Value, x)
-				sq += x * x
+		w, norm := e.sigs.Weights(gi), e.sigs.Norm(gi)
+		for _, c := range e.sigs.Nonzeros(gi) {
+			x := w[c]
+			if norm != 0 {
+				x /= norm
 			}
+			v.Index = append(v.Index, int32(v.Dim)+c)
+			v.Value = append(v.Value, x)
 		}
-		if norm := math.Sqrt(sq); norm != 0 {
-			for k := range v.Value[lo:] {
-				v.Value[lo+k] /= norm
-			}
-		}
-		v.Dim += sigDim
+		v.Dim += e.sigs.Dim()
 		v.Start = append(v.Start, len(v.Index))
 	}
 	return v, nil

@@ -2,10 +2,12 @@ package incremental
 
 import (
 	"context"
-
+	"fmt"
+	"math"
 	"testing"
 
 	"tagdm/internal/core"
+	"tagdm/internal/datagen"
 	"tagdm/internal/groups"
 	"tagdm/internal/model"
 	"tagdm/internal/signature"
@@ -493,5 +495,71 @@ func TestRestoreContinuesIngest(t *testing.T) {
 	}
 	if snap.Version != r.Version() {
 		t.Fatalf("snapshot version = %d", snap.Version)
+	}
+}
+
+// TestSnapshotSchemasFrozen: a snapshot's attribute dictionaries must not
+// grow when the live dataset later interns unseen values. SM-LSH-Fo sizes
+// its one-hot blocks, and so its plane draw, from them, so its answer on
+// the snapshot must stay byte-identical to one computed before the ingest.
+func TestSnapshotSchemasFrozen(t *testing.T) {
+	w, err := datagen.Generate(datagen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := w.Dataset
+	m, err := New(ds, 5, signature.FrequencyOfSize(ds.Vocab.Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	userCard, itemCard := snap.Store.UserSchema.TotalCardinality(), snap.Store.ItemSchema.TotalCardinality()
+	spec, err := core.PaperProblem(1, 3, 15, 0.5, 0.5) // folds user and item similarity
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.LSHOptions{DPrime: 10, L: 2, Seed: 1, Mode: core.Fold}
+	answer := func(e *core.Engine) string {
+		r, err := e.SMLSH(context.Background(), spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%v %v %x %d %d", r.Found, r.Describe(snap.Store), math.Float64bits(r.Objective), r.Support, r.CandidatesExamined)
+	}
+	// The reference solves on a second engine over the same snapshot, so
+	// the snapshot's own engine is still cold when the ingest lands.
+	ref, err := core.NewEngine(snap.Store, snap.Groups, snap.Engine.Sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answer(ref)
+
+	unseen := func(s *model.Schema) map[string]string {
+		attrs := make(map[string]string, s.Len())
+		for _, name := range s.Names() {
+			attrs[name] = "unseen-" + name
+		}
+		return attrs
+	}
+	if _, err := ds.AddUser(unseen(ds.UserSchema)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.AddItem(unseen(ds.ItemSchema)); err != nil {
+		t.Fatal(err)
+	}
+	if got := ds.UserSchema.TotalCardinality(); got == userCard {
+		t.Fatalf("live user schema did not grow (%d values)", got)
+	}
+	if got := snap.Store.UserSchema.TotalCardinality(); got != userCard {
+		t.Fatalf("snapshot user schema grew from %d to %d values", userCard, got)
+	}
+	if got := snap.Store.ItemSchema.TotalCardinality(); got != itemCard {
+		t.Fatalf("snapshot item schema grew from %d to %d values", itemCard, got)
+	}
+	if got := answer(snap.Engine); got != want {
+		t.Fatalf("SM-LSH-Fo answer after live ingest of unseen values:\n got %s\nwant %s", got, want)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"tagdm/internal/groups"
 	"tagdm/internal/signature"
 	"tagdm/internal/store"
-	"tagdm/internal/vec"
 )
 
 // Dimension is a tagging behavior dimension b (Definition 2).
@@ -217,11 +216,12 @@ func jaccard(a, b map[int32]struct{}) float64 {
 }
 
 // TagCosine returns the pair similarity on the tag dimension: cosine between
-// the groups' tag signatures (Section 2.1.2), clamped to [0, 1]. Signatures
-// are indexed by group ID.
-func TagCosine(sigs []signature.Signature) PairFunc {
+// the groups' tag signatures (Section 2.1.2), clamped to [0, 1]. The view
+// is indexed by group ID; its cosine reads cached norms and walks
+// non-zeros, bit-identical to vec.Cosine over the dense weights.
+func TagCosine(sigs *signature.Sparse) PairFunc {
 	return func(g1, g2 *groups.Group) float64 {
-		c := vec.Cosine(sigs[g1.ID].Weights, sigs[g2.ID].Weights)
+		c := sigs.Cosine(g1.ID, g2.ID)
 		if c < 0 {
 			c = 0
 		}
@@ -232,7 +232,7 @@ func TagCosine(sigs []signature.Signature) PairFunc {
 // For returns the standard pair function for a dimension/measure binding as
 // used in the paper's experiments: structural distance on users and items,
 // signature cosine on tags, with diversity as the inverse of similarity.
-func For(s *store.Store, sigs []signature.Signature, dim Dimension, meas Measure) Func {
+func For(s *store.Store, sigs *signature.Sparse, dim Dimension, meas Measure) Func {
 	var sim PairFunc
 	switch dim {
 	case Users:

@@ -11,6 +11,17 @@ import (
 	"tagdm/internal/store"
 )
 
+// frequencyView summarizes gs by tag frequency and returns the sparse view
+// the tag measure reads.
+func frequencyView(t *testing.T, s *store.Store, gs []*groups.Group) *signature.Sparse {
+	t.Helper()
+	v, err := signature.NewSparse(signature.SummarizeAll(signature.NewFrequency(s), s, gs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func world(t *testing.T) (*store.Store, []*groups.Group) {
 	t.Helper()
 	d := model.NewDataset(
@@ -151,7 +162,7 @@ func TestJaccard(t *testing.T) {
 
 func TestTagCosinePair(t *testing.T) {
 	s, gs := world(t)
-	sigs := signature.SummarizeAll(signature.NewFrequency(s), s, gs)
+	sigs := frequencyView(t, s, gs)
 	pair := TagCosine(sigs)
 	a := findByDesc(t, s, gs, "director=cameron")   // gun x2, fight x2
 	b := findByDesc(t, s, gs, "director=spielberg") // gun x2, war x1
@@ -189,7 +200,7 @@ func TestFuncEvalAggregation(t *testing.T) {
 
 func TestForBindsAllDimensions(t *testing.T) {
 	s, gs := world(t)
-	sigs := signature.SummarizeAll(signature.NewFrequency(s), s, gs)
+	sigs := frequencyView(t, s, gs)
 	for _, dim := range []Dimension{Users, Items, Tags} {
 		for _, meas := range []Measure{Similarity, Diversity} {
 			f := For(s, sigs, dim, meas)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tagdm/internal/groups"
-	"tagdm/internal/signature"
 )
 
 // syntheticUniverse fabricates n ID-only groups plus a deterministic
@@ -30,7 +29,7 @@ func syntheticUniverse(n int, seed int64) ([]*groups.Group, PairFunc) {
 
 func TestPairMatrixMatchesPairFunc(t *testing.T) {
 	s, gs := world(t)
-	sigs := signature.SummarizeAll(signature.NewFrequency(s), s, gs)
+	sigs := frequencyView(t, s, gs)
 	for _, dim := range []Dimension{Users, Items, Tags} {
 		for _, meas := range []Measure{Similarity, Diversity} {
 			f := For(s, sigs, dim, meas)

@@ -10,6 +10,8 @@ package model
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -81,6 +83,13 @@ func (a *Attribute) Cardinality() int {
 	return len(a.values)
 }
 
+// clone copies the attribute and its dictionary.
+func (a *Attribute) clone() *Attribute {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return &Attribute{Name: a.Name, values: slices.Clone(a.values), codes: maps.Clone(a.codes)}
+}
+
 // Values returns a copy of the dictionary in code order.
 func (a *Attribute) Values() []string {
 	a.mu.RLock()
@@ -112,6 +121,18 @@ func (s *Schema) mustAdd(name string) {
 	}
 	s.index[name] = len(s.attrs)
 	s.attrs = append(s.attrs, NewAttribute(name))
+}
+
+// Clone returns a deep copy of the schema: each attribute's value
+// dictionary is copied, so values interned into either schema afterwards
+// do not show in the other. The name index is shared; it never changes
+// after NewSchema.
+func (s *Schema) Clone() *Schema {
+	out := &Schema{attrs: make([]*Attribute, len(s.attrs)), index: s.index}
+	for i, a := range s.attrs {
+		out.attrs[i] = a.clone()
+	}
+	return out
 }
 
 // Len is the number of attributes.

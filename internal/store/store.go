@@ -136,15 +136,18 @@ func (s *Store) Append(d *model.Dataset, a model.TaggingAction) error {
 
 // Clone returns a deep copy of the store that later Appends to s cannot
 // touch: column vectors, per-tuple payloads and posting bitmaps are all
-// copied. Schemas and the vocabulary are shared — they are append-only
-// dictionaries and safe for concurrent use — and the per-tuple tag slices
-// are shared because they are immutable once appended. Clone is what makes
+// copied. The schemas are copied too, so a later ingest that interns an
+// unseen attribute value cannot change the clone's one-hot sizes (which
+// SM-LSH-Fo's plane draw depends on). The vocabulary is shared — it is an
+// append-only dictionary, safe for concurrent use, and snapshot consumers
+// size by a frozen vocabulary size — and the per-tuple tag slices are
+// shared because they are immutable once appended. Clone is what makes
 // snapshot-isolated readers possible while a Maintainer keeps inserting
 // (see internal/incremental.Maintainer.Snapshot).
 func (s *Store) Clone() *Store {
 	out := &Store{
-		UserSchema: s.UserSchema,
-		ItemSchema: s.ItemSchema,
+		UserSchema: s.UserSchema.Clone(),
+		ItemSchema: s.ItemSchema.Clone(),
 		Vocab:      s.Vocab,
 		userCols:   make([][]model.ValueCode, len(s.userCols)),
 		itemCols:   make([][]model.ValueCode, len(s.itemCols)),

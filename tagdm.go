@@ -75,6 +75,9 @@ type (
 	Summarizer = signature.Summarizer
 	// Signature is a group tag signature vector.
 	Signature = signature.Signature
+	// InvalidSignatureError is the error an analysis reports when its
+	// signatures differ in length or carry a NaN or ±Inf weight.
+	InvalidSignatureError = signature.InvalidError
 	// Store is the columnar tagging-action store a Summarizer reads from.
 	Store = store.Store
 	// Group is one describable tagging action group.

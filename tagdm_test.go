@@ -1,6 +1,8 @@
 package tagdm
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -187,5 +189,39 @@ func TestRecommenderThroughFacade(t *testing.T) {
 	}
 	if _, err := rec.Suggest(act.User, 99999, 3); err == nil {
 		t.Fatal("unknown item accepted")
+	}
+}
+
+// faultySummarizer wraps a summarizer and damages one group's signature.
+type faultySummarizer struct {
+	Summarizer
+	group  int
+	damage func(w []float64) []float64
+}
+
+func (f faultySummarizer) Summarize(s *Store, g *Group) Signature {
+	sig := f.Summarizer.Summarize(s, g)
+	if g.ID == f.group {
+		sig.Weights = f.damage(append([]float64(nil), sig.Weights...))
+	}
+	return sig
+}
+
+// TestAnalysisRejectsInvalidCustomSignatures: a CustomSummarizer that
+// returns a signature of the wrong length or with a non-finite weight
+// fails NewAnalysis with an InvalidSignatureError naming the group.
+func TestAnalysisRejectsInvalidCustomSignatures(t *testing.T) {
+	ds := smallDataset(t)
+	freq := mustFrequency(t, ds)
+	for name, damage := range map[string]func(w []float64) []float64{
+		"longer": func(w []float64) []float64 { return append(w, 1) },
+		"nan":    func(w []float64) []float64 { w[1] = math.NaN(); return w },
+		"inf":    func(w []float64) []float64 { w[0] = math.Inf(1); return w },
+	} {
+		_, err := NewAnalysis(ds, Options{CustomSummarizer: faultySummarizer{freq, 2, damage}})
+		var inv *InvalidSignatureError
+		if !errors.As(err, &inv) || inv.Index != 2 {
+			t.Fatalf("%s: NewAnalysis error %v, want *InvalidSignatureError for group 2", name, err)
+		}
 	}
 }
