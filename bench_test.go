@@ -649,9 +649,10 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalRefresh measures the cost of re-summarizing after a
-// batch of 100 inserts, amortized.
-func BenchmarkIncrementalRefresh(b *testing.B) {
+// BenchmarkIncrementalSnapshot measures the cost of a snapshot (changed
+// groups re-summarized, store deep-copied, engine built) after a batch of
+// 100 inserts, amortized.
+func BenchmarkIncrementalSnapshot(b *testing.B) {
 	cfg := datagen.Small()
 	world, err := datagen.Generate(cfg)
 	if err != nil {
@@ -678,7 +679,7 @@ func BenchmarkIncrementalRefresh(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := m.Refresh(); err != nil {
+		if _, err := m.Snapshot(); err != nil {
 			b.Fatal(err)
 		}
 	}

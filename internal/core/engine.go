@@ -26,9 +26,9 @@ type Engine struct {
 	// matrices build lazily (single-flight) on first use, pair-function
 	// overrides live beside them, and a budget bounds residency. A fresh
 	// engine gets a private cache, which every concurrent solve and shard
-	// partial on the engine shares; Maintainer.Snapshot links successive
-	// epochs' caches so clean rows carry over instead of rebuilding from
-	// scratch.
+	// partial on the engine shares; Maintainer.Snapshot links every
+	// epoch's cache to one shared Carry so clean rows carry over instead
+	// of rebuilding from scratch.
 	cache *MatrixCache
 }
 
@@ -65,7 +65,7 @@ func NewEngine(s *store.Store, gs []*groups.Group, sigs []signature.Signature) (
 }
 
 // Cache exposes the engine's matrix cache for lifecycle wiring: budget
-// configuration, epoch carry-over (MatrixCache.AttachCarry) and stats
+// configuration, epoch carry-over (MatrixCache.UseCarry) and stats
 // export. Solvers never touch it directly.
 func (e *Engine) Cache() *MatrixCache { return e.cache }
 
@@ -127,7 +127,7 @@ func (e *Engine) PairMatrix(dim mining.Dimension, meas mining.Measure) *mining.P
 // pairMatrixTracked is PairMatrix plus the cache-outcome report solvers
 // aggregate into Result.MatrixBuilds/MatrixRebuilds/MatrixHits: exactly
 // one caller per physical materialization observes matrixBuilt (scratch)
-// or matrixRebuilt (dirty-row carry from the previous epoch); everyone
+// or matrixRebuilt (dirty-row carry from another epoch); everyone
 // else — including callers that waited on that build — observes
 // matrixHit.
 func (e *Engine) pairMatrixTracked(dim mining.Dimension, meas mining.Measure) (*mining.PairMatrix, matrixOutcome) {
@@ -233,7 +233,7 @@ type Result struct {
 	Stages []Stage
 	// MatrixBuilds counts pair matrices this run physically materialized
 	// from scratch; MatrixRebuilds counts physical materializations that
-	// reused clean rows carried from the previous snapshot epoch (a
+	// reused clean rows carried from another snapshot epoch (a
 	// subset of the same cost class, far cheaper). MatrixHits counts
 	// bindings served from the engine cache, including callers that
 	// waited on another solve's in-flight build; MatrixLazy counts

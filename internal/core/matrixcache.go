@@ -11,18 +11,18 @@ import (
 // MatrixCache is the shared pair-matrix lifecycle behind one snapshot
 // epoch's engines: the per-binding matrices, the pair-function overrides,
 // a single-flight build coordinator, an optional memory budget with LRU
-// eviction, the carry link to the previous epoch's cache, and the epoch's
-// SM-LSH sign bits: one table per (fold flags, L·DPrime, seed), computed
-// once in a single dot-product pass that every shard and relaxation round
-// of every request then slices.
+// eviction, the link to its maintainer's Carry, and the epoch's SM-LSH
+// sign bits: one table per (fold flags, L·DPrime, seed), computed once in
+// a single dot-product pass that every shard and relaxation round of every
+// request then slices.
 //
 // Every shard partial of a solve, and every concurrent request, scores
 // through the one published engine's cache, so each binding is built
 // once per epoch. A cache may also serve a deep-copied replica of its
 // snapshot (Snapshot.Replicate via AdoptCache; replicas are bit-identical,
 // so their matrices are too). Engines of different snapshots must not
-// share a cache — carry across epochs goes through AttachCarry instead,
-// which reuses clean rows rather than whole matrices.
+// share a cache — carry across epochs goes through a shared Carry
+// instead, which reuses clean rows rather than whole matrices.
 //
 // Outcome accounting: exactly one caller per (binding, epoch) observes
 // matrixBuilt or matrixRebuilt — the one whose build closure ran — and
@@ -45,16 +45,16 @@ type MatrixCache struct {
 	// unchanged, so a racing override is never shadowed by a stale build.
 	vers map[pairKey]uint64
 
-	budget    int64 // max resident matrix bytes; 0 = unlimited
-	bytes     int64 // current resident matrix bytes
-	evictions uint64
-	tick      uint64 // LRU clock; bumped on every entry touch
+	budget    int64          // max resident matrix bytes; 0 = unlimited
+	bytes     int64          // current resident matrix bytes
+	evictions *atomic.Uint64 // the carry's counter once one is linked
+	tick      uint64         // LRU clock; bumped on every entry touch
 
-	// Carry link: the previous epoch's cache plus the dirty flags (indexed
-	// by its group IDs) marking which carried groups changed. Builds
-	// consult it once per binding, then results are this epoch's own.
-	parent      *MatrixCache
-	parentDirty []bool
+	// Carry link (nil for a standalone engine): the maintainer's shared
+	// record plus this epoch's version and per-group change stamps.
+	carry   *Carry
+	version int64
+	stamps  []int64
 
 	// Epoch-scoped SM-LSH sign bits, one table per lshKey. A table
 	// depends only on the engine's groups, signatures, the spec's fold
@@ -119,6 +119,7 @@ func newMatrixCache() *MatrixCache {
 		inflight:  make(map[pairKey]*inflightBuild),
 		overrides: make(map[pairKey]mining.PairFunc),
 		vers:      make(map[pairKey]uint64),
+		evictions: new(atomic.Uint64),
 		lsh:       make(map[lshKey]*lshEntry),
 	}
 }
@@ -130,9 +131,9 @@ type MatrixCacheStats struct {
 	Bytes int64
 	// Entries is the resident matrix count.
 	Entries int
-	// Evictions counts budget evictions, cumulative across the epochs a
-	// carry chain spans (AttachCarry inherits the previous epoch's count
-	// so the exported counter stays monotonic over snapshot publication).
+	// Evictions counts budget evictions. A cache linked to a Carry reports
+	// the carry's count, summed over every snapshot of its maintainer, so
+	// the exported counter stays monotonic over snapshot publication.
 	Evictions uint64
 }
 
@@ -140,7 +141,81 @@ type MatrixCacheStats struct {
 func (c *MatrixCache) Stats() MatrixCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return MatrixCacheStats{Bytes: c.bytes, Entries: len(c.entries), Evictions: c.evictions}
+	return MatrixCacheStats{Bytes: c.bytes, Entries: len(c.entries), Evictions: c.evictions.Load()}
+}
+
+// Carry is the matrix record every snapshot of one maintainer shares: per
+// binding, the newest finished default-measure matrix and the change
+// stamps of the epoch that built it. A group's stamp is the maintainer
+// version at which it was activated or last received a tuple; group IDs
+// are stable and append-only, so epochs that agree on a stamp agree on the
+// group's predicate and signature. A build rebuilds the carried matrix's
+// rows whose stamp differs or that it lacks (bit-identical to a scratch
+// build) and, once published, offers its result back. No epoch waits on
+// another: while the newest one builds, the next-newest matrix serves. An
+// evicted matrix leaves the carry, so a budget still bounds what it pins.
+type Carry struct {
+	mu        sync.Mutex
+	newest    map[pairKey]carried
+	evictions atomic.Uint64
+}
+
+// carried is one binding's entry in a Carry.
+type carried struct {
+	m       *mining.PairMatrix
+	version int64
+	stamps  []int64
+}
+
+// NewCarry returns an empty carry record.
+func NewCarry() *Carry { return &Carry{newest: make(map[pairKey]carried)} }
+
+// take returns the carried matrix for k and its dirty flags against
+// stamps, indexed by the carried matrix's group IDs: a group is dirty when
+// its stamp differs or the new universe lacks it. (nil, nil) when nothing
+// is carried.
+func (cr *Carry) take(k pairKey, stamps []int64) (*mining.PairMatrix, []bool) {
+	cr.mu.Lock()
+	e, ok := cr.newest[k]
+	cr.mu.Unlock()
+	if !ok {
+		return nil, nil
+	}
+	dirty := make([]bool, len(e.stamps))
+	for i, s := range e.stamps {
+		dirty[i] = i >= len(stamps) || stamps[i] != s
+	}
+	return e.m, dirty
+}
+
+// offer records m, built at version over stamps, unless the carry already
+// holds a newer epoch's matrix for k.
+func (cr *Carry) offer(k pairKey, m *mining.PairMatrix, version int64, stamps []int64) {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	if e, ok := cr.newest[k]; !ok || e.version <= version {
+		cr.newest[k] = carried{m: m, version: version, stamps: stamps}
+	}
+}
+
+// evicted drops m from the carry if it is k's carried matrix.
+func (cr *Carry) evicted(k pairKey, m *mining.PairMatrix) {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	if cr.newest[k].m == m {
+		delete(cr.newest, k)
+	}
+}
+
+// UseCarry links this (fresh) cache to carry. version is the maintainer
+// version of the epoch and stamps[i] the change stamp of group i; the
+// cache keeps stamps, so the caller must not modify them. Call before the
+// engine serves queries.
+func (c *MatrixCache) UseCarry(carry *Carry, version int64, stamps []int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.carry, c.version, c.stamps = carry, version, stamps
+	c.evictions = &carry.evictions
 }
 
 // SetBudget caps resident matrix bytes; 0 removes the cap. Lowering the
@@ -187,79 +262,6 @@ func (c *MatrixCache) override(k pairKey) (mining.PairFunc, bool) {
 	return f, ok
 }
 
-// AttachCarry links this (fresh) cache to the previous epoch's cache.
-// dirty is indexed by prev's group IDs and must mark every group whose
-// predicate or signature changed since prev's matrices were built; group
-// IDs are stable and append-only across epochs, so clean entries carry
-// verbatim. When prev itself built nothing but carries a parent (an epoch
-// published and replaced before any solve ran), the link folds through to
-// the grandparent with the dirty sets merged, so quiet epochs don't break
-// the chain. prev's own parent link is cut either way: at most two
-// epochs of matrices stay reachable.
-func (c *MatrixCache) AttachCarry(prev *MatrixCache, dirty []bool) {
-	if prev == nil {
-		return
-	}
-	prev.mu.Lock()
-	parent := prev
-	parentDirty := append([]bool(nil), dirty...)
-	if len(prev.entries) == 0 && len(prev.inflight) == 0 && prev.parent != nil {
-		parent = prev.parent
-		merged := append([]bool(nil), prev.parentDirty...)
-		for i := range merged {
-			if i < len(dirty) && dirty[i] {
-				merged[i] = true
-			}
-		}
-		parentDirty = merged
-	}
-	inherited := prev.evictions
-	prev.parent, prev.parentDirty = nil, nil
-	prev.mu.Unlock()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.parent, c.parentDirty = parent, parentDirty
-	c.evictions += inherited
-}
-
-// carryFor returns the previous epoch's matrix for a binding plus the
-// dirty flags to rebuild against, or (nil, nil) when no valid carry
-// exists: no parent, a pair-function override on either side (carried
-// entries embody the default measure), or a shape mismatch. When the
-// previous epoch is still building the binding, carryFor waits for that
-// build instead of giving up: rebuilding the dirty rows of its result
-// costs a fraction of the scratch build this epoch would otherwise pay. A
-// parent build that a SetPairFunc invalidated leaves no carry.
-func (c *MatrixCache) carryFor(k pairKey) (*mining.PairMatrix, []bool) {
-	c.mu.Lock()
-	parent, dirty := c.parent, c.parentDirty
-	_, overridden := c.overrides[k]
-	c.mu.Unlock()
-	if parent == nil || overridden {
-		return nil, nil
-	}
-	parent.mu.Lock()
-	_, parentOverridden := parent.overrides[k]
-	ent, built := parent.entries[k]
-	fl, building := parent.inflight[k]
-	parent.mu.Unlock()
-	var m *mining.PairMatrix
-	switch {
-	case parentOverridden:
-		return nil, nil
-	case built:
-		m = ent.m
-	case building:
-		<-fl.done
-		m = fl.m
-	}
-	if m == nil || m.Len() != len(dirty) {
-		return nil, nil
-	}
-	return m, dirty
-}
-
 // lookup returns the cached matrix for a binding without building,
 // touching the LRU clock on a hit — the gated scorer's "use what's
 // already paid for" probe.
@@ -288,9 +290,9 @@ func (c *MatrixCache) peek(k pairKey) *mining.PairMatrix {
 
 // matrix returns the binding's matrix, serving from cache, joining an
 // in-flight build, or running build itself — exactly one caller per
-// resolved build observes a non-hit outcome. build receives the carry
-// matrix and dirty flags when a valid previous-epoch entry exists (nil
-// otherwise) and must return a matrix over the current universe.
+// resolved build observes a non-hit outcome. build receives the carried
+// matrix and its dirty flags when the carry holds one (nil otherwise) and
+// must return a matrix over the current universe.
 func (c *MatrixCache) matrix(k pairKey, build func(prev *mining.PairMatrix, dirty []bool) *mining.PairMatrix) (*mining.PairMatrix, matrixOutcome) {
 	for {
 		c.mu.Lock()
@@ -312,9 +314,19 @@ func (c *MatrixCache) matrix(k pairKey, build func(prev *mining.PairMatrix, dirt
 		ver := c.vers[k]
 		fl := &inflightBuild{done: make(chan struct{})}
 		c.inflight[k] = fl
+		// An overridden binding neither takes from the carry nor offers
+		// to it: carried matrices embody the default measure.
+		carry, version, stamps := c.carry, c.version, c.stamps
+		if _, overridden := c.overrides[k]; overridden {
+			carry = nil
+		}
 		c.mu.Unlock()
 
-		prev, dirty := c.carryFor(k)
+		var prev *mining.PairMatrix
+		var dirty []bool
+		if carry != nil {
+			prev, dirty = carry.take(k, stamps)
+		}
 		m := build(prev, dirty)
 		outcome := matrixBuilt
 		if prev != nil {
@@ -331,6 +343,9 @@ func (c *MatrixCache) matrix(k pairKey, build func(prev *mining.PairMatrix, dirt
 			continue
 		}
 		c.insertLocked(k, m)
+		if carry != nil {
+			carry.offer(k, m, version, stamps)
+		}
 		fl.m = m
 		close(fl.done)
 		c.mu.Unlock()
@@ -375,7 +390,10 @@ func (c *MatrixCache) evictLocked(keep *cacheEntry) {
 		}
 		c.bytes -= cold.bytes
 		delete(c.entries, coldKey)
-		c.evictions++
+		c.evictions.Add(1)
+		if c.carry != nil {
+			c.carry.evicted(coldKey, cold.m)
+		}
 	}
 }
 

@@ -2,9 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
-	"time"
 
 	"tagdm/internal/groups"
 	"tagdm/internal/mining"
@@ -214,113 +215,175 @@ func TestSetPairFuncDropsCachedMatrix(t *testing.T) {
 	}
 }
 
-// TestAttachCarryRebuildsBitIdentical is the core-level carry contract: a
-// next-epoch engine over the same groups, attached to the previous cache
-// with an empty dirty set, must serve every binding via a rebuild (not a
-// scratch build) that is bit-identical to the previous epoch's matrix.
-func TestAttachCarryRebuildsBitIdentical(t *testing.T) {
-	prev := buildEngine(t)
-	prevMat := prev.PairMatrix(mining.Tags, mining.Diversity)
-
-	next := buildEngine(t)
-	next.Cache().AttachCarry(prev.Cache(), make([]bool, len(prev.Groups)))
-	m, outcome := next.pairMatrixTracked(mining.Tags, mining.Diversity)
-	if outcome != matrixRebuilt {
-		t.Fatalf("carried binding served with outcome %d, want rebuild", outcome)
+// stampedEngine builds the test engine and links its cache to carry as
+// the epoch at version with the given change stamps (all zero when nil).
+func stampedEngine(t *testing.T, carry *Carry, version int64, stamps []int64) *Engine {
+	t.Helper()
+	e := buildEngine(t)
+	if stamps == nil {
+		stamps = make([]int64, len(e.Groups))
 	}
-	for i := 0; i < m.Len(); i++ {
-		for j := i + 1; j < m.Len(); j++ {
-			if math.Float64bits(m.At(i, j)) != math.Float64bits(prevMat.At(i, j)) {
-				t.Fatalf("carried matrix differs at (%d,%d)", i, j)
+	e.Cache().UseCarry(carry, version, stamps)
+	return e
+}
+
+// assertScratchIdentical fails unless m is bit-identical to a scratch
+// build of the binding over e's groups.
+func assertScratchIdentical(t *testing.T, label string, e *Engine, dim mining.Dimension, meas mining.Measure, m *mining.PairMatrix) {
+	t.Helper()
+	want := mining.NewPairMatrix(e.Groups, e.PairFunc(dim, meas), 0)
+	if m.Len() != want.Len() {
+		t.Fatalf("%s: matrix over %d groups, want %d", label, m.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		for j := i + 1; j < want.Len(); j++ {
+			if math.Float64bits(m.At(i, j)) != math.Float64bits(want.At(i, j)) {
+				t.Fatalf("%s: matrix differs from scratch at (%d,%d)", label, i, j)
 			}
 		}
 	}
-	// A binding the previous epoch never built falls back to a scratch
-	// build.
+}
+
+// TestCarryRebuildsBitIdentical is the core-level carry contract: a
+// next-epoch engine over the same groups and stamps must serve every
+// carried binding via a rebuild (not a scratch build) that is
+// bit-identical to a scratch build. Overridden bindings
+// neither take from the carry nor offer to it.
+func TestCarryRebuildsBitIdentical(t *testing.T) {
+	const dim, meas = mining.Tags, mining.Diversity
+	carry := NewCarry()
+	stampedEngine(t, carry, 0, nil).PairMatrix(dim, meas)
+
+	next := stampedEngine(t, carry, 1, nil)
+	m, outcome := next.pairMatrixTracked(dim, meas)
+	if outcome != matrixRebuilt {
+		t.Fatalf("carried binding served with outcome %d, want rebuild", outcome)
+	}
+	assertScratchIdentical(t, "carried", next, dim, meas, m)
+	// A binding no epoch built falls back to a scratch build.
 	if _, outcome := next.pairMatrixTracked(mining.Users, mining.Similarity); outcome != matrixBuilt {
 		t.Fatalf("uncarried binding outcome %d, want scratch build", outcome)
 	}
 	// Overrides poison the carry: the carried matrix embodies the default
-	// measure, so an overridden binding must build from scratch.
-	third := buildEngine(t)
-	third.Cache().AttachCarry(next.Cache(), make([]bool, len(next.Groups)))
-	third.SetPairFunc(mining.Tags, mining.Diversity, func(g1, g2 *groups.Group) float64 { return 1 })
-	if _, outcome := third.pairMatrixTracked(mining.Tags, mining.Diversity); outcome != matrixBuilt {
+	// measure, so an overridden binding must build from scratch, and its
+	// matrix must not replace the carried one.
+	third := stampedEngine(t, carry, 2, nil)
+	third.SetPairFunc(dim, meas, func(g1, g2 *groups.Group) float64 { return 1 })
+	if _, outcome := third.pairMatrixTracked(dim, meas); outcome != matrixBuilt {
 		t.Fatalf("overridden binding outcome %d, want scratch build", outcome)
 	}
-}
-
-// TestAttachCarryFoldsThroughQuietEpoch: an epoch that published and was
-// replaced before any solve ran (no matrices built) must not break the
-// carry chain — the new cache folds through to the grandparent with the
-// dirty sets merged.
-func TestAttachCarryFoldsThroughQuietEpoch(t *testing.T) {
-	grand := buildEngine(t)
-	grand.PairMatrix(mining.Tags, mining.Diversity)
-
-	quiet := buildEngine(t)
-	quiet.Cache().AttachCarry(grand.Cache(), make([]bool, len(grand.Groups)))
-
-	next := buildEngine(t)
-	next.Cache().AttachCarry(quiet.Cache(), make([]bool, len(quiet.Groups)))
-	if _, outcome := next.pairMatrixTracked(mining.Tags, mining.Diversity); outcome != matrixRebuilt {
-		t.Fatalf("carry did not fold through the quiet epoch: outcome %d", outcome)
+	fourth := stampedEngine(t, carry, 3, nil)
+	m, outcome = fourth.pairMatrixTracked(dim, meas)
+	if outcome != matrixRebuilt {
+		t.Fatalf("binding after an overridden epoch served with outcome %d, want rebuild", outcome)
 	}
+	assertScratchIdentical(t, "after override", fourth, dim, meas, m)
 }
 
-// TestCarryWaitsForParentBuild: a new epoch whose previous epoch is still
-// building a binding must wait for that build and rebuild only its dirty
-// rows from the result, not build from scratch beside it. The parent's
-// build is held open while the child starts; the child must report a
-// rebuild, and its matrix must be bit-identical to a scratch build.
-func TestCarryWaitsForParentBuild(t *testing.T) {
+// TestCarryLateBuildOnOlderEpoch: epoch 0 builds a binding, epoch 1
+// builds a different one, and epoch 2 is published. A late solve on epoch
+// 1 that now needs the first binding must rebuild from epoch 0's matrix,
+// recomputing the rows its stamps mark changed, not build from scratch
+// because a newer epoch was published in between.
+func TestCarryLateBuildOnOlderEpoch(t *testing.T) {
 	const dim, meas = mining.Tags, mining.Diversity
-	prev := buildEngine(t)
-	entered, release := make(chan struct{}), make(chan struct{})
-	parentDone := make(chan struct{})
-	go func() {
-		defer close(parentDone)
-		prev.cache.matrix(pairKey{dim, meas}, func(*mining.PairMatrix, []bool) *mining.PairMatrix {
-			close(entered)
-			<-release
-			return mining.NewPairMatrix(prev.Groups, prev.PairFunc(dim, meas), 0)
-		})
-	}()
-	<-entered
+	carry := NewCarry()
+	e0 := stampedEngine(t, carry, 0, nil)
+	e0.PairMatrix(dim, meas)
 
-	next := buildEngine(t)
-	dirty := make([]bool, len(prev.Groups))
-	dirty[1] = true
-	next.Cache().AttachCarry(prev.Cache(), dirty)
+	s1 := make([]int64, len(e0.Groups))
+	s1[1] = 1
+	e1 := stampedEngine(t, carry, 1, s1)
+	e1.PairMatrix(mining.Users, mining.Similarity)
+
+	s2 := append([]int64(nil), s1...)
+	s2[2] = 2
+	stampedEngine(t, carry, 2, s2)
+
+	m, outcome := e1.pairMatrixTracked(dim, meas)
+	if outcome != matrixRebuilt {
+		t.Fatalf("late build on epoch 1 served with outcome %d, want rebuild", outcome)
+	}
+	assertScratchIdentical(t, "late epoch-1 build", e1, dim, meas, m)
+}
+
+// TestCarryConcurrentEpochsOutOfOrder: the newest of three epochs over
+// growing universes builds a binding first, then the two older epochs
+// build it concurrently. Each older build takes the newer, larger matrix
+// (the shrink path of RebuildRows) and must be bit-identical to a scratch
+// build over its own universe; neither may replace the newer matrix in
+// the carry.
+func TestCarryConcurrentEpochsOutOfOrder(t *testing.T) {
+	const dim, meas = mining.Tags, mining.Diversity
+	base := buildEngine(t)
+	n := len(base.Groups)
+	carry := NewCarry()
+	epochs := make([]*Engine, 3)
+	for v := range epochs {
+		size := n - 2 + v
+		e, err := NewEngine(base.Store, base.Groups[:size], base.Sigs[:size])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Groups beyond the first epoch's universe were activated later,
+		// and the newest epoch saw group 0 change.
+		stamps := make([]int64, size)
+		for i := n - 2; i < size; i++ {
+			stamps[i] = int64(i - n + 3)
+		}
+		if v == 2 {
+			stamps[0] = 2
+		}
+		e.Cache().UseCarry(carry, int64(v), stamps)
+		epochs[v] = e
+	}
+	m, _ := epochs[2].pairMatrixTracked(dim, meas)
+	assertScratchIdentical(t, "newest epoch", epochs[2], dim, meas, m)
+
 	type served struct {
 		m       *mining.PairMatrix
 		outcome matrixOutcome
 	}
-	child := make(chan served, 1)
-	go func() {
-		m, outcome := next.pairMatrixTracked(dim, meas)
-		child <- served{m, outcome}
-	}()
-	// Give the child time to reach the parent's in-flight build; without
-	// the wait it would finish a scratch build here.
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case got := <-child:
-		t.Fatalf("child served (outcome %d) while the parent's build was held", got.outcome)
-	default:
+	results := make([]served, 2)
+	var wg sync.WaitGroup
+	for v := 0; v < 2; v++ {
+		wg.Add(1)
+		go func(v int) {
+			defer wg.Done()
+			m, outcome := epochs[v].pairMatrixTracked(dim, meas)
+			results[v] = served{m, outcome}
+		}(v)
 	}
-	close(release)
-	<-parentDone
-	got := <-child
-	if got.outcome != matrixRebuilt {
-		t.Fatalf("child outcome %d, want rebuild from the parent's build", got.outcome)
-	}
-	want := mining.NewPairMatrix(next.Groups, next.PairFunc(dim, meas), 0)
-	for i := 0; i < want.Len(); i++ {
-		for j := i + 1; j < want.Len(); j++ {
-			if math.Float64bits(got.m.At(i, j)) != math.Float64bits(want.At(i, j)) {
-				t.Fatalf("rebuilt matrix differs from scratch at (%d,%d)", i, j)
-			}
+	wg.Wait()
+	for v, r := range results {
+		if r.outcome != matrixRebuilt {
+			t.Fatalf("epoch %d served with outcome %d, want rebuild", v, r.outcome)
 		}
+		assertScratchIdentical(t, fmt.Sprintf("epoch %d", v), epochs[v], dim, meas, r.m)
+	}
+	if got := carry.newest[pairKey{dim, meas}].version; got != 2 {
+		t.Fatalf("carry holds epoch %d's matrix, want the newest (2)", got)
+	}
+}
+
+// TestCarryDropsEvictedMatrices: a matrix evicted under the budget leaves
+// the carry as well, and the eviction count lives in the carry, so a
+// later epoch's cache reports it.
+func TestCarryDropsEvictedMatrices(t *testing.T) {
+	carry := NewCarry()
+	e0 := stampedEngine(t, carry, 0, nil)
+	n := len(e0.Groups)
+	e0.SetMatrixBudget(int64(n*(n-1)/2) * 8) // room for one matrix
+	e0.PairMatrix(mining.Tags, mining.Diversity)
+	e0.PairMatrix(mining.Users, mining.Similarity) // evicts tags-diversity
+	if _, ok := carry.newest[pairKey{mining.Tags, mining.Diversity}]; ok {
+		t.Fatal("evicted matrix still carried")
+	}
+	e1 := stampedEngine(t, carry, 1, nil)
+	if got := e1.MatrixStats().Evictions; got != 1 {
+		t.Fatalf("next epoch reports %d evictions, want 1", got)
+	}
+	if _, outcome := e1.pairMatrixTracked(mining.Users, mining.Similarity); outcome != matrixRebuilt {
+		t.Fatalf("resident binding outcome %d, want rebuild", outcome)
 	}
 }

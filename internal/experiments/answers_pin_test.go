@@ -229,10 +229,11 @@ func TestSMLSHAnswersPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq, err := m.Refresh()
+	snap, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	freq := snap.Engine
 	p := PaperParams()
 	for _, c := range []struct {
 		name string

@@ -15,11 +15,12 @@ import (
 )
 
 // This file pins the epoch carry-over property end to end: a snapshot
-// engine whose matrix cache was attached to the previous epoch's cache
-// (dirty-row rebuilds, shared clean rows) must answer every solver family
-// bit-identically to a virgin engine built from the very same frozen
-// store, groups and signatures — across many epochs of random interleaved
-// inserts, Refresh calls, and (in the budgeted variant) forced eviction.
+// engine whose matrix cache shares the maintainer's carry (dirty-row
+// rebuilds from whichever epoch's matrix is newest, shared clean rows)
+// must answer every solver family bit-identically to a virgin engine built
+// from the very same frozen store, groups and signatures — across many
+// epochs of random inserts, late solves on older snapshots, and (in the
+// budgeted variant) forced eviction.
 
 // carryWorld builds a randomized ingest universe: a handful of users and
 // items over small attribute domains plus a tag pool, so random actions
@@ -105,15 +106,15 @@ func assertSameResult(t *testing.T, label string, want, got core.Result) {
 	}
 }
 
-// solveEpoch runs every applicable (family, spec) pair on the carried
-// snapshot engine and on a virgin scratch engine over the same frozen
-// inputs, asserting bit-identity. Returns the rebuild count observed on
-// the carried engine.
-func solveEpoch(t *testing.T, label string, snap *Snapshot, scratch *core.Engine) int {
+// solveEpoch runs every applicable (family, spec) pair of specs on the
+// carried snapshot engine and on a virgin scratch engine over the same
+// frozen inputs, asserting bit-identity. Returns the rebuild count
+// observed on the carried engine.
+func solveEpoch(t *testing.T, label string, snap *Snapshot, scratch *core.Engine, specs []core.ProblemSpec) int {
 	t.Helper()
 	ctx := context.Background()
 	rebuilds := 0
-	for _, spec := range carrySpecs() {
+	for _, spec := range specs {
 		want, err := scratch.Exact(ctx, spec, core.ExactOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -153,14 +154,28 @@ func solveEpoch(t *testing.T, label string, snap *Snapshot, scratch *core.Engine
 	return rebuilds
 }
 
-func runCarryProperty(t *testing.T, seed int64, budget bool) (totalRebuilds int) {
+// carryEpoch is one published snapshot with its scratch reference.
+type carryEpoch struct {
+	label   string
+	snap    *Snapshot
+	scratch *core.Engine
+}
+
+// runCarryProperty publishes six epochs of random inserts. Each new
+// snapshot solves one random spec, so its other spec's bindings stay
+// unbuilt; then a late solve on one of the last three snapshots solves
+// every spec. Returns the rebuilds observed, and separately those of the
+// late solves.
+func runCarryProperty(t *testing.T, seed int64, budget bool) (totalRebuilds, lateRebuilds int) {
 	rng := rand.New(rand.NewSource(seed))
+	var kept []carryEpoch // the last three snapshots, oldest first
 	d, users, items, tags := carryWorld(t, rng)
 	m, err := New(d, 3, newSummarizer(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for epoch := 0; epoch < 4; epoch++ {
+	specs := carrySpecs()
+	for epoch := 0; epoch < 6; epoch++ {
 		inserts := 8 + rng.Intn(8)
 		for i := 0; i < inserts; i++ {
 			a := model.TaggingAction{
@@ -170,14 +185,6 @@ func runCarryProperty(t *testing.T, seed int64, budget bool) (totalRebuilds int)
 			}
 			if err := m.Insert(a); err != nil {
 				t.Fatal(err)
-			}
-			// Refresh mid-epoch sometimes: it clears the maintainer's
-			// refresh-dirty set, which must not clear the snapshot-carry
-			// accumulator.
-			if rng.Intn(5) == 0 {
-				if _, err := m.Refresh(); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		snap, err := m.Snapshot()
@@ -198,26 +205,47 @@ func runCarryProperty(t *testing.T, seed int64, budget bool) (totalRebuilds int)
 			t.Fatal(err)
 		}
 		label := fmt.Sprintf("seed=%d budget=%v epoch=%d n=%d", seed, budget, epoch, n)
-		totalRebuilds += solveEpoch(t, label, snap, scratch)
+		now := specs[rng.Intn(len(specs)):][:1]
+		totalRebuilds += solveEpoch(t, label, snap, scratch, now)
 
 		// Solve twice: the second pass must be all cache hits and still
-		// identical (covers the replica-shared read path).
-		totalRebuilds += solveEpoch(t, label+" warm", snap, scratch)
+		// identical.
+		totalRebuilds += solveEpoch(t, label+" warm", snap, scratch, now)
+
+		// Out of order: a late solve on a random older snapshot builds
+		// its unbuilt bindings from whatever the carry holds now, which
+		// may be a newer, larger matrix than its own universe.
+		if len(kept) > 0 {
+			old := kept[rng.Intn(len(kept))]
+			late := solveEpoch(t, old.label+" late", old.snap, old.scratch, specs)
+			totalRebuilds += late
+			lateRebuilds += late
+		}
+		kept = append(kept, carryEpoch{label, snap, scratch})
+		if len(kept) > 3 {
+			kept = kept[1:]
+		}
 	}
-	return totalRebuilds
+	return totalRebuilds, lateRebuilds
 }
 
 // TestCarryOverMatchesScratchAcrossEpochs is the randomized multi-epoch
-// property: interleaved inserts, Refresh and Snapshot across 4 epochs,
-// all solver families byte-identical to scratch engines, with the
-// carried (rebuild) path provably exercised.
+// property: inserts and snapshots across 6 epochs, each followed by a late
+// solve on one of the last three snapshots, all solver families
+// byte-identical to scratch engines, with the carried (rebuild) path
+// provably exercised.
 func TestCarryOverMatchesScratchAcrossEpochs(t *testing.T) {
-	rebuilds := 0
+	rebuilds, late := 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
-		rebuilds += runCarryProperty(t, seed, false)
+		r, l := runCarryProperty(t, seed, false)
+		rebuilds += r
+		late += l
 	}
 	if rebuilds == 0 {
-		t.Fatal("no dirty-row rebuild was ever exercised — the carry chain is broken")
+		t.Fatal("no dirty-row rebuild was ever exercised — the carry is broken")
+	}
+	if late == 0 {
+		t.Fatal("no late solve on an older snapshot rebuilt from the carry")
 	}
 }
 

@@ -8,13 +8,17 @@
 //     place),
 //   - routes the new tuple to its fully-described group, creating the
 //     group when the combination is new,
-//   - tracks which groups crossed the min-tuple threshold ("activated")
-//     or changed ("dirty") since the last refresh, and
-//   - on Refresh, re-summarizes only the dirty groups and hands back a
-//     consistent engine over the updated universe.
+//   - stamps each active group with the version at which it was
+//     activated (crossed the min-tuple threshold) or last received a
+//     tuple, and
+//   - on Snapshot, re-summarizes only the groups stamped since the last
+//     snapshot and hands back a frozen engine over the updated universe.
 //
-// Signature invalidation is the expensive part; batching inserts between
-// refreshes amortizes it, which the benchmarks in bench_test.go quantify.
+// Snapshot is the only way to get an engine. Every snapshot's matrix
+// cache shares the maintainer's core.Carry, which compares stamps to
+// rebuild only the pair-matrix rows of changed groups. Signature
+// invalidation is the expensive part; batching inserts between snapshots
+// amortizes it, which the benchmarks in bench_test.go quantify.
 package incremental
 
 import (
@@ -29,13 +33,11 @@ import (
 
 // Maintainer tracks a store and its group universe across inserts.
 //
-// Concurrency contract: a Maintainer is single-writer. Insert, Refresh and
-// Snapshot must be externally serialized (one goroutine, or a mutex).
-// Engines returned by Refresh share the maintainer's mutable state and must
-// not be used concurrently with further inserts; engines returned by
-// Snapshot are frozen copies that any number of goroutines may query while
-// the writer keeps inserting — the epoch/snapshot scheme internal/server
-// builds on.
+// Concurrency contract: a Maintainer is single-writer. Insert and Snapshot
+// must be externally serialized (one goroutine, or a mutex). Engines
+// returned by Snapshot are frozen copies that any number of goroutines may
+// query while the writer keeps inserting — the epoch/snapshot scheme
+// internal/server builds on.
 type Maintainer struct {
 	dataset   *model.Dataset
 	store     *store.Store
@@ -50,20 +52,15 @@ type Maintainer struct {
 	// (activation order); IDs are dense in this slice.
 	active []*groups.Group
 
-	// sigs[i] is the signature of active[i]; dirty marks stale entries.
-	sigs  []signature.Signature
-	dirty map[int]bool
-
-	// dirtySnap accumulates the groups touched since the last Snapshot —
-	// unlike dirty it survives Refresh (which clears dirty when it
-	// re-summarizes) and is what the epoch carry-over hands the next
-	// snapshot's matrix cache: pair scores of two clean carried groups
-	// are bit-identical across epochs, so only rows touching dirtySnap
-	// need recomputing. prevCache/prevN remember the previous snapshot's
-	// cache and universe size for the AttachCarry link.
-	dirtySnap map[int]bool
-	prevCache *core.MatrixCache
-	prevN     int
+	// sigs[i] is the signature of active[i] as of snapVersion. stamps[i]
+	// is the version at which active[i] was activated or last received a
+	// tuple, so the groups stamped after snapVersion have stale
+	// signatures. Two snapshots that agree on a group's stamp agree on its
+	// tuples, which is what lets carry compare epochs.
+	sigs        []signature.Signature
+	stamps      []int64
+	snapVersion int64
+	carry       *core.Carry
 
 	inserts int
 	version int64
@@ -103,11 +100,7 @@ func Restore(ds *model.Dataset, minTuples int, sum signature.Summarizer, activeK
 	if activeKeys == nil {
 		activeKeys = []string{} // non-nil: empty active set is an assertion, not "use default order"
 	}
-	m, err := build(ds, minTuples, sum, activeKeys, version)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return build(ds, minTuples, sum, activeKeys, version)
 }
 
 func build(ds *model.Dataset, minTuples int, sum signature.Summarizer, activeKeys []string, version int64) (*Maintainer, error) {
@@ -124,9 +117,11 @@ func build(ds *model.Dataset, minTuples int, sum signature.Summarizer, activeKey
 		minTuples: minTuples,
 		sum:       sum,
 		byKey:     make(map[string]*pending),
-		dirty:     make(map[int]bool),
-		dirtySnap: make(map[int]bool),
+		carry:     core.NewCarry(),
 		version:   version,
+		// Every group activated below is stamped at version, so it is
+		// stale until the resummarize at the end.
+		snapVersion: version - 1,
 	}
 	// Seed byKey with every existing tuple, then activate qualifying
 	// groups — in deterministic enumeration order for a fresh build, or in
@@ -205,8 +200,7 @@ func (m *Maintainer) activate(p *pending) {
 	p.group.ID = len(m.active)
 	m.active = append(m.active, p.group)
 	m.sigs = append(m.sigs, signature.Signature{})
-	m.dirty[p.group.ID] = true
-	m.dirtySnap[p.group.ID] = true
+	m.stamps = append(m.stamps, m.version)
 }
 
 // Insert appends one tagging action and updates the group universe. The
@@ -216,6 +210,8 @@ func (m *Maintainer) Insert(a model.TaggingAction) error {
 	if err := m.store.Append(m.dataset, a); err != nil {
 		return err
 	}
+	m.inserts++
+	m.version++
 	t := m.store.Len() - 1
 	key, pred := m.keyOfTuple(t)
 	p, ok := m.byKey[key]
@@ -232,11 +228,8 @@ func (m *Maintainer) Insert(a model.TaggingAction) error {
 	if !p.active && p.group.Size() >= m.minTuples {
 		m.activate(p)
 	} else if p.active {
-		m.dirty[p.group.ID] = true
-		m.dirtySnap[p.group.ID] = true
+		m.stamps[p.group.ID] = m.version
 	}
-	m.inserts++
-	m.version++
 	return nil
 }
 
@@ -253,35 +246,36 @@ type Stats struct {
 	ActiveGroups int
 	// PendingGroups counts below-threshold assignments being tracked.
 	PendingGroups int
-	// DirtyGroups counts groups whose signatures are stale.
+	// DirtyGroups counts groups stamped since the last snapshot, whose
+	// signatures the next Snapshot re-summarizes.
 	DirtyGroups int
 }
 
 // Stats returns the current counters.
 func (m *Maintainer) Stats() Stats {
+	dirty := 0
+	for _, s := range m.stamps {
+		if s > m.snapVersion {
+			dirty++
+		}
+	}
 	return Stats{
 		Inserts:       m.inserts,
 		ActiveGroups:  len(m.active),
 		PendingGroups: len(m.byKey) - len(m.active),
-		DirtyGroups:   len(m.dirty),
+		DirtyGroups:   dirty,
 	}
 }
 
-// resummarize recomputes signatures for dirty groups only.
+// resummarize recomputes the signatures of the groups stamped since the
+// last snapshot.
 func (m *Maintainer) resummarize() {
-	for id := range m.dirty {
-		m.sigs[id] = m.sum.Summarize(m.store, m.active[id])
+	for id, s := range m.stamps {
+		if s > m.snapVersion {
+			m.sigs[id] = m.sum.Summarize(m.store, m.active[id])
+		}
 	}
-	m.dirty = make(map[int]bool)
-}
-
-// Refresh re-summarizes dirty groups and returns a consistent engine over
-// the current universe. The returned engine shares the maintainer's store
-// and groups; run queries before the next batch of inserts or call
-// Refresh again.
-func (m *Maintainer) Refresh() (*core.Engine, error) {
-	m.resummarize()
-	return core.NewEngine(m.store, m.active, m.sigs)
+	m.snapVersion = m.version
 }
 
 // Snapshot is a frozen, self-contained view of the maintained analysis:
@@ -305,48 +299,26 @@ type Snapshot struct {
 	VocabSize int
 }
 
-// Snapshot re-summarizes dirty groups and returns a frozen copy of the
-// analysis. Unlike Refresh, the result is isolated from subsequent inserts:
+// Snapshot re-summarizes the groups stamped since the last snapshot and
+// returns a frozen copy of the analysis, isolated from subsequent inserts:
 // the store, group bitmaps and membership lists are deep-copied, so readers
 // may run queries on the snapshot while the writer keeps inserting. The
 // copy is O(store size); batch inserts between snapshots to amortize it.
 //
-// Pair matrices carry over: the new engine's cache is linked to the
-// previous snapshot's cache together with the set of groups touched since
-// — group IDs are stable and append-only, and a clean group's predicate
-// and signature are unchanged, so the next matrix materialization reuses
-// every clean row and recomputes only rows involving touched or new
-// groups (mining.PairMatrix.RebuildRows), bit-identical to a scratch
-// build.
+// Pair matrices carry over: the new engine's cache shares the
+// maintainer's core.Carry with a frozen copy of the stamps, so a matrix
+// build recomputes only the rows of groups changed or added since the
+// carried matrix, bit-identical to a scratch build.
 func (m *Maintainer) Snapshot() (*Snapshot, error) {
 	m.resummarize()
 	st := m.store.Clone()
-	gs := make([]*groups.Group, len(m.active))
-	for i, g := range m.active {
-		gs[i] = &groups.Group{
-			ID:      g.ID,
-			Pred:    g.Pred, // terms are immutable once built
-			Tuples:  g.Tuples.Clone(),
-			Members: append([]int(nil), g.Members...),
-		}
-	}
+	gs := cloneGroups(m.active)
 	sigs := append([]signature.Signature(nil), m.sigs...)
 	eng, err := core.NewEngine(st, gs, sigs)
 	if err != nil {
 		return nil, err
 	}
-	if m.prevCache != nil {
-		dirty := make([]bool, m.prevN)
-		for id := range m.dirtySnap {
-			if id < m.prevN {
-				dirty[id] = true
-			}
-		}
-		eng.Cache().AttachCarry(m.prevCache, dirty)
-	}
-	m.prevCache = eng.Cache()
-	m.prevN = len(gs)
-	m.dirtySnap = make(map[int]bool)
+	eng.Cache().UseCarry(m.carry, m.version, append([]int64(nil), m.stamps...))
 	return &Snapshot{
 		Engine:    eng,
 		Store:     st,
@@ -371,15 +343,7 @@ func (m *Maintainer) Snapshot() (*Snapshot, error) {
 // costs.
 func (s *Snapshot) Replicate() (*Snapshot, error) {
 	st := s.Store.Clone()
-	gs := make([]*groups.Group, len(s.Groups))
-	for i, g := range s.Groups {
-		gs[i] = &groups.Group{
-			ID:      g.ID,
-			Pred:    g.Pred, // terms are immutable once built
-			Tuples:  g.Tuples.Clone(),
-			Members: append([]int(nil), g.Members...),
-		}
-	}
+	gs := cloneGroups(s.Groups)
 	sigs := append([]signature.Signature(nil), s.Engine.Sigs...)
 	eng, err := core.NewEngine(st, gs, sigs)
 	if err != nil {
@@ -393,6 +357,20 @@ func (s *Snapshot) Replicate() (*Snapshot, error) {
 		Version:   s.Version,
 		VocabSize: s.VocabSize,
 	}, nil
+}
+
+// cloneGroups deep-copies a group universe's bitmaps and membership lists.
+func cloneGroups(src []*groups.Group) []*groups.Group {
+	gs := make([]*groups.Group, len(src))
+	for i, g := range src {
+		gs[i] = &groups.Group{
+			ID:      g.ID,
+			Pred:    g.Pred, // terms are immutable once built
+			Tuples:  g.Tuples.Clone(),
+			Members: append([]int(nil), g.Members...),
+		}
+	}
+	return gs
 }
 
 // Store exposes the underlying store (read-only use).

@@ -99,11 +99,12 @@ func TestInsertActivatesPendingGroup(t *testing.T) {
 	if st.Inserts != 1 {
 		t.Fatalf("inserts = %d", st.Inserts)
 	}
-	// The activated group must be queryable after Refresh.
-	eng, err := m.Refresh()
+	// The activated group must be queryable in the next snapshot.
+	snap, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := snap.Engine
 	if len(eng.Groups) != 2 {
 		t.Fatalf("engine groups = %d", len(eng.Groups))
 	}
@@ -136,7 +137,7 @@ func TestInsertNewCombinationCreatesGroup(t *testing.T) {
 	}
 }
 
-func TestInsertMarksDirtyAndRefreshClears(t *testing.T) {
+func TestInsertMarksDirtyAndSnapshotClears(t *testing.T) {
 	d, male, _, action := world(t)
 	m, err := New(d, 3, newSummarizer(t, d))
 	if err != nil {
@@ -149,11 +150,11 @@ func TestInsertMarksDirtyAndRefreshClears(t *testing.T) {
 	if m.Stats().DirtyGroups != 1 {
 		t.Fatalf("dirty = %d", m.Stats().DirtyGroups)
 	}
-	if _, err := m.Refresh(); err != nil {
+	if _, err := m.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Stats().DirtyGroups != 0 {
-		t.Fatal("refresh did not clear dirty set")
+		t.Fatal("snapshot did not clear the dirty count")
 	}
 }
 
@@ -163,10 +164,11 @@ func TestSignaturesTrackInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := m.Refresh()
+	snap, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := snap.Engine
 	gun := d.Vocab.ID("gun")
 	var gunWeightBefore float64
 	if int(gun) < len(eng.Sigs[0].Weights) {
@@ -177,11 +179,11 @@ func TestSignaturesTrackInserts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng2, err := m.Refresh()
+	snap2, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eng2.Sigs[0].Weights[gun]; got <= gunWeightBefore {
+	if got := snap2.Engine.Sigs[0].Weights[gun]; got <= gunWeightBefore {
 		t.Fatalf("gun weight did not grow: %v -> %v", gunWeightBefore, got)
 	}
 }
@@ -250,10 +252,11 @@ func TestRefreshEngineSolves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := m.Refresh()
+	snap, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := snap.Engine
 	// Problem 6 on the maintained universe: same items, diverse tags.
 	spec, err := core.PaperProblem(6, 2, 4, 0.0, 0.5)
 	if err != nil {

@@ -128,9 +128,9 @@ func TestRebuildRowsMatchesScratchRandom(t *testing.T) {
 }
 
 // TestRebuildRowsAllDirtyAndShrink covers the degenerate carries: every
-// row dirty (nothing reusable) and a universe smaller than the receiver's
-// (dirty flags longer than the new group slice must not be indexed out of
-// range).
+// row dirty (nothing reusable) and a universe smaller than the receiver's,
+// with every row dirty and with every row clean (neither the dirty flags
+// nor the receiver's clean rows may be read past the new group slice).
 func TestRebuildRowsAllDirtyAndShrink(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	gs, _, pair := tablePair(rng, 10)
@@ -158,6 +158,21 @@ func TestRebuildRowsAllDirtyAndShrink(t *testing.T) {
 		for j := i + 1; j < 4; j++ {
 			if gotS.At(i, j) != wantS.At(i, j) {
 				t.Fatalf("shrunk rebuild differs at (%d,%d)", i, j)
+			}
+		}
+	}
+
+	// Shrink with every row clean: the clean rows copy from the receiver
+	// but must stop at the new universe's edge.
+	gotC := prev.RebuildRows(gs[:4], pair, make([]bool, 10), 0)
+	wantC := NewPairMatrix(gs[:4], pair, 0)
+	if gotC.Len() != 4 {
+		t.Fatalf("clean shrink has %d groups, want 4", gotC.Len())
+	}
+	for i := 0; i < 4; i++ {
+		for j := i + 1; j < 4; j++ {
+			if gotC.At(i, j) != wantC.At(i, j) {
+				t.Fatalf("clean shrunk rebuild differs at (%d,%d)", i, j)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -142,6 +143,35 @@ func TestMatrixBudgetServedAndExported(t *testing.T) {
 		if !strings.Contains(string(body), name) {
 			t.Fatalf("/metrics missing %s", name)
 		}
+	}
+
+	// Evictions are counted in the maintainer's carry, which every
+	// epoch's engine shares, so the exported counter must not drop when a
+	// publish installs a fresh engine cache.
+	last := -1.0
+	notDropped := func(when string) {
+		t.Helper()
+		got, ok := scrapeMetrics(t, budgeted).Sample("tagdm_matrix_evictions_total")
+		if !ok || got < last {
+			t.Fatalf("%s: tagdm_matrix_evictions_total = %g (ok=%v), was %g", when, got, ok, last)
+		}
+		last = got
+	}
+	notDropped("before ingest")
+	if last == 0 {
+		t.Fatal("a 64-byte budget evicted nothing")
+	}
+	user, item := int32(0), int32(0)
+	for publish := 1; publish <= 2; publish++ {
+		resp, body := postJSON(t, budgeted, "/v1/actions", IngestRequest{Actions: []IngestAction{{
+			User: &user, Item: &item, Tags: []string{"gun"},
+		}}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
+		}
+		notDropped(fmt.Sprintf("publish %d", publish))
+		analyze(t, budgeted, testQuery)
+		notDropped(fmt.Sprintf("analyze after publish %d", publish))
 	}
 
 	negative := httptest.NewServer(newTestServer(t, func(c *Config) { c.MatrixBudgetBytes = -5 }))

@@ -12,43 +12,7 @@ import (
 // codebase is. Row i owns the contiguous condensed segment of pairs
 // (i, i+1..n-1), so workers write disjoint slices and need no locking.
 func NewMatrixParallel(n int, dist DistFunc, workers int) *Matrix {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	m := &Matrix{n: n, data: make([]float64, n*(n-1)/2)}
-	if n < 2 {
-		return m
-	}
-	if workers <= 1 {
-		idx := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				m.data[idx] = dist(i, j)
-				idx++
-			}
-		}
-		return m
-	}
-	// Rows shrink as i grows (row i has n-1-i pairs), so static striding
-	// (worker w takes rows w, w+workers, ...) balances load well enough.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				base := i*(2*n-i-1)/2 - i // offset of pair (i, i+1)
-				for j := i + 1; j < n; j++ {
-					m.data[base+j-1] = dist(i, j)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return m
+	return NewMatrixParallelFrom(n, nil, nil, dist, workers)
 }
 
 // NewMatrixParallelFrom computes the matrix NewMatrixParallel(n, dist,
@@ -56,28 +20,22 @@ func NewMatrixParallel(n int, dist DistFunc, workers int) *Matrix {
 // recomputation — whenever both endpoints lie inside prev's point range and
 // neither is marked dirty. dirty is indexed by prev's points and marks the
 // rows/columns whose underlying data changed since prev was built; points
-// at or beyond prev.Len() are always recomputed. prev must have been built
-// over the same dist semantics (clean entries are trusted verbatim).
+// at or beyond prev.Len() are always recomputed, and prev's points at or
+// beyond n are dropped. prev must have been built over the same dist
+// semantics (clean entries are trusted verbatim); a nil prev carries
+// nothing.
 func NewMatrixParallelFrom(n int, prev *Matrix, dirty []bool, dist DistFunc, workers int) *Matrix {
-	if prev == nil {
-		return NewMatrixParallel(n, dist, workers)
+	m := &Matrix{n: n, data: make([]float64, n*(n-1)/2)}
+	if n < 2 {
+		return m
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	pn := prev.n
-	if len(dirty) < pn {
-		pn = len(dirty)
-	}
-	m := &Matrix{n: n, data: make([]float64, n*(n-1)/2)}
-	if n < 2 {
-		return m
+	workers = min(workers, n)
+	pn := 0
+	if prev != nil {
+		pn = min(prev.n, len(dirty), n)
 	}
 	fill := func(i int) {
 		base := i*(2*n-i-1)/2 - i // offset of pair (i, i+1)
@@ -99,12 +57,8 @@ func NewMatrixParallelFrom(n int, prev *Matrix, dirty []bool, dist DistFunc, wor
 			m.data[base+j-1] = dist(i, j)
 		}
 	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fill(i)
-		}
-		return m
-	}
+	// Rows shrink as i grows (row i has n-1-i pairs), so static striding
+	// (worker w takes rows w, w+workers, ...) balances load well enough.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -12,8 +12,10 @@ import (
 // Maintainer keeps a TagDM analysis current under a stream of new tagging
 // actions without rebuilding the pipeline per insert — the paper's
 // Section 8 future work. Group membership and bitmap indexes update on
-// every Insert; signatures are re-computed lazily for changed groups on
-// the next Solve.
+// every Insert. The next Solve takes a frozen snapshot, which
+// re-summarizes only the groups changed since the previous one and
+// rebuilds only their pair-matrix rows; Solves with no Insert in between
+// reuse that snapshot.
 //
 // Signatures use the frequency summarizer by default (or a custom
 // Summarizer): LDA would need periodic retraining, which callers can do by
@@ -22,6 +24,7 @@ type Maintainer struct {
 	ds    *Dataset
 	inner *incremental.Maintainer
 	opts  Options
+	snap  *incremental.Snapshot // the last solved snapshot
 }
 
 // NewMaintainer builds a maintainer over the dataset's current contents.
@@ -77,14 +80,17 @@ func (m *Maintainer) NumGroups() int { return len(m.inner.ActiveGroups()) }
 // NumActions is the current tagging action count.
 func (m *Maintainer) NumActions() int { return m.inner.Store().Len() }
 
-// Solve refreshes stale signatures and runs the spec with the default
-// approximate algorithm family.
+// Solve runs the spec with the default approximate algorithm family on a
+// snapshot of the current contents.
 func (m *Maintainer) Solve(spec ProblemSpec) (Result, error) {
-	eng, err := m.inner.Refresh()
-	if err != nil {
-		return Result{}, err
+	if m.snap == nil || m.snap.Version != m.inner.Version() {
+		snap, err := m.inner.Snapshot()
+		if err != nil {
+			return Result{}, err
+		}
+		m.snap = snap
 	}
-	return eng.Solve(context.Background(), spec, core.SolveOptions{
+	return m.snap.Engine.Solve(context.Background(), spec, core.SolveOptions{
 		LSH: core.LSHOptions{Seed: m.opts.Seed, Mode: core.Fold},
 		FDP: core.FDPOptions{Mode: core.Fold},
 	})

@@ -1,7 +1,11 @@
 package tagdm
 
 import (
+	"context"
+	"math"
 	"testing"
+
+	"tagdm/internal/core"
 )
 
 func streamWorld(t *testing.T) (*Dataset, int32, int32, int32) {
@@ -74,6 +78,44 @@ func TestMaintainerInsertAndSolve(t *testing.T) {
 	descs := m.Describe(res)
 	if len(descs) != 2 {
 		t.Fatal("describe mismatch")
+	}
+
+	// One more action grows a group: the next Solve takes a new snapshot
+	// whose matrices rebuild that group's rows from the previous epoch's,
+	// and answers as a scratch engine over the same snapshot does.
+	if err := m.Insert(female, item, 0, "violence"); err != nil {
+		t.Fatal(err)
+	}
+	res2, err := m.Solve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.MatrixRebuilds == 0 {
+		t.Fatalf("second Solve carried no matrix: %d builds, %d rebuilds, %d hits",
+			res2.MatrixBuilds, res2.MatrixRebuilds, res2.MatrixHits)
+	}
+	if m.snap.Version != m.Epoch() {
+		t.Fatalf("solved snapshot at version %d, maintainer at %d", m.snap.Version, m.Epoch())
+	}
+	scratch, err := core.NewEngine(m.snap.Store, m.snap.Groups, m.snap.Engine.Sigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scratch.Solve(context.Background(), spec, core.SolveOptions{
+		LSH: core.LSHOptions{Seed: m.opts.Seed, Mode: core.Fold},
+		FDP: core.FDPOptions{Mode: core.Fold},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Found != res2.Found || len(want.Groups) != len(res2.Groups) ||
+		math.Float64bits(want.Objective) != math.Float64bits(res2.Objective) || want.Support != res2.Support {
+		t.Fatalf("carried answer %+v, scratch answer %+v", res2, want)
+	}
+	for i := range want.Groups {
+		if want.Groups[i].ID != res2.Groups[i].ID {
+			t.Fatalf("group %d: carried %d, scratch %d", i, res2.Groups[i].ID, want.Groups[i].ID)
+		}
 	}
 }
 
