@@ -650,8 +650,8 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 }
 
 // BenchmarkIncrementalSnapshot measures the cost of a snapshot (changed
-// groups re-summarized, store deep-copied, engine built) after a batch of
-// 100 inserts, amortized.
+// groups re-summarized and rescanned, store and groups shared, engine
+// built) after a batch of 100 inserts, amortized.
 func BenchmarkIncrementalSnapshot(b *testing.B) {
 	cfg := datagen.Small()
 	world, err := datagen.Generate(cfg)
@@ -680,6 +680,42 @@ func BenchmarkIncrementalSnapshot(b *testing.B) {
 			}
 		}
 		if _, err := m.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMaintainerSolveAfterInserts measures the library's streaming
+// path end to end: 100 inserts spread over datagen.Small's users and
+// items, then one tagdm.Maintainer.Solve of Problem 6 (DV-FDP-Fo, k=3,
+// support 15), which snapshots the changed epoch and rebuilds the changed
+// groups' pair-matrix rows.
+func BenchmarkMaintainerSolveAfterInserts(b *testing.B) {
+	cfg := SmallGenerateConfig()
+	ds, err := GenerateDataset(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewMaintainer(ds, Options{Signatures: SignatureFrequency, MinGroupTuples: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := Problem(6, 3, 15, 0.5, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Solve(spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 100; j++ {
+			k := i*100 + j
+			if err := m.Insert(int32(k%cfg.Users), int32(k%cfg.Items), 0, "tag-00-0000"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := m.Solve(spec); err != nil {
 			b.Fatal(err)
 		}
 	}

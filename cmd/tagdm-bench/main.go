@@ -6,8 +6,8 @@
 // Usage:
 //
 //	tagdm-bench [-scale fast|paper] [-fig 1|3|5|7|9] [-table 1|2] [-all]
-//	            [-bnb] [-sparse] [-trace] [-setup] [-json] [-commit sha]
-//	            [-timestamp ts]
+//	            [-bnb] [-sparse] [-trace] [-setup] [-snapshot] [-json]
+//	            [-commit sha] [-timestamp ts]
 //
 // With -all (the default when no selector is given) every artifact is
 // produced in order. -fig 3 covers Figures 3 and 4 (same runs measure time
@@ -39,6 +39,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -46,7 +47,9 @@ import (
 	"tagdm/internal/datagen"
 	"tagdm/internal/experiments"
 	"tagdm/internal/groups"
+	"tagdm/internal/incremental"
 	"tagdm/internal/mining"
+	"tagdm/internal/model"
 	"tagdm/internal/signature"
 	"tagdm/internal/store"
 	"tagdm/internal/userstudy"
@@ -86,6 +89,9 @@ type benchRecord struct {
 	// Found is present where the underlying run tracks feasibility
 	// (figures and ablations); k-sweep rows measure time only.
 	Found *bool `json:"found,omitempty"`
+	// RetainedBytes is the heap one retained snapshot adds (snapshot
+	// records).
+	RetainedBytes int64 `json:"retained_bytes,omitempty"`
 }
 
 func millis(d time.Duration) float64 { return float64(d) / 1e6 }
@@ -222,13 +228,14 @@ func main() {
 	matrixReuse := flag.Bool("matrix-reuse", false, "run the pair-matrix lifecycle sweep (scratch build vs dirty-row rebuild vs shared-cache hit)")
 	trace := flag.Bool("trace", false, "emit per-stage solver timing breakdowns (matrix, enumerate, lsh_build, ...)")
 	setupTimes := flag.Bool("setup", false, "time each set-up phase (datagen, store, groups, lda_train, summarize, engine, exact_engine) per corpus")
+	snapshot := flag.Bool("snapshot", false, "time one maintainer Snapshot after one insert, and the heap it retains, on datagen.Small and datagen.Default")
 	all := flag.Bool("all", false, "regenerate everything")
 	asJSON := flag.Bool("json", false, "emit timed results as JSON lines instead of tables")
 	commit := flag.String("commit", "", "git commit recorded in the -json meta line (default: git rev-parse --short HEAD)")
 	timestamp := flag.String("timestamp", "", "timestamp recorded in the -json meta line (default: wall clock, RFC 3339)")
 	flag.Parse()
 
-	if *fig == 0 && *table == 0 && !*ablation && !*transfer && !*ksweep && !*bnb && !*sparse && !*trace && !*matrixReuse && !*setupTimes {
+	if *fig == 0 && *table == 0 && !*ablation && !*transfer && !*ksweep && !*bnb && !*sparse && !*trace && !*matrixReuse && !*setupTimes && !*snapshot {
 		*all = true
 	}
 
@@ -385,6 +392,98 @@ func main() {
 	if *all || *matrixReuse {
 		runMatrixReuse(st, emit)
 	}
+	if *all || *snapshot {
+		runSnapshot(emit)
+	}
+}
+
+// --- snapshot cost ---
+
+// snapshotReps is how many one-insert epochs -snapshot takes per corpus.
+const snapshotReps = 20
+
+// runSnapshot measures what publishing an epoch costs the server's
+// maintainer (frequency signatures, groups of at least 5 tuples) after
+// one insert, on datagen.Small and datagen.Default: the median time of
+// Maintainer.Snapshot, and the heap each retained snapshot adds. A
+// snapshot that copies the store grows with the corpus; one that shares
+// it grows with what changed. It does not follow -scale.
+func runSnapshot(emit *jsonEmitter) {
+	if emit == nil {
+		fmt.Println("== Maintainer snapshot after one insert ==")
+		fmt.Printf("%-8s %8s %7s %10s %15s\n", "corpus", "tuples", "groups", "millis", "retained_bytes")
+	}
+	var costs [2]benchRecord
+	for i, c := range []struct {
+		name string
+		cfg  datagen.Config
+	}{{"small", datagen.Small()}, {"default", datagen.Default()}} {
+		r, err := snapshotCost(c.cfg)
+		if err != nil {
+			log.Fatalf("snapshot %s: %v", c.name, err)
+		}
+		r.Bench, r.Sweep = "snapshot", c.name
+		costs[i] = r
+		if emit != nil {
+			emit.record(r)
+		} else {
+			fmt.Printf("%-8s %8d %7d %10.4f %15d\n", c.name, r.Tuples, r.NumGroups, r.Millis, r.RetainedBytes)
+		}
+	}
+	if emit == nil {
+		fmt.Println()
+	}
+	fmt.Fprintf(os.Stderr, "snapshot: default/small %.1fx time, %.1fx retained bytes\n",
+		costs[1].Millis/costs[0].Millis, float64(costs[1].RetainedBytes)/float64(costs[0].RetainedBytes))
+}
+
+// snapshotCost builds a maintainer over cfg's corpus, takes the first
+// snapshot (which scans every group), and then takes snapshotReps
+// snapshots, each after re-inserting one existing action. Every snapshot
+// stays referenced, so the heap growth over the run, divided by the
+// snapshots, is what one retained epoch costs.
+func snapshotCost(cfg datagen.Config) (benchRecord, error) {
+	w, err := datagen.Generate(cfg)
+	if err != nil {
+		return benchRecord{}, err
+	}
+	ds := w.Dataset
+	m, err := incremental.New(ds, 5, signature.FrequencyOfSize(ds.Vocab.Size()))
+	if err != nil {
+		return benchRecord{}, err
+	}
+	if _, err := m.Snapshot(); err != nil {
+		return benchRecord{}, err
+	}
+	kept := make([]*incremental.Snapshot, 0, snapshotReps)
+	times := make([]time.Duration, 0, snapshotReps)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for r := 0; r < snapshotReps; r++ {
+		a := ds.Actions[r*7919%len(ds.Actions)]
+		if err := m.Insert(model.TaggingAction{User: a.User, Item: a.Item, Tags: a.Tags, Rating: a.Rating}); err != nil {
+			return benchRecord{}, err
+		}
+		start := time.Now()
+		snap, err := m.Snapshot()
+		if err != nil {
+			return benchRecord{}, err
+		}
+		times = append(times, time.Since(start))
+		kept = append(kept, snap)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(kept)
+	slices.Sort(times)
+	last := kept[len(kept)-1]
+	return benchRecord{
+		Tuples:        last.Store.Len(),
+		NumGroups:     len(last.Groups),
+		Millis:        millis(times[len(times)/2]),
+		RetainedBytes: (int64(m1.HeapAlloc) - int64(m0.HeapAlloc)) / snapshotReps,
+	}, nil
 }
 
 // --- set-up phases ---

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tagdm/internal/datagen"
 	"tagdm/internal/experiments"
 )
 
@@ -100,5 +101,17 @@ func TestEmittersTagRecords(t *testing.T) {
 				t.Fatalf("%s: record tagged %q", c.bench, r.Bench)
 			}
 		}
+	}
+}
+
+// TestSnapshotCost runs the -snapshot measurement on datagen.Small and
+// checks the record carries the corpus size, a time and retained bytes.
+func TestSnapshotCost(t *testing.T) {
+	r, err := snapshotCost(datagen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Tuples != datagen.Small().Actions+snapshotReps || r.NumGroups == 0 || r.Millis <= 0 || r.RetainedBytes <= 0 {
+		t.Fatalf("snapshot record %+v", r)
 	}
 }

@@ -17,8 +17,8 @@ type Engine struct {
 	Groups []*groups.Group
 	Sigs   []signature.Signature
 
-	// sigs is the sparse view of Sigs, built and validated once by
-	// NewEngine (so Sigs must not change afterwards): the tag measure's
+	// sigs is the sparse view of Sigs, built and validated once before
+	// the engine (so Sigs must not change afterwards): the tag measure's
 	// cosine and SM-LSH's hash vectors both read it.
 	sigs *signature.Sparse
 
@@ -42,26 +42,33 @@ type pairKey struct {
 // with finite weights; a signature set that breaks either is rejected with
 // a *signature.InvalidError.
 func NewEngine(s *store.Store, gs []*groups.Group, sigs []signature.Signature) (*Engine, error) {
-	if len(gs) != len(sigs) {
-		return nil, fmt.Errorf("core: %d groups but %d signatures", len(gs), len(sigs))
+	view, err := signature.NewSparse(sigs, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return NewEngineView(s, gs, view)
+}
+
+// NewEngineView is NewEngine over an already built sparse view of the
+// signatures, which the engine aliases: Maintainer.Snapshot builds each
+// epoch's view from the previous one, rescanning only the re-summarized
+// groups.
+func NewEngineView(s *store.Store, gs []*groups.Group, view *signature.Sparse) (*Engine, error) {
+	if len(gs) != view.Len() {
+		return nil, fmt.Errorf("core: %d groups but %d signatures", len(gs), view.Len())
 	}
 	for i, g := range gs {
 		if g.ID != i {
 			return nil, fmt.Errorf("core: group at position %d has ID %d; re-enumerate before building the engine", i, g.ID)
 		}
 	}
-	view, err := signature.NewSparse(sigs)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	e := &Engine{
+	return &Engine{
 		Store:  s,
 		Groups: gs,
-		Sigs:   sigs,
+		Sigs:   view.Signatures(),
 		sigs:   view,
 		cache:  newMatrixCache(),
-	}
-	return e, nil
+	}, nil
 }
 
 // Cache exposes the engine's matrix cache for lifecycle wiring: budget
@@ -70,8 +77,8 @@ func NewEngine(s *store.Store, gs []*groups.Group, sigs []signature.Signature) (
 func (e *Engine) Cache() *MatrixCache { return e.cache }
 
 // AdoptCache points this engine at from's matrix cache, discarding its
-// own. Snapshot.Replicate uses it so a deep-copied replica shares the
-// epoch's matrices and SetPairFunc overrides instead of rebuilding (and
+// own. Snapshot.Replicate uses it so a replica engine shares the epoch's
+// matrices and SetPairFunc overrides instead of rebuilding (and
 // re-installing) them; this is only sound when both engines hold
 // bit-identical groups and signatures, which replication guarantees. Call
 // before the engine serves queries.

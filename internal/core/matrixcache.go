@@ -18,9 +18,9 @@ import (
 //
 // Every shard partial of a solve, and every concurrent request, scores
 // through the one published engine's cache, so each binding is built
-// once per epoch. A cache may also serve a deep-copied replica of its
-// snapshot (Snapshot.Replicate via AdoptCache; replicas are bit-identical,
-// so their matrices are too). Engines of different snapshots must not
+// once per epoch. A cache may also serve a replica engine of its
+// snapshot (Snapshot.Replicate via AdoptCache; a replica reads the same
+// store, groups and signatures, so its matrices are the same too). Engines of different snapshots must not
 // share a cache — carry across epochs goes through a shared Carry
 // instead, which reuses clean rows rather than whole matrices.
 //

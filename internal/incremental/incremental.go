@@ -14,15 +14,20 @@
 //   - on Snapshot, re-summarizes only the groups stamped since the last
 //     snapshot and hands back a frozen engine over the updated universe.
 //
-// Snapshot is the only way to get an engine. Every snapshot's matrix
-// cache shares the maintainer's core.Carry, which compares stamps to
-// rebuild only the pair-matrix rows of changed groups. Signature
-// invalidation is the expensive part; batching inserts between snapshots
-// amortizes it, which the benchmarks in bench_test.go quantify.
+// Snapshot is the only way to get an engine, and it costs what changed
+// since the last one, not what exists. The snapshot shares the store's
+// columns and postings, the group structs and the clean groups' sparse
+// signature rows; the writer copies a posting or a group before its first
+// write after a snapshot (copy-on-write), and the new epoch's sparse view
+// rescans only the re-summarized groups. Every snapshot's matrix cache
+// shares the maintainer's core.Carry, which compares stamps to rebuild
+// only the pair-matrix rows of changed groups.
 package incremental
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"tagdm/internal/core"
 	"tagdm/internal/groups"
@@ -62,14 +67,24 @@ type Maintainer struct {
 	snapVersion int64
 	carry       *core.Carry
 
+	// view is the sparse signature view of the last snapshot, which the
+	// next one carries clean rows from. snapshots counts snapshots taken:
+	// a group activated or copied before the latest one may be shared with
+	// a snapshot, so Insert copies it before writing to it.
+	view      *signature.Sparse
+	snapshots int64
+
 	inserts int
 	version int64
 }
 
 // pending is a group that may or may not have crossed the threshold yet.
+// owned is the snapshot count at which the group was activated or last
+// copied; a pending group is in no snapshot, so it is written in place.
 type pending struct {
 	group  *groups.Group
 	active bool
+	owned  int64
 }
 
 // New builds a maintainer over a dataset. The initial universe enumerates
@@ -175,28 +190,40 @@ func (m *Maintainer) ActiveKeys() []string {
 
 // keyOfGroup renders the full attribute assignment of a group.
 func (m *Maintainer) keyOfGroup(g *groups.Group) string {
-	key := ""
+	var key []byte
 	for _, t := range g.Pred.Terms {
-		key += fmt.Sprintf("%d/%d/%d|", t.Col.Side, t.Col.Index, t.Value)
+		key = appendTermKey(key, t)
 	}
-	return key
+	return string(key)
 }
 
 // keyOfTuple renders the full attribute assignment of tuple t.
 func (m *Maintainer) keyOfTuple(t int) (string, store.Predicate) {
 	cols := m.store.Columns()
 	pred := store.Predicate{Terms: make([]store.Term, len(cols))}
-	key := ""
+	key := make([]byte, 0, 8*len(cols))
 	for ci, c := range cols {
-		v := m.store.Value(t, c)
-		pred.Terms[ci] = store.Term{Col: c, Value: v}
-		key += fmt.Sprintf("%d/%d/%d|", c.Side, c.Index, v)
+		pred.Terms[ci] = store.Term{Col: c, Value: m.store.Value(t, c)}
+		key = appendTermKey(key, pred.Terms[ci])
 	}
-	return key, pred
+	return string(key), pred
+}
+
+// appendTermKey appends one term's key part, "side/index/value|" in
+// decimal. Checkpoints store these keys (ActiveKeys), so the bytes must
+// not change.
+func appendTermKey(key []byte, t store.Term) []byte {
+	key = strconv.AppendInt(key, int64(t.Col.Side), 10)
+	key = append(key, '/')
+	key = strconv.AppendInt(key, int64(t.Col.Index), 10)
+	key = append(key, '/')
+	key = strconv.AppendInt(key, int64(t.Value), 10)
+	return append(key, '|')
 }
 
 func (m *Maintainer) activate(p *pending) {
 	p.active = true
+	p.owned = m.snapshots
 	p.group.ID = len(m.active)
 	m.active = append(m.active, p.group)
 	m.sigs = append(m.sigs, signature.Signature{})
@@ -219,6 +246,17 @@ func (m *Maintainer) Insert(a model.TaggingAction) error {
 		bm := store.NewBitmap(m.store.Len())
 		p = &pending{group: &groups.Group{ID: -1, Pred: pred, Tuples: bm}}
 		m.byKey[key] = p
+	} else if p.active && p.owned != m.snapshots {
+		// A snapshot shares this group: write to a private copy.
+		g := p.group
+		p.group = &groups.Group{
+			ID:      g.ID,
+			Pred:    g.Pred, // terms are immutable once built
+			Tuples:  g.Tuples.Clone(),
+			Members: g.Members[:len(g.Members):len(g.Members)],
+		}
+		p.owned = m.snapshots
+		m.active[g.ID] = p.group
 	}
 	// Grow-before-Set: the group's universe is always extended ahead of
 	// the new tuple id, since Set panics outside the universe.
@@ -279,8 +317,8 @@ func (m *Maintainer) resummarize() {
 }
 
 // Snapshot is a frozen, self-contained view of the maintained analysis:
-// an engine over a deep-copied store and group universe that later inserts
-// cannot touch.
+// an engine over a store and group universe that later inserts cannot
+// touch.
 type Snapshot struct {
 	// Engine answers queries against the frozen universe; safe for
 	// concurrent Solve calls.
@@ -297,13 +335,20 @@ type Snapshot struct {
 	// vocabulary — e.g. frequency signatures for scoped re-analyses — must
 	// use this frozen size so equal versions keep producing equal answers.
 	VocabSize int
+
+	view *signature.Sparse // the engine's sparse signature view
 }
 
 // Snapshot re-summarizes the groups stamped since the last snapshot and
-// returns a frozen copy of the analysis, isolated from subsequent inserts:
-// the store, group bitmaps and membership lists are deep-copied, so readers
-// may run queries on the snapshot while the writer keeps inserting. The
-// copy is O(store size); batch inserts between snapshots to amortize it.
+// returns a frozen copy of the analysis, isolated from subsequent inserts,
+// so readers may run queries on it while the writer keeps inserting. It
+// costs what changed, not what exists: the store snapshot shares columns
+// and postings (Store.Clone), the group slice is copied but the groups
+// are shared, and Insert copies a shared group or posting before its first
+// write after this call. The sparse signature view carries every clean
+// group's row and norm from the previous snapshot's view and scans only
+// the re-summarized groups, bit-identical to a scratch
+// signature.NewSparse.
 //
 // Pair matrices carry over: the new engine's cache shares the
 // maintainer's core.Carry with a frozen copy of the stamps, so a matrix
@@ -311,66 +356,53 @@ type Snapshot struct {
 // carried matrix, bit-identical to a scratch build.
 func (m *Maintainer) Snapshot() (*Snapshot, error) {
 	m.resummarize()
+	view, err := signature.NewSparse(slices.Clone(m.sigs), m.view)
+	if err != nil {
+		return nil, fmt.Errorf("incremental: %w", err)
+	}
 	st := m.store.Clone()
-	gs := cloneGroups(m.active)
-	sigs := append([]signature.Signature(nil), m.sigs...)
-	eng, err := core.NewEngine(st, gs, sigs)
+	gs := slices.Clone(m.active)
+	m.snapshots++
+	eng, err := core.NewEngineView(st, gs, view)
 	if err != nil {
 		return nil, err
 	}
-	eng.Cache().UseCarry(m.carry, m.version, append([]int64(nil), m.stamps...))
+	m.view = view
+	eng.Cache().UseCarry(m.carry, m.version, slices.Clone(m.stamps))
 	return &Snapshot{
 		Engine:    eng,
 		Store:     st,
 		Groups:    gs,
 		Version:   m.version,
 		VocabSize: st.Vocab.Size(),
+		view:      view,
 	}, nil
 }
 
-// Replicate deep-copies a frozen Snapshot into an independent replica:
-// same Version and VocabSize, structurally identical store, groups and
-// signatures. The replica's store, groups and scorer scratch are private,
-// but the engine shares the receiver's pair-matrix cache: matrices are
-// immutable once built, so replicas can safely serve reads from one
-// materialization instead of each rebuilding identical n(n-1)/2 triangles.
-// Sharing the cache also carries engine-level pair-function overrides
-// (SetPairFunc) into every replica — a solve on any replica sees the same
-// measures the base engine was configured with. The receiver is already
-// frozen, so unlike Maintainer.Snapshot this runs outside the writer lock.
-// The server does not replicate — every shard's partial reads the one
-// published snapshot — so replicas serve only to measure what a deep copy
-// costs.
+// Replicate returns a second engine over the frozen snapshot: same
+// Version and VocabSize, and the same store, groups and sparse signature
+// view, which no writer touches any more. The engine shares the
+// receiver's pair-matrix cache: matrices are immutable once built, so
+// replicas can safely serve reads from one materialization instead of each
+// rebuilding identical n(n-1)/2 triangles. Sharing the cache also carries
+// engine-level pair-function overrides (SetPairFunc) into every replica —
+// a solve on any replica sees the same measures the base engine was
+// configured with. The server does not replicate — every shard's partial
+// reads the one published snapshot.
 func (s *Snapshot) Replicate() (*Snapshot, error) {
-	st := s.Store.Clone()
-	gs := cloneGroups(s.Groups)
-	sigs := append([]signature.Signature(nil), s.Engine.Sigs...)
-	eng, err := core.NewEngine(st, gs, sigs)
+	eng, err := core.NewEngineView(s.Store, s.Groups, s.view)
 	if err != nil {
 		return nil, err
 	}
 	eng.AdoptCache(s.Engine)
 	return &Snapshot{
 		Engine:    eng,
-		Store:     st,
-		Groups:    gs,
+		Store:     s.Store,
+		Groups:    s.Groups,
 		Version:   s.Version,
 		VocabSize: s.VocabSize,
+		view:      s.view,
 	}, nil
-}
-
-// cloneGroups deep-copies a group universe's bitmaps and membership lists.
-func cloneGroups(src []*groups.Group) []*groups.Group {
-	gs := make([]*groups.Group, len(src))
-	for i, g := range src {
-		gs[i] = &groups.Group{
-			ID:      g.ID,
-			Pred:    g.Pred, // terms are immutable once built
-			Tuples:  g.Tuples.Clone(),
-			Members: append([]int(nil), g.Members...),
-		}
-	}
-	return gs
 }
 
 // Store exposes the underlying store (read-only use).

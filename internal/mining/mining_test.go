@@ -15,7 +15,7 @@ import (
 // the tag measure reads.
 func frequencyView(t *testing.T, s *store.Store, gs []*groups.Group) *signature.Sparse {
 	t.Helper()
-	v, err := signature.NewSparse(signature.SummarizeAll(signature.NewFrequency(s), s, gs))
+	v, err := signature.NewSparse(signature.SummarizeAll(signature.NewFrequency(s), s, gs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

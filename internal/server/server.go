@@ -7,7 +7,7 @@
 // incremental.Maintainer guarded by a mutex; the read side is an immutable
 // engine snapshot published through an atomic pointer. Ingest batches
 // mutate the maintainer and, per the refresh policy, publish a fresh
-// deep-copied snapshot (see incremental.Maintainer.Snapshot); analyses
+// copy-on-write snapshot (see incremental.Maintainer.Snapshot); analyses
 // always solve against whatever snapshot is current, so readers observe a
 // consistent engine and never block behind a refresh — at the price of
 // bounded staleness (at most Config.RefreshEvery unpublished inserts).

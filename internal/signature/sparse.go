@@ -10,17 +10,19 @@ import (
 // Signatures are mostly zero (a group's frequency signature sets a dozen
 // of its 400 coordinates), so every consumer of the set reads this one
 // view instead of rescanning dense weights: the tag pair measure's cosine
-// and SM-LSH's hash vectors. The positions of all signatures share one
-// slab, except that signatures with no zero weight (LDA topic mixtures)
-// all share one 0..dim-1 row, so a dense set costs a row header and a
-// norm per signature. The view aliases the signatures, whose weights stay
-// the values' source, and must not outlive a change to them.
+// and SM-LSH's hash vectors. The positions of the signatures one
+// NewSparse call scans share one slab, except that signatures with no zero
+// weight (LDA topic mixtures) all share one 0..dim-1 row, so a dense set
+// costs a row header and a norm per signature. The view aliases the
+// signatures, whose weights stay the values' source and must not change
+// while any view holds them.
 type Sparse struct {
 	sigs []Signature
 	dim  int
 	nnz  int
 	rows [][]int32
 	norm []float64
+	full []int32 // the shared 0..dim-1 row, nil until a signature needs it
 }
 
 // InvalidError reports a signature set that cannot be scored: a signature
@@ -43,20 +45,39 @@ func (e *InvalidError) Error() string {
 	return fmt.Sprintf("signature: signature %d has weight %v at coordinate %d", e.Index, e.Value, e.Coord)
 }
 
-// NewSparse validates sigs and builds their view in one scan. Each norm
+// NewSparse validates sigs and builds their view. prev, when non-nil, is
+// an earlier view to carry from: signature i keeps prev's row and norm
+// when it holds the very weights slice that prev's signature i held, and
+// only the other signatures are scanned and validated. Weights are never
+// changed in place, so the same slice holds the same values, which prev
+// already validated and scanned; a maintainer that re-summarizes a few
+// groups per epoch pays for those groups, not for every weight. Each norm
 // sums the squares of the non-zero weights in ascending order: a left-out
-// zero adds +0, so it is bit-identical to the dense vec.Norm.
-func NewSparse(sigs []Signature) (*Sparse, error) {
+// zero adds +0, so it is bit-identical to the dense vec.Norm, and a
+// carried row and norm equal a rescan bit for bit. Rescanned rows share
+// one new slab; carried rows keep pointing into the slabs of the views
+// they came from.
+func NewSparse(sigs []Signature, prev *Sparse) (*Sparse, error) {
 	v := &Sparse{sigs: sigs, rows: make([][]int32, len(sigs)), norm: make([]float64, len(sigs))}
 	if len(sigs) > 0 {
 		v.dim = len(sigs[0].Weights)
 	}
+	if prev != nil && prev.dim == v.dim {
+		v.full = prev.full
+	}
+	const noZero, carried = -1, -2
 	var slab []int32
-	ends := make([]int, len(sigs)) // row i ends at slab[ends[i]]; -1: no zero weight
+	ends := make([]int, len(sigs)) // row i ends at slab[ends[i]], or noZero or carried
 	for i, s := range sigs {
 		w := s.Weights
 		if len(w) != v.dim {
 			return nil, &InvalidError{Index: i, Dim: len(w), Want: v.dim, Coord: -1}
+		}
+		if prev.holds(i, w) {
+			v.rows[i], v.norm[i] = prev.rows[i], prev.norm[i]
+			v.nnz += len(v.rows[i])
+			ends[i] = carried
+			continue
 		}
 		lo := len(slab)
 		var sq float64
@@ -74,26 +95,44 @@ func NewSparse(sigs []Signature) (*Sparse, error) {
 		v.nnz += len(slab) - lo
 		ends[i] = len(slab)
 		if len(slab)-lo == v.dim {
-			slab, ends[i] = slab[:lo], -1
+			slab, ends[i] = slab[:lo], noZero
 		}
 	}
-	var full []int32
 	lo := 0
 	for i, end := range ends {
-		if end >= 0 {
+		switch {
+		case end == carried:
+		case end >= 0:
 			v.rows[i], lo = slab[lo:end:end], end
-			continue
-		}
-		if full == nil {
-			full = make([]int32, v.dim)
-			for c := range full {
-				full[c] = int32(c)
+		default:
+			if v.full == nil {
+				v.full = make([]int32, v.dim)
+				for c := range v.full {
+					v.full[c] = int32(c)
+				}
 			}
+			v.rows[i] = v.full
 		}
-		v.rows[i] = full
 	}
 	return v, nil
 }
+
+// holds reports whether v's signature i is the weights slice w itself
+// (same first element and length); false for a nil view or an i past it.
+func (v *Sparse) holds(i int, w []float64) bool {
+	if v == nil || i >= len(v.sigs) {
+		return false
+	}
+	p := v.sigs[i].Weights
+	return len(p) == len(w) && (len(w) == 0 || &p[0] == &w[0])
+}
+
+// Len returns the number of signatures.
+func (v *Sparse) Len() int { return len(v.rows) }
+
+// Signatures returns the signatures the view was built over (aliased,
+// read-only).
+func (v *Sparse) Signatures() []Signature { return v.sigs }
 
 // Dim returns the common signature length.
 func (v *Sparse) Dim() int { return v.dim }

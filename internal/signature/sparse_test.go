@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tagdm/internal/datagen"
@@ -17,7 +18,7 @@ import (
 // the cosine of every pair (i, j) with i <= j < i+window.
 func checkSparseMatchesDense(t *testing.T, label string, sigs []Signature, window int) {
 	t.Helper()
-	v, err := NewSparse(sigs)
+	v, err := NewSparse(sigs, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -110,7 +111,7 @@ func TestNewSparseRejectsInvalidSignatures(t *testing.T) {
 		{"+inf", Signature{Weights: []float64{0, 0, math.Inf(1)}}, 2},
 		{"-inf", Signature{Weights: []float64{math.Inf(-1), 0, 0}}, 0},
 	} {
-		_, err := NewSparse([]Signature{ok, ok, c.bad})
+		_, err := NewSparse([]Signature{ok, ok, c.bad}, nil)
 		var inv *InvalidError
 		if !errors.As(err, &inv) {
 			t.Fatalf("%s: error %v, want *InvalidError", c.name, err)
@@ -119,7 +120,7 @@ func TestNewSparseRejectsInvalidSignatures(t *testing.T) {
 			t.Fatalf("%s: %+v", c.name, inv)
 		}
 	}
-	v, err := NewSparse([]Signature{ok, {Weights: []float64{0, math.Copysign(0, -1), 0}}})
+	v, err := NewSparse([]Signature{ok, {Weights: []float64{0, math.Copysign(0, -1), 0}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestNewSparseRejectsInvalidSignatures(t *testing.T) {
 		t.Fatalf("zero signature: norm %v, cosine %v", v.Norm(1), v.Cosine(0, 1))
 	}
 	full := Signature{Weights: []float64{3, -1, 2}}
-	v, err = NewSparse([]Signature{full, ok, full})
+	v, err = NewSparse([]Signature{full, ok, full}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,5 +148,82 @@ func TestNewSparseRejectsInvalidSignatures(t *testing.T) {
 	}
 	if v.NNZ() != 8 {
 		t.Fatalf("NNZ = %d, want 8", v.NNZ())
+	}
+}
+
+// TestNewSparseCarriesHeldRows: a view built from a previous one carries
+// the row and norm of every signature that still holds the previous
+// weights slice, rescans the rest (replaced, appended, or all of them
+// after a dimension change), and equals a scratch view bit for bit.
+func TestNewSparseCarriesHeldRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := func(dim int) Signature {
+		w := make([]float64, dim)
+		for c := range w {
+			if rng.Intn(4) == 0 {
+				w[c] = rng.NormFloat64()
+			}
+		}
+		if rng.Intn(5) == 0 {
+			for c := range w {
+				w[c] = 1 + rng.Float64() // no zero weight: the shared full row
+			}
+		}
+		return Signature{Weights: w}
+	}
+	sigs := make([]Signature, 40)
+	for i := range sigs {
+		sigs[i] = random(30)
+	}
+	prev, err := NewSparse(sigs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 4; round++ {
+		next := append([]Signature(nil), sigs...)
+		dim := 30
+		if round == 3 {
+			dim = 31
+			for i := range next {
+				next[i] = random(dim)
+			}
+		}
+		replaced := map[int]bool{}
+		for k := 0; k < 5 && round < 3; k++ {
+			i := rng.Intn(len(next))
+			next[i], replaced[i] = random(dim), true
+		}
+		next = append(next, random(dim), random(dim))
+		v, err := NewSparse(next, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewSparse(next, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Len() != want.Len() || v.NNZ() != want.NNZ() || v.Dim() != want.Dim() {
+			t.Fatalf("round %d: len/nnz/dim %d/%d/%d, scratch %d/%d/%d", round, v.Len(), v.NNZ(), v.Dim(), want.Len(), want.NNZ(), want.Dim())
+		}
+		for i := range next {
+			if !slices.Equal(v.Nonzeros(i), want.Nonzeros(i)) || math.Float64bits(v.Norm(i)) != math.Float64bits(want.Norm(i)) {
+				t.Fatalf("round %d: row %d differs from scratch", round, i)
+			}
+			r, p := v.Nonzeros(i), prev.Nonzeros(min(i, prev.Len()-1))
+			aliased := len(r) > 0 && len(p) > 0 && &r[0] == &p[0]
+			if carry := round < 3 && i < prev.Len() && !replaced[i]; carry && len(r) > 0 && !aliased {
+				t.Fatalf("round %d: held row %d was rescanned", round, i)
+			} else if !carry && aliased && len(r) < v.Dim() {
+				t.Fatalf("round %d: row %d carried although its weights changed", round, i)
+			}
+		}
+		prev, sigs = v, next
+	}
+	bad := append([]Signature(nil), sigs...)
+	bad[len(bad)-1] = Signature{Weights: make([]float64, len(sigs[0].Weights))}
+	bad[len(bad)-1].Weights[2] = math.Inf(1)
+	var inv *InvalidError
+	if _, err := NewSparse(bad, prev); !errors.As(err, &inv) || inv.Index != len(bad)-1 || inv.Coord != 2 {
+		t.Fatalf("carried view over a non-finite weight: error %v, want *InvalidError", err)
 	}
 }

@@ -124,6 +124,22 @@ func (b *Bitmap) Clone() *Bitmap {
 	return out
 }
 
+// cloneForAppend returns a copy of b for a writer that will only Grow it
+// and Set ids at or past b's universe, leaving b as it is for the readers
+// that share it. Such ids land in the chunk holding id b.n or in later
+// ones, so the copy owns its container slice and that one chunk's
+// container, and shares every earlier container's storage with b. It is
+// the copy-on-write step of append-only postings (Store.Clone).
+func (b *Bitmap) cloneForAppend() *Bitmap {
+	out := &Bitmap{n: b.n, ctrs: make([]container, len(b.ctrs), len(b.ctrs)+1)}
+	copy(out.ctrs, b.ctrs)
+	if last := len(out.ctrs) - 1; last >= 0 && out.ctrs[last].key == int32(b.n>>chunkBits) {
+		out.ctrs[last] = container{}
+		copyInto(&out.ctrs[last], &b.ctrs[last])
+	}
+	return out
+}
+
 // Grow extends the universe to at least n ids, preserving contents. It
 // moves no words: containers exist only where ids do, and a tail bitset
 // shorter than its new span reads as zero-padded.

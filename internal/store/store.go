@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"tagdm/internal/model"
@@ -51,9 +52,22 @@ type Store struct {
 	ratings []float64
 
 	// postings[column key] = bitmap of tuple ids having that value.
-	postings map[postingKey]*Bitmap
+	postings map[postingKey]posting
 
 	n int
+
+	// gen counts the snapshots Clone has taken of this store, and frozen
+	// marks a store that is itself such a snapshot (see Clone).
+	gen    int
+	frozen bool
+}
+
+// posting is one posting list and the writer generation that owns its
+// bitmap: a bitmap with gen below the store's may be shared with a
+// snapshot, so the writer copies it before its next write.
+type posting struct {
+	bm  *Bitmap
+	gen int
 }
 
 type postingKey struct {
@@ -74,7 +88,7 @@ func New(d *model.Dataset) (*Store, error) {
 		Vocab:      d.Vocab,
 		userCols:   make([][]model.ValueCode, d.UserSchema.Len()),
 		itemCols:   make([][]model.ValueCode, d.ItemSchema.Len()),
-		postings:   make(map[postingKey]*Bitmap),
+		postings:   make(map[postingKey]posting),
 	}
 	for _, a := range d.Actions {
 		s.appendTuple(d, a)
@@ -109,21 +123,29 @@ func (s *Store) appendTuple(d *model.Dataset, a model.TaggingAction) {
 }
 
 func (s *Store) posting(k postingKey) *Bitmap {
-	bm, ok := s.postings[k]
-	if !ok {
-		bm = NewBitmap(s.n)
-		s.postings[k] = bm
+	p, ok := s.postings[k]
+	if !ok || p.gen != s.gen {
+		if ok {
+			p.bm = p.bm.cloneForAppend()
+		} else {
+			p.bm = NewBitmap(s.n)
+		}
+		p.gen = s.gen
+		s.postings[k] = p
 	}
 	// The tuple being appended is id s.n-1: growing to s.n keeps every
 	// posting's universe equal to the store's before the Set.
-	bm.Grow(s.n)
-	return bm
+	p.bm.Grow(s.n)
+	return p.bm
 }
 
 // Append adds one more tagging action from the same dataset incrementally,
 // maintaining all posting lists. The dataset must be the one the store was
 // built from (schemas and vocabulary are shared).
 func (s *Store) Append(d *model.Dataset, a model.TaggingAction) error {
+	if s.frozen {
+		return fmt.Errorf("store: append to a read-only snapshot")
+	}
 	if a.User < 0 || int(a.User) >= len(d.Users) {
 		return fmt.Errorf("store: append references unknown user %d", a.User)
 	}
@@ -134,38 +156,47 @@ func (s *Store) Append(d *model.Dataset, a model.TaggingAction) error {
 	return nil
 }
 
-// Clone returns a deep copy of the store that later Appends to s cannot
-// touch: column vectors, per-tuple payloads and posting bitmaps are all
-// copied. The schemas are copied too, so a later ingest that interns an
-// unseen attribute value cannot change the clone's one-hot sizes (which
-// SM-LSH-Fo's plane draw depends on). The vocabulary is shared — it is an
-// append-only dictionary, safe for concurrent use, and snapshot consumers
-// size by a frozen vocabulary size — and the per-tuple tag slices are
-// shared because they are immutable once appended. Clone is what makes
-// snapshot-isolated readers possible while a Maintainer keeps inserting
-// (see internal/incremental.Maintainer.Snapshot).
+// Clone returns a read-only snapshot of the store that later Appends to
+// s cannot touch, at a cost that does not grow with the tuple count. The
+// snapshot shares the append-only columns and per-tuple payloads as
+// length-capped views (s[:n:n]): an Append writes past every snapshot's
+// length, or into a new array once the capacity runs out. It shares the
+// posting bitmaps too, and copies only the posting map: Clone bumps the
+// store's generation, and the writer copies a posting before its first
+// Set or Grow after that (Bitmap.cloneForAppend), so a frozen bitmap is
+// never written again. The schemas are copied, so a later ingest that
+// interns an unseen attribute value cannot change the snapshot's one-hot
+// sizes (which SM-LSH-Fo's plane draw depends on). The vocabulary is
+// shared — it is an append-only dictionary, safe for concurrent use, and
+// snapshot consumers size by a frozen vocabulary size. Append on a
+// snapshot fails, and Clone of a snapshot returns it unchanged. Clone is
+// what makes snapshot-isolated readers possible while a Maintainer keeps
+// inserting (see internal/incremental.Maintainer.Snapshot).
 func (s *Store) Clone() *Store {
+	if s.frozen {
+		return s
+	}
+	s.gen++
+	n := s.n
 	out := &Store{
 		UserSchema: s.UserSchema.Clone(),
 		ItemSchema: s.ItemSchema.Clone(),
 		Vocab:      s.Vocab,
 		userCols:   make([][]model.ValueCode, len(s.userCols)),
 		itemCols:   make([][]model.ValueCode, len(s.itemCols)),
-		users:      append([]int32(nil), s.users...),
-		items:      append([]int32(nil), s.items...),
-		tags:       append([][]model.TagID(nil), s.tags...),
-		ratings:    append([]float64(nil), s.ratings...),
-		postings:   make(map[postingKey]*Bitmap, len(s.postings)),
-		n:          s.n,
+		users:      s.users[:n:n],
+		items:      s.items[:n:n],
+		tags:       s.tags[:n:n],
+		ratings:    s.ratings[:n:n],
+		postings:   maps.Clone(s.postings),
+		n:          n,
+		frozen:     true,
 	}
 	for ci, col := range s.userCols {
-		out.userCols[ci] = append([]model.ValueCode(nil), col...)
+		out.userCols[ci] = col[:n:n]
 	}
 	for ci, col := range s.itemCols {
-		out.itemCols[ci] = append([]model.ValueCode(nil), col...)
-	}
-	for k, bm := range s.postings {
-		out.postings[k] = bm.Clone()
+		out.itemCols[ci] = col[:n:n]
 	}
 	return out
 }
@@ -277,15 +308,15 @@ func (s *Store) Eval(p Predicate) *Bitmap {
 		return acc
 	}
 	for ti, t := range p.Terms {
-		bm, ok := s.postings[postingKey{t.Col.Side, t.Col.Index, t.Value}]
+		p, ok := s.postings[postingKey{t.Col.Side, t.Col.Index, t.Value}]
 		if !ok {
 			return NewBitmap(s.n)
 		}
 		if ti == 0 {
-			acc.CopyFrom(bm)
+			acc.CopyFrom(p.bm)
 			continue
 		}
-		acc.And(bm)
+		acc.And(p.bm)
 	}
 	return acc
 }

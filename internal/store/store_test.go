@@ -3,6 +3,7 @@ package store
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -319,5 +320,58 @@ func TestStoreCloneIsolation(t *testing.T) {
 	}
 	if got := clone.Value(0, Column{SideUser, 0}); got != s.Value(0, Column{SideUser, 0}) {
 		t.Fatal("clone column data differs from original prefix")
+	}
+}
+
+// TestCloneForAppend: the copy a writer takes of a shared posting owns the
+// container of the chunk holding id Universe() and shares the earlier
+// ones; Grow and ascending Sets on it, within that chunk and past it,
+// leave the original as it was.
+func TestCloneForAppend(t *testing.T) {
+	for _, n := range []int{100, chunkSize, chunkSize + 300, 2*chunkSize + 5} {
+		b := NewBitmap(n)
+		for id := 0; id < n; id += 3 {
+			b.Set(id)
+		}
+		b.Set(n - 1)
+		want := b.Slice()
+		c := b.cloneForAppend()
+		for i := 0; i < len(c.ctrs); i++ {
+			shared := c.ctrs[i].key < int32(n>>chunkBits)
+			if got := c.ctrs[i].isArr && &c.ctrs[i].arr[0] == &b.ctrs[i].arr[0] ||
+				!c.ctrs[i].isArr && &c.ctrs[i].bits[0] == &b.ctrs[i].bits[0]; got != shared {
+				t.Fatalf("n=%d: container %d shared = %v, want %v", n, i, got, shared)
+			}
+		}
+		added := []int{n, n + 1, n + 700, n + chunkSize}
+		for _, id := range added {
+			c.Grow(id + 1)
+			c.Set(id)
+		}
+		if got := b.Slice(); !slices.Equal(got, want) || b.Universe() != n {
+			t.Fatalf("n=%d: original changed: %d ids, universe %d", n, len(got), b.Universe())
+		}
+		if got := c.Slice(); !slices.Equal(got, append(slices.Clone(want), added...)) {
+			t.Fatalf("n=%d: copy holds %d ids, want %d", n, len(got), len(want)+len(added))
+		}
+	}
+}
+
+// TestCloneIsReadOnly: a snapshot refuses Append, and cloning it returns
+// it unchanged.
+func TestCloneIsReadOnly(t *testing.T) {
+	d, s := buildTestStore(t)
+	snap := s.Clone()
+	if err := snap.Append(d, model.TaggingAction{User: 0, Item: 0}); err == nil {
+		t.Fatal("Append on a snapshot succeeded")
+	}
+	if snap.Clone() != snap {
+		t.Fatal("Clone of a snapshot copied it")
+	}
+	if err := s.Append(d, model.TaggingAction{User: 0, Item: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Len() != s.Len()-1 {
+		t.Fatalf("snapshot Len = %d, live %d", snap.Len(), s.Len())
 	}
 }
