@@ -35,7 +35,6 @@ import (
 	"tagdm/internal/signature"
 	"tagdm/internal/store"
 	"tagdm/internal/userstudy"
-	"tagdm/internal/vec"
 )
 
 var (
@@ -480,11 +479,11 @@ func BenchmarkTagMatrixFrequency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pair := e.PairFunc(mining.Tags, mining.Diversity)
+	src := mining.Source(e.Store, e.Sigs, mining.Tags, mining.Diversity)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mining.NewPairMatrix(gs, pair, 0)
+		mining.NewPairMatrix(gs, src, 0)
 	}
 }
 
@@ -492,7 +491,7 @@ func BenchmarkSubstrateFDPGreedy(b *testing.B) {
 	st, _ := benchWorld(b)
 	n := len(st.Sigs)
 	dist := func(i, j int) float64 {
-		return vec.CosineDistance(st.Sigs[i].Weights, st.Sigs[j].Weights)
+		return 1 - st.Sigs[i].Cosine(st.Sigs[j])
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

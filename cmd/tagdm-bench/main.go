@@ -92,6 +92,9 @@ type benchRecord struct {
 	// RetainedBytes is the heap one retained snapshot adds (snapshot
 	// records).
 	RetainedBytes int64 `json:"retained_bytes,omitempty"`
+	// BaseBytes is the heap a maintainer plus its first snapshot hold
+	// after GC, beyond the dataset they are built from (snapshot records).
+	BaseBytes int64 `json:"base_bytes,omitempty"`
 }
 
 func millis(d time.Duration) float64 { return float64(d) / 1e6 }
@@ -405,13 +408,14 @@ const snapshotReps = 20
 // runSnapshot measures what publishing an epoch costs the server's
 // maintainer (frequency signatures, groups of at least 5 tuples) after
 // one insert, on datagen.Small and datagen.Default: the median time of
-// Maintainer.Snapshot, and the heap each retained snapshot adds. A
-// snapshot that copies the store grows with the corpus; one that shares
-// it grows with what changed. It does not follow -scale.
+// Maintainer.Snapshot, the heap each retained snapshot adds, and the base
+// heap of the maintainer plus its first snapshot. A snapshot that copies
+// the store grows with the corpus; one that shares it grows with what
+// changed. It does not follow -scale.
 func runSnapshot(emit *jsonEmitter) {
 	if emit == nil {
 		fmt.Println("== Maintainer snapshot after one insert ==")
-		fmt.Printf("%-8s %8s %7s %10s %15s\n", "corpus", "tuples", "groups", "millis", "retained_bytes")
+		fmt.Printf("%-8s %8s %7s %10s %15s %12s\n", "corpus", "tuples", "groups", "millis", "retained_bytes", "base_bytes")
 	}
 	var costs [2]benchRecord
 	for i, c := range []struct {
@@ -427,7 +431,7 @@ func runSnapshot(emit *jsonEmitter) {
 		if emit != nil {
 			emit.record(r)
 		} else {
-			fmt.Printf("%-8s %8d %7d %10.4f %15d\n", c.name, r.Tuples, r.NumGroups, r.Millis, r.RetainedBytes)
+			fmt.Printf("%-8s %8d %7d %10.4f %15d %12d\n", c.name, r.Tuples, r.NumGroups, r.Millis, r.RetainedBytes, r.BaseBytes)
 		}
 	}
 	if emit == nil {
@@ -438,26 +442,30 @@ func runSnapshot(emit *jsonEmitter) {
 }
 
 // snapshotCost builds a maintainer over cfg's corpus, takes the first
-// snapshot (which scans every group), and then takes snapshotReps
-// snapshots, each after re-inserting one existing action. Every snapshot
-// stays referenced, so the heap growth over the run, divided by the
-// snapshots, is what one retained epoch costs.
+// snapshot (which summarizes every group), and then takes snapshotReps
+// snapshots, each after re-inserting one existing action. The heap growth
+// from before the maintainer to after the first snapshot is the base
+// cost. Every later snapshot stays referenced, so the heap growth over
+// the run, divided by the snapshots, is what one retained epoch costs.
 func snapshotCost(cfg datagen.Config) (benchRecord, error) {
 	w, err := datagen.Generate(cfg)
 	if err != nil {
 		return benchRecord{}, err
 	}
 	ds := w.Dataset
+	var before, m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	m, err := incremental.New(ds, 5, signature.FrequencyOfSize(ds.Vocab.Size()))
 	if err != nil {
 		return benchRecord{}, err
 	}
-	if _, err := m.Snapshot(); err != nil {
+	first, err := m.Snapshot()
+	if err != nil {
 		return benchRecord{}, err
 	}
 	kept := make([]*incremental.Snapshot, 0, snapshotReps)
 	times := make([]time.Duration, 0, snapshotReps)
-	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
 	for r := 0; r < snapshotReps; r++ {
@@ -476,6 +484,7 @@ func snapshotCost(cfg datagen.Config) (benchRecord, error) {
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	runtime.KeepAlive(kept)
+	runtime.KeepAlive(first)
 	slices.Sort(times)
 	last := kept[len(kept)-1]
 	return benchRecord{
@@ -483,6 +492,7 @@ func snapshotCost(cfg datagen.Config) (benchRecord, error) {
 		NumGroups:     len(last.Groups),
 		Millis:        millis(times[len(times)/2]),
 		RetainedBytes: (int64(m1.HeapAlloc) - int64(m0.HeapAlloc)) / snapshotReps,
+		BaseBytes:     int64(m0.HeapAlloc) - int64(before.HeapAlloc),
 	}, nil
 }
 
@@ -591,7 +601,7 @@ func serverFrequencyEngine() (*core.Engine, error) {
 func matrixReuseSweep(name string, e *core.Engine, emit *jsonEmitter) {
 	gs := e.Groups
 	n := len(gs)
-	pair := e.PairFunc(mining.Tags, mining.Diversity)
+	src := mining.Source(e.Store, e.Sigs, mining.Tags, mining.Diversity)
 
 	timeIt := func(reps int, f func()) time.Duration {
 		start := time.Now()
@@ -602,14 +612,14 @@ func matrixReuseSweep(name string, e *core.Engine, emit *jsonEmitter) {
 	}
 
 	var scratch *mining.PairMatrix
-	coldPer := timeIt(3, func() { scratch = mining.NewPairMatrix(gs, pair, 0) })
+	coldPer := timeIt(3, func() { scratch = mining.NewPairMatrix(gs, src, 0) })
 
 	// A 1-group insert dirties exactly one row: the appended group (group
 	// IDs are append-only, so inserts only ever dirty the tail).
 	dirty := make([]bool, n)
 	dirty[n-1] = true
 	var rebuilt *mining.PairMatrix
-	rebuildPer := timeIt(20, func() { rebuilt = scratch.RebuildRows(gs, pair, dirty, 0) })
+	rebuildPer := timeIt(20, func() { rebuilt = scratch.RebuildRows(gs, src, dirty, 0) })
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rebuilt.At(i, j) != scratch.At(i, j) {

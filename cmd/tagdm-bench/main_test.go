@@ -105,13 +105,14 @@ func TestEmittersTagRecords(t *testing.T) {
 }
 
 // TestSnapshotCost runs the -snapshot measurement on datagen.Small and
-// checks the record carries the corpus size, a time and retained bytes.
+// checks the record carries the corpus size, a time, retained bytes and
+// the base heap.
 func TestSnapshotCost(t *testing.T) {
 	r, err := snapshotCost(datagen.Small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Tuples != datagen.Small().Actions+snapshotReps || r.NumGroups == 0 || r.Millis <= 0 || r.RetainedBytes <= 0 {
+	if r.Tuples != datagen.Small().Actions+snapshotReps || r.NumGroups == 0 || r.Millis <= 0 || r.RetainedBytes <= 0 || r.BaseBytes <= 0 {
 		t.Fatalf("snapshot record %+v", r)
 	}
 }

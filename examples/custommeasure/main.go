@@ -36,7 +36,7 @@ func (p *prefixSummarizer) Summarize(s *tagdm.Store, g *tagdm.Group) tagdm.Signa
 			w[c-'a'] += float64(n)
 		}
 	}
-	return tagdm.Signature{Weights: w}
+	return tagdm.SignatureFromDense(w)
 }
 
 func main() {

@@ -506,17 +506,18 @@ func TestNewEngineRejectsInvalidSignatures(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		mutate func(w []float64) []float64
+		coord  int
 	}{
-		{"ragged", func(w []float64) []float64 { return w[:len(w)-1] }},
-		{"nan", func(w []float64) []float64 { w[0] = math.NaN(); return w }},
-		{"inf", func(w []float64) []float64 { w[len(w)-1] = math.Inf(-1); return w }},
+		{"ragged", func(w []float64) []float64 { return w[:len(w)-1] }, -1},
+		{"nan", func(w []float64) []float64 { w[0] = math.NaN(); return w }, 0},
+		{"inf", func(w []float64) []float64 { w[len(w)-1] = math.Inf(-1); return w }, e.Sigs[3].Dim() - 1},
 	} {
 		sigs := append([]signature.Signature(nil), e.Sigs...)
-		sigs[3] = signature.Signature{Weights: c.mutate(append([]float64(nil), sigs[3].Weights...))}
+		sigs[3] = signature.FromDense(c.mutate(sigs[3].Dense()))
 		_, err := NewEngine(e.Store, e.Groups, sigs)
 		var inv *signature.InvalidError
-		if !errors.As(err, &inv) || inv.Index != 3 {
-			t.Fatalf("%s: NewEngine error %v, want *signature.InvalidError for signature 3", c.name, err)
+		if !errors.As(err, &inv) || inv.Index != 3 || inv.Coord != c.coord {
+			t.Fatalf("%s: NewEngine error %v, want *signature.InvalidError for signature 3, coordinate %d", c.name, err, c.coord)
 		}
 	}
 }

@@ -15,12 +15,9 @@ import (
 type Engine struct {
 	Store  *store.Store
 	Groups []*groups.Group
-	Sigs   []signature.Signature
-
-	// sigs is the sparse view of Sigs, built and validated once before
-	// the engine (so Sigs must not change afterwards): the tag measure's
-	// cosine and SM-LSH's hash vectors both read it.
-	sigs *signature.Sparse
+	// Sigs holds each group's tag signature, validated once by NewEngine:
+	// the tag measure's cosine and SM-LSH's hash vectors both read it.
+	Sigs []signature.Signature
 
 	// cache is the matrix lifecycle this engine scores through: pair
 	// matrices build lazily (single-flight) on first use, pair-function
@@ -40,22 +37,14 @@ type pairKey struct {
 // NewEngine prepares an engine. Groups must carry their enumeration IDs
 // (0..len-1) and sigs must be indexed by group ID, all of one length and
 // with finite weights; a signature set that breaks either is rejected with
-// a *signature.InvalidError.
+// a *signature.InvalidError. The engine aliases sigs, which must not change
+// afterwards; validating them costs O(groups) (signature.Validate).
 func NewEngine(s *store.Store, gs []*groups.Group, sigs []signature.Signature) (*Engine, error) {
-	view, err := signature.NewSparse(sigs, nil)
-	if err != nil {
+	if err := signature.Validate(sigs); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return NewEngineView(s, gs, view)
-}
-
-// NewEngineView is NewEngine over an already built sparse view of the
-// signatures, which the engine aliases: Maintainer.Snapshot builds each
-// epoch's view from the previous one, rescanning only the re-summarized
-// groups.
-func NewEngineView(s *store.Store, gs []*groups.Group, view *signature.Sparse) (*Engine, error) {
-	if len(gs) != view.Len() {
-		return nil, fmt.Errorf("core: %d groups but %d signatures", len(gs), view.Len())
+	if len(gs) != len(sigs) {
+		return nil, fmt.Errorf("core: %d groups but %d signatures", len(gs), len(sigs))
 	}
 	for i, g := range gs {
 		if g.ID != i {
@@ -65,8 +54,7 @@ func NewEngineView(s *store.Store, gs []*groups.Group, view *signature.Sparse) (
 	return &Engine{
 		Store:  s,
 		Groups: gs,
-		Sigs:   view.Signatures(),
-		sigs:   view,
+		Sigs:   sigs,
 		cache:  newMatrixCache(),
 	}, nil
 }
@@ -103,7 +91,7 @@ func (e *Engine) PairFunc(dim mining.Dimension, meas mining.Measure) mining.Pair
 	if f, ok := e.cache.override(pairKey{dim, meas}); ok {
 		return f
 	}
-	return mining.For(e.Store, e.sigs, dim, meas).Pair
+	return mining.For(e.Store, e.Sigs, dim, meas).Pair
 }
 
 // SetPairFunc overrides the concrete measure for one (dimension, measure)
@@ -139,11 +127,16 @@ func (e *Engine) PairMatrix(dim mining.Dimension, meas mining.Measure) *mining.P
 // matrixHit.
 func (e *Engine) pairMatrixTracked(dim mining.Dimension, meas mining.Measure) (*mining.PairMatrix, matrixOutcome) {
 	return e.cache.matrix(pairKey{dim, meas}, func(prev *mining.PairMatrix, dirty []bool) *mining.PairMatrix {
-		pair := e.PairFunc(dim, meas)
-		if prev != nil {
-			return prev.RebuildRows(e.Groups, pair, dirty, 0)
+		// Each build worker's tag cosine keeps a scratch row, so a pair
+		// walks one group's non-zeros instead of merging two.
+		src := mining.Source(e.Store, e.Sigs, dim, meas)
+		if f, ok := e.cache.override(pairKey{dim, meas}); ok {
+			src = mining.Shared(f)
 		}
-		return mining.NewPairMatrix(e.Groups, pair, 0)
+		if prev != nil {
+			return prev.RebuildRows(e.Groups, src, dirty, 0)
+		}
+		return mining.NewPairMatrix(e.Groups, src, 0)
 	})
 }
 

@@ -271,14 +271,17 @@ func (e *Engine) foldFlags(spec ProblemSpec, mode ConstraintMode) (foldUsers, fo
 // attributes tend to collide. Each value is what normalizing the dense
 // block would give: a block's norm sums the squares of its non-zero
 // coordinates in ascending order, which equals the dense sum. The
-// signature block copies each group's non-zeros and norm from the
-// engine's sparse view. Nothing here can fail, since NewEngine validated
-// the signatures; the error result matches the sign-bit build it feeds.
+// signature block divides each group's non-zero values by its stored
+// norm. Nothing here can fail, since NewEngine validated the signatures;
+// the error result matches the sign-bit build it feeds.
 func (e *Engine) buildHashVectors(foldUsers, foldItems bool) (*lsh.Sparse, error) {
 	us, is := e.Store.UserSchema, e.Store.ItemSchema
 	uOffs, iOffs := us.OneHotOffsets(), is.OneHotOffsets()
 	uDim, iDim := us.TotalCardinality(), is.TotalCardinality()
-	nnz := e.sigs.NNZ()
+	nnz := 0
+	for _, sig := range e.Sigs {
+		nnz += len(sig.Nonzeros())
+	}
 	if foldUsers {
 		nnz += len(e.Groups) * us.Len()
 	}
@@ -314,16 +317,16 @@ func (e *Engine) buildHashVectors(foldUsers, foldItems bool) (*lsh.Sparse, error
 			oneHot(is.Len(), iOffs, g.ItemValue)
 			v.Dim += iDim
 		}
-		w, norm := e.sigs.Weights(gi), e.sigs.Norm(gi)
-		for _, c := range e.sigs.Nonzeros(gi) {
-			x := w[c]
+		sig, norm := e.Sigs[gi], e.Sigs[gi].Norm()
+		for k, c := range sig.Nonzeros() {
+			x := sig.Values()[k]
 			if norm != 0 {
 				x /= norm
 			}
 			v.Index = append(v.Index, int32(v.Dim)+c)
 			v.Value = append(v.Value, x)
 		}
-		v.Dim += e.sigs.Dim()
+		v.Dim += sig.Dim()
 		v.Start = append(v.Start, len(v.Index))
 	}
 	return v, nil

@@ -19,14 +19,15 @@ import (
 )
 
 // denseHashVectors is the dense form of buildHashVectors: each group's
-// normalized one-hot blocks and normalized signature, concatenated with
-// every zero kept. It is the reference the sparse rows must hash like.
-func denseHashVectors(e *Engine, foldUsers, foldItems bool) [][]float64 {
+// normalized one-hot blocks and normalized dense signature weights,
+// concatenated with every zero (and -0) kept. It is the reference the
+// sparse rows must hash like.
+func denseHashVectors(e *Engine, weights [][]float64, foldUsers, foldItems bool) [][]float64 {
 	us, is := e.Store.UserSchema, e.Store.ItemSchema
 	uOffs, iOffs := us.OneHotOffsets(), is.OneHotOffsets()
 	vectors := make([][]float64, len(e.Groups))
 	for gi, g := range e.Groups {
-		sig := append([]float64(nil), e.Sigs[gi].Weights...)
+		sig := append([]float64(nil), weights[gi]...)
 		vec.Normalize(sig)
 		var parts [][]float64
 		if foldUsers {
@@ -129,6 +130,14 @@ var (
 // of the rest an explicit +0 or -0).
 func smallEngine(t testing.TB, sigs string) *Engine {
 	t.Helper()
+	e, _ := smallEngineDense(t, sigs)
+	return e
+}
+
+// smallEngineDense is smallEngine plus each group's dense signature
+// weights as summarized, before signature.FromDense left out their zeros.
+func smallEngineDense(t testing.TB, sigs string) (*Engine, [][]float64) {
+	t.Helper()
 	smallWorldOnce.Do(func() {
 		w, err := datagen.Generate(datagen.Small())
 		if err != nil {
@@ -159,29 +168,32 @@ func smallEngine(t testing.TB, sigs string) *Engine {
 		ss = smallWorld.lda
 	case "frequency", "zeros":
 		ss = signature.SummarizeAll(signature.NewFrequency(s), s, gs)
-		if sigs == "zeros" {
-			negZero := math.Copysign(0, -1)
-			for gi := range ss {
-				w := append([]float64(nil), ss[gi].Weights...)
-				for c := range w {
-					switch {
-					case gi%3 == 0:
-						w[c] = 0
-					case w[c] == 0 && c%2 == 1:
-						w[c] = negZero
-					}
-				}
-				ss[gi].Weights = w
-			}
-		}
 	default:
 		t.Fatalf("unknown signatures %q", sigs)
+	}
+	dense := make([][]float64, len(ss))
+	for gi := range ss {
+		dense[gi] = ss[gi].Dense()
+	}
+	if sigs == "zeros" {
+		negZero := math.Copysign(0, -1)
+		for gi, w := range dense {
+			for c := range w {
+				switch {
+				case gi%3 == 0:
+					w[c] = 0
+				case w[c] == 0 && c%2 == 1:
+					w[c] = negZero
+				}
+			}
+			ss[gi] = signature.FromDense(w)
+		}
 	}
 	e, err := NewEngine(s, gs, ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return e, dense
 }
 
 // TestSMLSHBucketsMatchDenseIndex is the answer oracle for the one-pass
@@ -203,11 +215,11 @@ func TestSMLSHBucketsMatchDenseIndex(t *testing.T) {
 		specs = append(specs, spec)
 	}
 	for _, sigs := range []string{"frequency", "zeros", "lda"} {
-		e := smallEngine(t, sigs)
+		e, weights := smallEngineDense(t, sigs)
 		for _, spec := range specs {
 			for _, mode := range []ConstraintMode{Filter, Fold} {
 				foldUsers, foldItems := e.foldFlags(spec, mode)
-				dense := denseHashVectors(e, foldUsers, foldItems)
+				dense := denseHashVectors(e, weights, foldUsers, foldItems)
 				v, err := e.buildHashVectors(foldUsers, foldItems)
 				if err != nil {
 					t.Fatal(err)

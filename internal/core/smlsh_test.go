@@ -30,7 +30,7 @@ func hashVectorsFor(t *testing.T, e *Engine, spec ProblemSpec, mode ConstraintMo
 func TestHashVectorsDimensions(t *testing.T) {
 	e := buildEngine(t)
 	spec, _ := PaperProblem(1, 2, 5, 0.5, 0.5)
-	sigDim := len(e.Sigs[0].Weights)
+	sigDim := e.Sigs[0].Dim()
 	uDim := e.Store.UserSchema.TotalCardinality()
 	iDim := e.Store.ItemSchema.TotalCardinality()
 
@@ -57,7 +57,7 @@ func TestHashVectorsFoldOnlySimilarityConstraints(t *testing.T) {
 	// fold (diversity cannot fold into LSH).
 	spec, _ := PaperProblem(2, 2, 5, 0.5, 0.5)
 	foldVecs := hashVectorsFor(t, e, spec, Fold)
-	want := e.Store.UserSchema.TotalCardinality() + len(e.Sigs[0].Weights)
+	want := e.Store.UserSchema.TotalCardinality() + e.Sigs[0].Dim()
 	if len(foldVecs[0]) != want {
 		t.Fatalf("fold dim = %d, want %d", len(foldVecs[0]), want)
 	}

@@ -20,7 +20,6 @@ import (
 	"tagdm/internal/groups"
 	"tagdm/internal/signature"
 	"tagdm/internal/store"
-	"tagdm/internal/vec"
 )
 
 // Report is the outcome of a structure-recovery evaluation.
@@ -88,7 +87,7 @@ func Recovery(w *datagen.World, s *store.Store, gs []*groups.Group, sigs []signa
 	for i, g := range gs {
 		truth[i] = truthTopic(s, g, w.TopicOfTag, nTopics)
 		truthCounts[truth[i]]++
-		cluster[i] = argmax(sigs[i].Weights)
+		cluster[i] = argmax(sigs[i].Dense())
 	}
 	// Cluster purity: sum over clusters of the majority truth count.
 	type key struct{ c, t int }
@@ -124,7 +123,7 @@ func Recovery(w *datagen.World, s *store.Store, gs []*groups.Group, sigs []signa
 	var nWithin, nAcross int
 	for i := 0; i < len(gs); i++ {
 		for j := i + 1; j < len(gs); j++ {
-			c := vec.Cosine(sigs[i].Weights, sigs[j].Weights)
+			c := sigs[i].Cosine(sigs[j])
 			if truth[i] == truth[j] {
 				within += c
 				nWithin++

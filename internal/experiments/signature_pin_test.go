@@ -15,7 +15,7 @@ func sigDigest(sigs []signature.Signature) string {
 	h := sha256.New()
 	var buf [8]byte
 	for _, s := range sigs {
-		for _, w := range s.Weights {
+		for _, w := range s.Dense() {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w))
 			h.Write(buf[:])
 		}

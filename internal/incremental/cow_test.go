@@ -101,34 +101,26 @@ func diffRef(snap *Snapshot, ref snapRef) string {
 	return ""
 }
 
-// assertViewMatchesScratch is the carried-view oracle: the view a
-// snapshot carried from earlier epochs equals a scratch NewSparse over the
-// same signatures, row for row and norm for norm, bit for bit.
-func assertViewMatchesScratch(t *testing.T, label string, v *signature.Sparse) {
+// assertSigsMatchScratch is the carried-signature oracle: every signature
+// a snapshot carried from earlier epochs equals a scratch summary of its
+// frozen group, positions, values and norm, bit for bit.
+func assertSigsMatchScratch(t *testing.T, label string, snap *Snapshot, sum signature.Summarizer) {
 	t.Helper()
-	want, err := signature.NewSparse(v.Signatures(), nil)
-	if err != nil {
-		t.Fatalf("%s: scratch view: %v", label, err)
-	}
-	if v.Len() != want.Len() || v.Dim() != want.Dim() || v.NNZ() != want.NNZ() {
-		t.Fatalf("%s: view len/dim/nnz %d/%d/%d, scratch %d/%d/%d", label,
-			v.Len(), v.Dim(), v.NNZ(), want.Len(), want.Dim(), want.NNZ())
-	}
-	for i := 0; i < v.Len(); i++ {
-		if !slices.Equal(v.Nonzeros(i), want.Nonzeros(i)) {
-			t.Fatalf("%s: row %d = %v, scratch %v", label, i, v.Nonzeros(i), want.Nonzeros(i))
-		}
-		if math.Float64bits(v.Norm(i)) != math.Float64bits(want.Norm(i)) {
-			t.Fatalf("%s: norm %d = %v, scratch %v", label, i, v.Norm(i), want.Norm(i))
+	for i, g := range snap.Groups {
+		got, want := snap.Engine.Sigs[i], sum.Summarize(snap.Store, g)
+		if got.Dim() != want.Dim() || !slices.Equal(got.Nonzeros(), want.Nonzeros()) ||
+			!slices.Equal(got.Values(), want.Values()) || math.Float64bits(got.Norm()) != math.Float64bits(want.Norm()) {
+			t.Fatalf("%s: signature %d = %v %v (norm %v), scratch %v %v (norm %v)", label, i,
+				got.Nonzeros(), got.Values(), got.Norm(), want.Nonzeros(), want.Values(), want.Norm())
 		}
 	}
 }
 
-// carriedRows counts the rows of v that alias prev's row storage.
-func carriedRows(v, prev *signature.Sparse) int {
+// carriedRows counts the signatures of v that share their rows with prev's.
+func carriedRows(v, prev []signature.Signature) int {
 	n := 0
-	for i := 0; i < min(v.Len(), prev.Len()); i++ {
-		if r, p := v.Nonzeros(i), prev.Nonzeros(i); len(r) > 0 && len(p) == len(r) && &r[0] == &p[0] {
+	for i := 0; i < min(len(v), len(prev)); i++ {
+		if r, p := v[i].Nonzeros(), prev[i].Nonzeros(); len(r) > 0 && len(p) == len(r) && &r[0] == &p[0] {
 			n++
 		}
 	}
@@ -202,15 +194,16 @@ func opensGroup(t *testing.T, m *Maintainer, tags []model.TagID) model.TaggingAc
 // an active group, with an unseen attribute value (a new posting and a
 // schema intern), enough to promote a pending group, and one that opens a
 // new pending group. The snapshot must read as it did at publish time,
-// answer as a second engine over it did before the inserts, and carry a
-// sparse view equal to a scratch one.
+// answer as a second engine over it did before the inserts, and carry
+// signatures equal to scratch summaries.
 func TestSnapshotIsolationUnderCopyOnWrite(t *testing.T) {
 	w, err := datagen.Generate(datagen.Small())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := w.Dataset
-	m, err := New(ds, 5, signature.FrequencyOfSize(ds.Vocab.Size()))
+	sum := signature.FrequencyOfSize(ds.Vocab.Size())
+	m, err := New(ds, 5, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,9 +254,9 @@ func TestSnapshotIsolationUnderCopyOnWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertViewMatchesScratch(t, label, snap.view)
-		if prev != nil && carriedRows(snap.view, prev.view) == 0 {
-			t.Fatalf("%s: no row carried from the previous view", label)
+		assertSigsMatchScratch(t, label, snap, sum)
+		if prev != nil && carriedRows(snap.Engine.Sigs, prev.Engine.Sigs) == 0 {
+			t.Fatalf("%s: no signature carried from the previous snapshot", label)
 		}
 		prev = snap
 		ref := captureRef(snap)
@@ -314,7 +307,7 @@ func TestSnapshotIsolationUnderCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertViewMatchesScratch(t, "last epoch", last.view)
+	assertSigsMatchScratch(t, "last epoch", last, sum)
 }
 
 // poisoned wraps a summarizer and, while on is set, writes NaN into the
@@ -327,16 +320,18 @@ type poisoned struct {
 func (p *poisoned) Summarize(s *store.Store, g *groups.Group) signature.Signature {
 	sig := p.Summarizer.Summarize(s, g)
 	if p.on {
-		sig.Weights[0] = math.NaN()
+		w := sig.Dense()
+		w[0] = math.NaN()
+		sig = signature.FromDense(w)
 	}
 	return sig
 }
 
 // TestSnapshotRejectsInvalidSignatureAndRecovers: a re-summarized group
 // whose signature holds a NaN fails Snapshot with *signature.InvalidError,
-// and keeps failing while the signature stays (the carried view rescans
-// every signature it did not build), until an insert re-summarizes the
-// group cleanly; the view then equals a scratch one.
+// and keeps failing while the signature stays (NewEngine validates every
+// signature on each snapshot), until an insert re-summarizes the group
+// cleanly; the signatures then equal scratch summaries.
 func TestSnapshotRejectsInvalidSignatureAndRecovers(t *testing.T) {
 	w, err := datagen.Generate(datagen.Small())
 	if err != nil {
@@ -372,7 +367,7 @@ func TestSnapshotRejectsInvalidSignatureAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertViewMatchesScratch(t, "recovered", snap.view)
+	assertSigsMatchScratch(t, "recovered", snap, sum)
 }
 
 // TestKeysMatchFmtForm pins the checkpoint key bytes: keyOfGroup and

@@ -17,11 +17,11 @@
 // Snapshot is the only way to get an engine, and it costs what changed
 // since the last one, not what exists. The snapshot shares the store's
 // columns and postings, the group structs and the clean groups' sparse
-// signature rows; the writer copies a posting or a group before its first
-// write after a snapshot (copy-on-write), and the new epoch's sparse view
-// rescans only the re-summarized groups. Every snapshot's matrix cache
-// shares the maintainer's core.Carry, which compares stamps to rebuild
-// only the pair-matrix rows of changed groups.
+// signatures; the writer copies a posting or a group before its first
+// write after a snapshot (copy-on-write), and a re-summarized group gets a
+// new signature instead of changing the old one. Every snapshot's matrix
+// cache shares the maintainer's core.Carry, which compares stamps to
+// rebuild only the pair-matrix rows of changed groups.
 package incremental
 
 import (
@@ -67,11 +67,9 @@ type Maintainer struct {
 	snapVersion int64
 	carry       *core.Carry
 
-	// view is the sparse signature view of the last snapshot, which the
-	// next one carries clean rows from. snapshots counts snapshots taken:
-	// a group activated or copied before the latest one may be shared with
-	// a snapshot, so Insert copies it before writing to it.
-	view      *signature.Sparse
+	// snapshots counts snapshots taken: a group activated or copied
+	// before the latest one may be shared with a snapshot, so Insert
+	// copies it before writing to it.
 	snapshots int64
 
 	inserts int
@@ -335,8 +333,6 @@ type Snapshot struct {
 	// vocabulary — e.g. frequency signatures for scoped re-analyses — must
 	// use this frozen size so equal versions keep producing equal answers.
 	VocabSize int
-
-	view *signature.Sparse // the engine's sparse signature view
 }
 
 // Snapshot re-summarizes the groups stamped since the last snapshot and
@@ -345,10 +341,9 @@ type Snapshot struct {
 // costs what changed, not what exists: the store snapshot shares columns
 // and postings (Store.Clone), the group slice is copied but the groups
 // are shared, and Insert copies a shared group or posting before its first
-// write after this call. The sparse signature view carries every clean
-// group's row and norm from the previous snapshot's view and scans only
-// the re-summarized groups, bit-identical to a scratch
-// signature.NewSparse.
+// write after this call. The engine gets a copy of the signature slice,
+// whose clean entries share their rows with earlier snapshots; NewEngine
+// validates it in O(groups).
 //
 // Pair matrices carry over: the new engine's cache shares the
 // maintainer's core.Carry with a frozen copy of the stamps, so a matrix
@@ -356,18 +351,13 @@ type Snapshot struct {
 // carried matrix, bit-identical to a scratch build.
 func (m *Maintainer) Snapshot() (*Snapshot, error) {
 	m.resummarize()
-	view, err := signature.NewSparse(slices.Clone(m.sigs), m.view)
+	st := m.store.Clone()
+	gs := slices.Clone(m.active)
+	eng, err := core.NewEngine(st, gs, slices.Clone(m.sigs))
 	if err != nil {
 		return nil, fmt.Errorf("incremental: %w", err)
 	}
-	st := m.store.Clone()
-	gs := slices.Clone(m.active)
 	m.snapshots++
-	eng, err := core.NewEngineView(st, gs, view)
-	if err != nil {
-		return nil, err
-	}
-	m.view = view
 	eng.Cache().UseCarry(m.carry, m.version, slices.Clone(m.stamps))
 	return &Snapshot{
 		Engine:    eng,
@@ -375,13 +365,12 @@ func (m *Maintainer) Snapshot() (*Snapshot, error) {
 		Groups:    gs,
 		Version:   m.version,
 		VocabSize: st.Vocab.Size(),
-		view:      view,
 	}, nil
 }
 
 // Replicate returns a second engine over the frozen snapshot: same
-// Version and VocabSize, and the same store, groups and sparse signature
-// view, which no writer touches any more. The engine shares the
+// Version and VocabSize, and the same store, groups and signatures, which
+// no writer touches any more. The engine shares the
 // receiver's pair-matrix cache: matrices are immutable once built, so
 // replicas can safely serve reads from one materialization instead of each
 // rebuilding identical n(n-1)/2 triangles. Sharing the cache also carries
@@ -390,7 +379,7 @@ func (m *Maintainer) Snapshot() (*Snapshot, error) {
 // configured with. The server does not replicate — every shard's partial
 // reads the one published snapshot.
 func (s *Snapshot) Replicate() (*Snapshot, error) {
-	eng, err := core.NewEngineView(s.Store, s.Groups, s.view)
+	eng, err := core.NewEngine(s.Store, s.Groups, s.Engine.Sigs)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +390,6 @@ func (s *Snapshot) Replicate() (*Snapshot, error) {
 		Groups:    s.Groups,
 		Version:   s.Version,
 		VocabSize: s.VocabSize,
-		view:      s.view,
 	}, nil
 }
 

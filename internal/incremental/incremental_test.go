@@ -171,8 +171,8 @@ func TestSignaturesTrackInserts(t *testing.T) {
 	eng := snap.Engine
 	gun := d.Vocab.ID("gun")
 	var gunWeightBefore float64
-	if int(gun) < len(eng.Sigs[0].Weights) {
-		gunWeightBefore = eng.Sigs[0].Weights[gun]
+	if before := eng.Sigs[0].Dense(); int(gun) < len(before) {
+		gunWeightBefore = before[gun]
 	}
 	for i := 0; i < 3; i++ {
 		if err := m.Insert(model.TaggingAction{User: male, Item: action, Tags: []model.TagID{gun}}); err != nil {
@@ -183,7 +183,7 @@ func TestSignaturesTrackInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snap2.Engine.Sigs[0].Weights[gun]; got <= gunWeightBefore {
+	if got := snap2.Engine.Sigs[0].Dense()[gun]; got <= gunWeightBefore {
 		t.Fatalf("gun weight did not grow: %v -> %v", gunWeightBefore, got)
 	}
 }

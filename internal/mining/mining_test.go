@@ -11,15 +11,10 @@ import (
 	"tagdm/internal/store"
 )
 
-// frequencyView summarizes gs by tag frequency and returns the sparse view
-// the tag measure reads.
-func frequencyView(t *testing.T, s *store.Store, gs []*groups.Group) *signature.Sparse {
-	t.Helper()
-	v, err := signature.NewSparse(signature.SummarizeAll(signature.NewFrequency(s), s, gs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
+// frequencySigs summarizes gs by tag frequency, indexed by group ID as the
+// tag measure reads them.
+func frequencySigs(s *store.Store, gs []*groups.Group) []signature.Signature {
+	return signature.SummarizeAll(signature.NewFrequency(s), s, gs)
 }
 
 func world(t *testing.T) (*store.Store, []*groups.Group) {
@@ -162,7 +157,7 @@ func TestJaccard(t *testing.T) {
 
 func TestTagCosinePair(t *testing.T) {
 	s, gs := world(t)
-	sigs := frequencyView(t, s, gs)
+	sigs := frequencySigs(s, gs)
 	pair := TagCosine(sigs)
 	a := findByDesc(t, s, gs, "director=cameron")   // gun x2, fight x2
 	b := findByDesc(t, s, gs, "director=spielberg") // gun x2, war x1
@@ -200,7 +195,7 @@ func TestFuncEvalAggregation(t *testing.T) {
 
 func TestForBindsAllDimensions(t *testing.T) {
 	s, gs := world(t)
-	sigs := frequencyView(t, s, gs)
+	sigs := frequencySigs(s, gs)
 	for _, dim := range []Dimension{Users, Items, Tags} {
 		for _, meas := range []Measure{Similarity, Diversity} {
 			f := For(s, sigs, dim, meas)

@@ -105,7 +105,7 @@ func (m *CategoryMapper) Summarize(s *store.Store, g *groups.Group) Signature {
 	for tag, n := range groups.TagBag(s, g) {
 		w[m.Categorize(s.Vocab.Tag(tag))] += float64(n)
 	}
-	return Signature{Weights: w}
+	return FromDense(w)
 }
 
 // Dim implements Summarizer.
@@ -184,7 +184,7 @@ func (f *SynonymFrequency) Summarize(s *store.Store, g *groups.Group) Signature 
 			w[di] += float64(n)
 		}
 	}
-	return Signature{Weights: w}
+	return FromDense(w)
 }
 
 // Dim implements Summarizer.

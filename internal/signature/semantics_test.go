@@ -6,7 +6,6 @@ import (
 	"tagdm/internal/groups"
 	"tagdm/internal/model"
 	"tagdm/internal/store"
-	"tagdm/internal/vec"
 )
 
 func semanticsWorld(t *testing.T) (*store.Store, []*groups.Group) {
@@ -74,7 +73,7 @@ func TestCategoryMapper(t *testing.T) {
 	// violence vs humor.
 	sigA := mapper.Summarize(s, gs[0])
 	sigB := mapper.Summarize(s, gs[1])
-	c := vec.Cosine(sigA.Weights, sigB.Weights)
+	c := sigA.Cosine(sigB)
 	if c <= 0.2 || c >= 0.9 {
 		t.Fatalf("category cosine = %v, want partial overlap", c)
 	}
@@ -116,8 +115,8 @@ func TestSynonymFrequency(t *testing.T) {
 	pB := plain.Summarize(s, gs[1])
 	sA := sum.Summarize(s, gs[0])
 	sB := sum.Summarize(s, gs[1])
-	before := vec.Cosine(pA.Weights, pB.Weights)
-	after := vec.Cosine(sA.Weights, sB.Weights)
+	before := pA.Cosine(pB)
+	after := sA.Cosine(sB)
 	if after <= before {
 		t.Fatalf("synonym folding did not raise similarity: %v -> %v", before, after)
 	}
@@ -129,7 +128,7 @@ func TestSynonymFrequency(t *testing.T) {
 	}
 	// Mass is conserved: total weight equals the group's tag count.
 	var mass float64
-	for _, w := range sA.Weights {
+	for _, w := range sA.Values() {
 		mass += w
 	}
 	bag := groups.TagBag(s, gs[0])

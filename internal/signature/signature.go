@@ -12,31 +12,223 @@
 //
 // All summarizers implement the Summarizer interface so the mining engine is
 // agnostic to the choice, as the paper advocates.
+//
+// A Signature holds only its non-zero weights. Frequency and TFIDF build
+// it from the group's tag bag in O(non-zeros); summarizers that compute a
+// dense vector (LDA, the semantic aids, custom ones) convert it with
+// FromDense. Dense turns a signature back into a vector at the edges that
+// want one (persistence, topic-recovery evaluation).
 package signature
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"tagdm/internal/groups"
 	"tagdm/internal/lda"
+	"tagdm/internal/model"
 	"tagdm/internal/store"
-	"tagdm/internal/vec"
 )
 
-// Signature is a group tag signature: a weight per topic category.
+// Signature is a group tag signature: a weight per topic category, held
+// sparse. It keeps its dimension, the ascending positions of its non-zero
+// weights, their values and its L2 norm. Signatures are mostly zero (a
+// group's frequency signature sets a dozen of its vocabulary's
+// coordinates), so this is the one form every consumer reads: the tag pair
+// measure's cosine, SM-LSH's hash vectors, and Dense for the few places
+// that want a vector. A Signature is immutable once built; copies share
+// its rows.
 type Signature struct {
-	// Weights is the vector compared by the mining functions.
-	Weights []float64
+	dim  int
+	pos  []int32
+	val  []float64
+	norm float64
+}
+
+// FromDense builds the signature of a dense weight vector: every weight
+// that is not ±0 is kept, NaN and ±Inf included, so that validation can
+// report them. Summarizers whose weights come out as a vector (LDA topic
+// mixtures, category histograms, custom summarizers) go through it. A
+// vector with no zero weight (an LDA topic mixture) shares its positions
+// 0..len-1 with every other such signature instead of holding its own.
+func FromDense(w []float64) Signature {
+	nnz := 0
+	for _, x := range w {
+		if x != 0 {
+			nnz++
+		}
+	}
+	if nnz == len(w) {
+		return newSignature(len(w), ascending(nnz), slices.Clone(w))
+	}
+	pos, val := make([]int32, 0, nnz), make([]float64, 0, nnz)
+	for c, x := range w {
+		if x != 0 {
+			pos, val = append(pos, int32(c)), append(val, x)
+		}
+	}
+	return newSignature(len(w), pos, val)
+}
+
+// fullRow holds 0, 1, ..., n-1 for the longest full row built so far.
+var fullRow atomic.Pointer[[]int32]
+
+// ascending returns the positions 0..n-1 of a full row, a capped prefix of
+// fullRow (grown when n exceeds it), so that appending to it copies.
+func ascending(n int) []int32 {
+	p := fullRow.Load()
+	if p == nil || len(*p) < n {
+		r := make([]int32, n)
+		for i := range r {
+			r[i] = int32(i)
+		}
+		p = &r
+		fullRow.Store(p)
+	}
+	return (*p)[:n:n]
+}
+
+// newSignature wraps ascending positions and their non-zero values. The
+// norm sums the squares in ascending order: a left-out zero adds +0, so
+// it is bit-identical to the dense vec.Norm.
+func newSignature(dim int, pos []int32, val []float64) Signature {
+	var sq float64
+	for _, x := range val {
+		sq += x * x
+	}
+	return Signature{dim: dim, pos: pos, val: val, norm: math.Sqrt(sq)}
+}
+
+// fromBag builds a dim-long signature from a group's tag bag: each tag
+// below dim gets weight(tag, count), which must not be zero (a count and
+// a tf-idf weight are positive).
+func fromBag(dim int, bag map[model.TagID]int, weight func(model.TagID, int) float64) Signature {
+	pos := make([]int32, 0, len(bag))
+	for tag := range bag {
+		if int(tag) < dim {
+			pos = append(pos, int32(tag))
+		}
+	}
+	slices.Sort(pos)
+	val := make([]float64, len(pos))
+	for k, c := range pos {
+		val[k] = weight(model.TagID(c), bag[model.TagID(c)])
+	}
+	return newSignature(dim, pos, val)
 }
 
 // Dim returns the signature dimensionality.
-func (s Signature) Dim() int { return len(s.Weights) }
+func (s Signature) Dim() int { return s.dim }
 
-// Cosine returns the cosine similarity between two signatures.
-func (s Signature) Cosine(o Signature) float64 { return vec.Cosine(s.Weights, o.Weights) }
+// Nonzeros returns the ascending positions of the non-zero weights. The
+// slice is shared and must not be modified.
+func (s Signature) Nonzeros() []int32 { return s.pos }
+
+// Values returns the non-zero weights, Values()[k] at Nonzeros()[k]. The
+// slice is shared and must not be modified.
+func (s Signature) Values() []float64 { return s.val }
+
+// Norm returns the L2 norm.
+func (s Signature) Norm() float64 { return s.norm }
+
+// Dense returns the weights as a new dim-long vector.
+func (s Signature) Dense() []float64 {
+	w := make([]float64, s.dim)
+	for k, c := range s.pos {
+		w[c] = s.val[k]
+	}
+	return w
+}
+
+// Cosine returns the cosine similarity of two signatures of one dimension
+// in [-1, 1], 0 when either is the zero vector — bit-identical to
+// vec.Cosine over the dense weights when they are finite. The dot product
+// merges the two rows in ascending position order. The terms it leaves
+// out are products with a zero factor, so ±0, and adding ±0 never changes
+// the dense loop's running sum: the sum starts at +0 and round-to-nearest
+// addition never yields -0 from it, so a skipped term meets either +0
+// (giving +0) or a non-zero sum (unchanged).
+func (s Signature) Cosine(o Signature) float64 {
+	if s.dim != o.dim {
+		panic(fmt.Sprintf("signature: cosine of dim %d and %d", s.dim, o.dim))
+	}
+	if s.norm == 0 || o.norm == 0 {
+		return 0
+	}
+	var dot float64
+	a, b := s.pos, o.pos
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			dot += s.val[i] * o.val[j]
+			i++
+			j++
+		}
+	}
+	c := dot / (s.norm * o.norm)
+	if c > 1 { // rounding drift, clamped as vec.Cosine does
+		c = 1
+	} else if c < -1 {
+		c = -1
+	}
+	return c
+}
+
+// InvalidError reports a signature set that cannot be scored: a signature
+// whose dimension differs from the first signature's, or a NaN or ±Inf
+// weight.
+type InvalidError struct {
+	// Index is the offending signature's position in the set.
+	Index int
+	// Dim is its dimension and Want the set's (the first signature's).
+	Dim, Want int
+	// Coord is the position of the non-finite weight, -1 for a dimension
+	// mismatch; Value is that weight.
+	Coord int
+	Value float64
+}
+
+func (e *InvalidError) Error() string {
+	if e.Coord < 0 {
+		return fmt.Sprintf("signature: signature %d has dim %d, want %d", e.Index, e.Dim, e.Want)
+	}
+	return fmt.Sprintf("signature: signature %d has weight %v at coordinate %d", e.Index, e.Value, e.Coord)
+}
+
+// Validate checks that sigs share one dimension and hold only finite
+// weights, reporting the first offender in index order (its dimension,
+// then its lowest non-finite position). It costs O(len(sigs)): a NaN or
+// ±Inf weight makes the norm non-finite, so only a signature whose norm
+// is not finite has its values scanned. One whose finite weights merely
+// overflow the norm passes.
+func Validate(sigs []Signature) error {
+	if len(sigs) == 0 {
+		return nil
+	}
+	want := sigs[0].dim
+	for i, s := range sigs {
+		if s.dim != want {
+			return &InvalidError{Index: i, Dim: s.dim, Want: want, Coord: -1}
+		}
+		if s.norm-s.norm == 0 { // finite: NaN and ±Inf give NaN
+			continue
+		}
+		for k, x := range s.val {
+			if x-x != 0 {
+				return &InvalidError{Index: i, Dim: s.dim, Want: want, Coord: int(s.pos[k]), Value: x}
+			}
+		}
+	}
+	return nil
+}
 
 // Summarizer produces a signature for a group of tagging actions.
 type Summarizer interface {
@@ -67,13 +259,7 @@ func FrequencyOfSize(vocabSize int) *Frequency {
 
 // Summarize implements Summarizer.
 func (f *Frequency) Summarize(s *store.Store, g *groups.Group) Signature {
-	w := make([]float64, f.vocabSize)
-	for tag, n := range groups.TagBag(s, g) {
-		if int(tag) < len(w) {
-			w[tag] = float64(n)
-		}
-	}
-	return Signature{Weights: w}
+	return fromBag(f.vocabSize, groups.TagBag(s, g), func(_ model.TagID, n int) float64 { return float64(n) })
 }
 
 // Dim implements Summarizer.
@@ -112,22 +298,15 @@ func FitTFIDF(s *store.Store, gs []*groups.Group) *TFIDF {
 
 // Summarize implements Summarizer.
 func (t *TFIDF) Summarize(s *store.Store, g *groups.Group) Signature {
-	w := make([]float64, t.vocabSize)
 	bag := groups.TagBag(s, g)
 	var total int
 	for _, n := range bag {
 		total += n
 	}
-	if total == 0 {
-		return Signature{Weights: w}
-	}
-	for tag, n := range bag {
-		if int(tag) < len(w) {
-			tf := float64(n) / float64(total)
-			w[tag] = tf * t.idf[tag]
-		}
-	}
-	return Signature{Weights: w}
+	return fromBag(t.vocabSize, bag, func(tag model.TagID, n int) float64 {
+		tf := float64(n) / float64(total)
+		return tf * t.idf[tag]
+	})
 }
 
 // Dim implements Summarizer.
@@ -177,7 +356,7 @@ func (l *LDA) Summarize(s *store.Store, g *groups.Group) Signature {
 	}
 	sort.Ints(doc)
 	theta := l.Model.Infer(doc, l.InferIterations, l.Seed+int64(g.ID)*7919)
-	return Signature{Weights: theta}
+	return FromDense(theta)
 }
 
 // Dim implements Summarizer.

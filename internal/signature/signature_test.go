@@ -2,6 +2,7 @@ package signature
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestFrequencySummarizer(t *testing.T) {
 		t.Fatalf("signature dim = %d", sig.Dim())
 	}
 	var total float64
-	for _, w := range sig.Weights {
+	for _, w := range sig.Values() {
 		total += w
 	}
 	bag := groups.TagBag(s, gs[0])
@@ -155,7 +156,7 @@ func TestLDASummarizer(t *testing.T) {
 	sigs := SummarizeAll(sum, s, gs)
 	for i, sig := range sigs {
 		var sumw float64
-		for _, w := range sig.Weights {
+		for _, w := range sig.Values() {
 			sumw += w
 		}
 		if math.Abs(sumw-1) > 1e-9 {
@@ -186,10 +187,8 @@ func TestLDADeterministicPerGroup(t *testing.T) {
 	}
 	a := sum.Summarize(s, gs[0])
 	b := sum.Summarize(s, gs[0])
-	for k := range a.Weights {
-		if a.Weights[k] != b.Weights[k] {
-			t.Fatal("summarize not deterministic")
-		}
+	if !slices.Equal(a.Dense(), b.Dense()) {
+		t.Fatal("summarize not deterministic")
 	}
 }
 

@@ -13,27 +13,26 @@ import (
 	"tagdm/internal/vec"
 )
 
-// checkSparseMatchesDense compares the view's norm and cosine with the
-// dense vec.Norm and vec.Cosine bit for bit: every signature's norm, and
-// the cosine of every pair (i, j) with i <= j < i+window.
-func checkSparseMatchesDense(t *testing.T, label string, sigs []Signature, window int) {
+// checkSparseMatchesDense compares each signature's norm and cosine with
+// vec.Norm and vec.Cosine over its dense weights, bit for bit: every norm,
+// and the cosine of every pair (i, j) with |i-j| < window, both ways.
+func checkSparseMatchesDense(t *testing.T, label string, dense [][]float64, window int) {
 	t.Helper()
-	v, err := NewSparse(sigs, nil)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
+	sigs := make([]Signature, len(dense))
+	for i, w := range dense {
+		sigs[i] = FromDense(w)
 	}
 	for i := range sigs {
-		if got, want := v.Norm(i), vec.Norm(sigs[i].Weights); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := sigs[i].Norm(), vec.Norm(dense[i]); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: norm of %d = %v, dense %v", label, i, got, want)
 		}
-		for j := i; j < len(sigs) && j < i+window; j++ {
-			got, want := v.Cosine(i, j), vec.Cosine(sigs[i].Weights, sigs[j].Weights)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: cosine(%d, %d) = %v (%#x), dense %v (%#x)",
-					label, i, j, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-			if back := v.Cosine(j, i); math.Float64bits(back) != math.Float64bits(want) {
-				t.Fatalf("%s: cosine(%d, %d) = %v, dense %v", label, j, i, back, want)
+		for j := max(0, i-window+1); j < len(sigs) && j < i+window; j++ {
+			want := vec.Cosine(dense[i], dense[j])
+			for _, got := range []float64{sigs[i].Cosine(sigs[j]), sigs[j].Cosine(sigs[i])} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: cosine(%d, %d) = %v (%#x), dense %v (%#x)",
+						label, i, j, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
 			}
 		}
 	}
@@ -62,27 +61,31 @@ func TestSparseCosineMatchesDenseOnCorpora(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sum := range []Summarizer{NewFrequency(s), FitTFIDF(s, gs), topics} {
-			sigs := SummarizeAll(sum, s, gs)
-			checkSparseMatchesDense(t, sum.Name(), sigs, len(sigs))
+			dense := make([][]float64, len(gs))
+			for i, g := range gs {
+				dense[i] = sum.Summarize(s, g).Dense()
+			}
+			checkSparseMatchesDense(t, sum.Name(), dense, len(dense))
 		}
 	}
 }
 
 // TestSparseCosineMatchesDenseOnEdgeValues: 2,000 random vectors mixing
 // +0, -0, subnormals, near-overflow magnitudes (whose squares overflow
-// to +Inf) and ordinary weights of both signs, with some all-zero rows.
+// to +Inf) and ordinary weights of both signs, with some all-zero rows
+// and some rows with no zero weight.
 func TestSparseCosineMatchesDenseOnEdgeValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n, dim = 2000, 12
-	sigs := make([]Signature, n)
-	for i := range sigs {
+	dense := make([][]float64, n)
+	for i := range dense {
 		w := make([]float64, dim)
 		for c := range w {
 			sign := float64(1 - 2*rng.Intn(2))
 			switch r := rng.Intn(10); {
-			case i%50 == 0 || r < 4:
+			case i%50 == 0 || (i%7 != 0 && r < 4):
 				w[c] = 0
-			case r == 4:
+			case i%7 != 0 && r == 4:
 				w[c] = math.Copysign(0, -1)
 			case r == 5:
 				w[c] = sign * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
@@ -94,136 +97,177 @@ func TestSparseCosineMatchesDenseOnEdgeValues(t *testing.T) {
 				w[c] = sign * rng.Float64()
 			}
 		}
-		sigs[i] = Signature{Weights: w}
+		dense[i] = w
 	}
-	checkSparseMatchesDense(t, "edge", sigs, 64)
+	checkSparseMatchesDense(t, "edge", dense, 64)
 }
 
-func TestNewSparseRejectsInvalidSignatures(t *testing.T) {
-	ok := Signature{Weights: []float64{1, 0, 2}}
+// TestValidateRejectsInvalidSignatures: a dimension mismatch or a NaN or
+// ±Inf weight is reported with the signature's index and the weight's
+// coordinate; ±0 is never a non-zero, and finite weights whose norm
+// overflows pass.
+func TestValidateRejectsInvalidSignatures(t *testing.T) {
+	ok := FromDense([]float64{1, 0, 2})
 	for _, c := range []struct {
 		name  string
-		bad   Signature
+		bad   []float64
 		coord int
 	}{
-		{"short", Signature{Weights: []float64{1, 2}}, -1},
-		{"nan", Signature{Weights: []float64{0, math.NaN(), 1}}, 1},
-		{"+inf", Signature{Weights: []float64{0, 0, math.Inf(1)}}, 2},
-		{"-inf", Signature{Weights: []float64{math.Inf(-1), 0, 0}}, 0},
+		{"short", []float64{1, 2}, -1},
+		{"nan", []float64{0, math.NaN(), 1}, 1},
+		{"+inf", []float64{0, 0, math.Inf(1)}, 2},
+		{"-inf", []float64{math.Inf(-1), 0, 0}, 0},
+		{"nan after inf", []float64{math.Inf(1), math.NaN(), 0}, 0},
 	} {
-		_, err := NewSparse([]Signature{ok, ok, c.bad}, nil)
+		err := Validate([]Signature{ok, ok, FromDense(c.bad)})
 		var inv *InvalidError
 		if !errors.As(err, &inv) {
 			t.Fatalf("%s: error %v, want *InvalidError", c.name, err)
 		}
-		if inv.Index != 2 || inv.Want != 3 || inv.Dim != len(c.bad.Weights) || inv.Coord != c.coord {
+		if inv.Index != 2 || inv.Want != 3 || inv.Dim != len(c.bad) || inv.Coord != c.coord {
 			t.Fatalf("%s: %+v", c.name, inv)
 		}
-	}
-	v, err := NewSparse([]Signature{ok, {Weights: []float64{0, math.Copysign(0, -1), 0}}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := v.Nonzeros(0); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("non-zeros of %v = %v", ok.Weights, got)
-	}
-	if got := v.Nonzeros(1); len(got) != 0 {
-		t.Fatalf("-0 counted as a non-zero: %v", got)
-	}
-	if v.Norm(1) != 0 || v.Cosine(0, 1) != 0 {
-		t.Fatalf("zero signature: norm %v, cosine %v", v.Norm(1), v.Cosine(0, 1))
-	}
-	full := Signature{Weights: []float64{3, -1, 2}}
-	v, err = NewSparse([]Signature{full, ok, full}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, 2} {
-		if got := v.Nonzeros(i); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-			t.Fatalf("non-zeros of signature %d, %v = %v", i, full.Weights, got)
+		if c.coord >= 0 && math.Float64bits(inv.Value) != math.Float64bits(c.bad[c.coord]) {
+			t.Fatalf("%s: value %v, want %v", c.name, inv.Value, c.bad[c.coord])
 		}
 	}
-	if got := v.Nonzeros(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("non-zeros of %v between two dense signatures = %v", ok.Weights, got)
+	huge := FromDense([]float64{math.MaxFloat64, 0, -math.MaxFloat64})
+	if !math.IsInf(huge.Norm(), 1) {
+		t.Fatalf("norm of two MaxFloat64 weights = %v, want +Inf", huge.Norm())
 	}
-	if v.NNZ() != 8 {
-		t.Fatalf("NNZ = %d, want 8", v.NNZ())
+	if err := Validate([]Signature{ok, huge}); err != nil {
+		t.Fatalf("finite weights with an overflowing norm rejected: %v", err)
+	}
+	zero := FromDense([]float64{0, math.Copysign(0, -1), 0})
+	if err := Validate([]Signature{ok, zero}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ok.Nonzeros(); !slices.Equal(got, []int32{0, 2}) || !slices.Equal(ok.Values(), []float64{1, 2}) {
+		t.Fatalf("non-zeros of [1 0 2] = %v, %v", got, ok.Values())
+	}
+	if len(zero.Nonzeros()) != 0 || zero.Dim() != 3 {
+		t.Fatalf("-0 counted as a non-zero: %v (dim %d)", zero.Nonzeros(), zero.Dim())
+	}
+	if zero.Norm() != 0 || ok.Cosine(zero) != 0 || zero.Cosine(ok) != 0 {
+		t.Fatalf("zero signature: norm %v, cosine %v", zero.Norm(), ok.Cosine(zero))
+	}
+	if Validate(nil) != nil {
+		t.Fatal("empty set rejected")
 	}
 }
 
-// TestNewSparseCarriesHeldRows: a view built from a previous one carries
-// the row and norm of every signature that still holds the previous
-// weights slice, rescans the rest (replaced, appended, or all of them
-// after a dimension change), and equals a scratch view bit for bit.
-func TestNewSparseCarriesHeldRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	random := func(dim int) Signature {
-		w := make([]float64, dim)
+// sameSignature reports whether a and b agree bit for bit: dimension,
+// positions, values and norm.
+func sameSignature(a, b Signature) bool {
+	if a.dim != b.dim || !slices.Equal(a.pos, b.pos) || len(a.val) != len(b.val) ||
+		math.Float64bits(a.norm) != math.Float64bits(b.norm) {
+		return false
+	}
+	for k := range a.val {
+		if math.Float64bits(a.val[k]) != math.Float64bits(b.val[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFromDenseRoundTrip: densifying a signature and converting it back
+// gives the same signature bit for bit, for random sparse rows, full rows
+// and the zero vector; a vector without -0 survives the other way round.
+// Full rows of one length share their positions.
+func TestFromDenseRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		w := make([]float64, 1+rng.Intn(40))
 		for c := range w {
-			if rng.Intn(4) == 0 {
+			if i%3 == 0 || rng.Intn(4) == 0 {
 				w[c] = rng.NormFloat64()
 			}
 		}
-		if rng.Intn(5) == 0 {
-			for c := range w {
-				w[c] = 1 + rng.Float64() // no zero weight: the shared full row
-			}
+		s := FromDense(w)
+		if back := FromDense(s.Dense()); !sameSignature(s, back) {
+			t.Fatalf("row %d: FromDense(Dense(s)) = %+v, want %+v", i, back, s)
 		}
-		return Signature{Weights: w}
-	}
-	sigs := make([]Signature, 40)
-	for i := range sigs {
-		sigs[i] = random(30)
-	}
-	prev, err := NewSparse(sigs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 4; round++ {
-		next := append([]Signature(nil), sigs...)
-		dim := 30
-		if round == 3 {
-			dim = 31
-			for i := range next {
-				next[i] = random(dim)
-			}
+		if !slices.Equal(s.Dense(), w) {
+			t.Fatalf("row %d: Dense(FromDense(w)) = %v, want %v", i, s.Dense(), w)
 		}
-		replaced := map[int]bool{}
-		for k := 0; k < 5 && round < 3; k++ {
-			i := rng.Intn(len(next))
-			next[i], replaced[i] = random(dim), true
+	}
+	if z := FromDense(make([]float64, 4)); !sameSignature(z, FromDense(z.Dense())) || z.Dim() != 4 {
+		t.Fatalf("zero vector round trip: %+v", z)
+	}
+	a, b := FromDense([]float64{1, 2, 3}), FromDense([]float64{-4, 5, 6})
+	if &a.Nonzeros()[0] != &b.Nonzeros()[0] || cap(a.Nonzeros()) != 3 {
+		t.Fatalf("full rows do not share capped positions: %p %p cap %d",
+			a.Nonzeros(), b.Nonzeros(), cap(a.Nonzeros()))
+	}
+}
+
+// denseFrequency and denseTFIDF are the summarizers as they were while
+// signatures were dense vocabulary-long vectors: the oracle the sparse
+// builds must reproduce.
+func denseFrequency(vocab int, s *store.Store, g *groups.Group) []float64 {
+	w := make([]float64, vocab)
+	for tag, n := range groups.TagBag(s, g) {
+		if int(tag) < len(w) {
+			w[tag] = float64(n)
 		}
-		next = append(next, random(dim), random(dim))
-		v, err := NewSparse(next, prev)
+	}
+	return w
+}
+
+func denseTFIDF(t *TFIDF, s *store.Store, g *groups.Group) []float64 {
+	w := make([]float64, t.vocabSize)
+	bag := groups.TagBag(s, g)
+	var total int
+	for _, n := range bag {
+		total += n
+	}
+	if total == 0 {
+		return w
+	}
+	for tag, n := range bag {
+		if int(tag) < len(w) {
+			tf := float64(n) / float64(total)
+			w[tag] = tf * t.idf[tag]
+		}
+	}
+	return w
+}
+
+// TestSummarizersMatchDenseOracle: Frequency and TFIDF, built from the tag
+// bag, equal FromDense of the dense vector the summarizers used to return,
+// bit for bit, for every group of datagen.Small and datagen.Default.
+// Frequency is also checked over a vocabulary shorter than the store's,
+// where tags past the end drop out.
+func TestSummarizersMatchDenseOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("datagen corpora under -short")
+	}
+	for _, c := range []struct {
+		name string
+		cfg  datagen.Config
+	}{{"small", datagen.Small()}, {"default", datagen.Default()}} {
+		w, err := datagen.Generate(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewSparse(next, nil)
+		s, err := store.New(w.Dataset)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.Len() != want.Len() || v.NNZ() != want.NNZ() || v.Dim() != want.Dim() {
-			t.Fatalf("round %d: len/nnz/dim %d/%d/%d, scratch %d/%d/%d", round, v.Len(), v.NNZ(), v.Dim(), want.Len(), want.NNZ(), want.Dim())
-		}
-		for i := range next {
-			if !slices.Equal(v.Nonzeros(i), want.Nonzeros(i)) || math.Float64bits(v.Norm(i)) != math.Float64bits(want.Norm(i)) {
-				t.Fatalf("round %d: row %d differs from scratch", round, i)
+		gs := (&groups.Enumerator{Store: s, MinTuples: 5}).FullyDescribed()
+		vocab := s.Vocab.Size()
+		freq, short, tfidf := NewFrequency(s), FrequencyOfSize(vocab/2), FitTFIDF(s, gs)
+		for _, g := range gs {
+			if got, want := freq.Summarize(s, g), FromDense(denseFrequency(vocab, s, g)); !sameSignature(got, want) {
+				t.Fatalf("%s: frequency of group %d = %+v, dense %+v", c.name, g.ID, got, want)
 			}
-			r, p := v.Nonzeros(i), prev.Nonzeros(min(i, prev.Len()-1))
-			aliased := len(r) > 0 && len(p) > 0 && &r[0] == &p[0]
-			if carry := round < 3 && i < prev.Len() && !replaced[i]; carry && len(r) > 0 && !aliased {
-				t.Fatalf("round %d: held row %d was rescanned", round, i)
-			} else if !carry && aliased && len(r) < v.Dim() {
-				t.Fatalf("round %d: row %d carried although its weights changed", round, i)
+			if got, want := short.Summarize(s, g), FromDense(denseFrequency(vocab/2, s, g)); !sameSignature(got, want) {
+				t.Fatalf("%s: short frequency of group %d = %+v, dense %+v", c.name, g.ID, got, want)
+			}
+			if got, want := tfidf.Summarize(s, g), FromDense(denseTFIDF(tfidf, s, g)); !sameSignature(got, want) {
+				t.Fatalf("%s: tfidf of group %d = %+v, dense %+v", c.name, g.ID, got, want)
 			}
 		}
-		prev, sigs = v, next
-	}
-	bad := append([]Signature(nil), sigs...)
-	bad[len(bad)-1] = Signature{Weights: make([]float64, len(sigs[0].Weights))}
-	bad[len(bad)-1].Weights[2] = math.Inf(1)
-	var inv *InvalidError
-	if _, err := NewSparse(bad, prev); !errors.As(err, &inv) || inv.Index != len(bad)-1 || inv.Coord != 2 {
-		t.Fatalf("carried view over a non-finite weight: error %v, want *InvalidError", err)
 	}
 }

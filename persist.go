@@ -40,7 +40,9 @@ type analysisSnapshot struct {
 	Seed           int64
 	Within         map[string]string
 	DatasetJSON    []byte
-	Sigs           [][]float64
+	// Sigs holds one dense weight row per group (Signature.Dense); Load
+	// converts each back with signature.FromDense.
+	Sigs [][]float64
 }
 
 const analysisFormatVersion = 2
@@ -61,7 +63,7 @@ func (a *Analysis) Save(w io.Writer) error {
 		Sigs:           make([][]float64, len(a.sigs)),
 	}
 	for i, s := range a.sigs {
-		snap.Sigs[i] = s.Weights
+		snap.Sigs[i] = s.Dense()
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
@@ -177,7 +179,7 @@ func LoadAnalysis(r io.Reader) (*Analysis, error) {
 	}
 	sigs := make([]signature.Signature, len(gs))
 	for i, w := range snap.Sigs {
-		sigs[i] = signature.Signature{Weights: w}
+		sigs[i] = signature.FromDense(w)
 	}
 	eng, err := core.NewEngine(s, gs, sigs)
 	if err != nil {

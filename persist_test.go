@@ -2,8 +2,87 @@ package tagdm
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"os"
 	"testing"
 )
+
+// answerDigest hashes an analysis's answers to paper Problems 1-6 (k = 3,
+// support 8, q = r = 0.4), from Solve and from Exact: the algorithm, and
+// for a found answer the group IDs, the objective's bits and the support.
+func answerDigest(t *testing.T, a *Analysis) string {
+	t.Helper()
+	h := sha256.New()
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for id := 1; id <= 6; id++ {
+		spec, err := Problem(id, 3, 8, 0.4, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, exact := range []bool{false, true} {
+			var r Result
+			if exact {
+				r, err = a.Exact(spec, ExactOptions{})
+			} else {
+				r, err = a.Solve(spec)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write([]byte(r.Algorithm))
+			if !r.Found {
+				put(0)
+				continue
+			}
+			put(1)
+			put(uint64(len(r.Groups)))
+			for _, g := range r.Groups {
+				put(uint64(g.ID))
+			}
+			put(math.Float64bits(r.Objective))
+			put(uint64(r.Support))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestLoadFormat2FixturePinned loads a format-2 analysis file with
+// frequency signatures (a 400-action synthetic corpus, 29 groups) that an
+// earlier build wrote while signatures were held dense. Its answers to
+// Problems 1-6 must match the digest taken on that build, and saving the
+// loaded analysis must reproduce the file byte for byte: the on-disk form
+// stays dense format 2.
+func TestLoadFormat2FixturePinned(t *testing.T) {
+	const want = "d870dd45832065fddf6b56458d9ec5a033542ff683968aff14d04c867db8ca04"
+	file, err := os.ReadFile("testdata/analysis_format2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := LoadAnalysis(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NumGroups() != 29 || a.NumActions() != 400 {
+		t.Fatalf("fixture loaded %d groups, %d actions; want 29, 400", a.NumGroups(), a.NumActions())
+	}
+	if got := answerDigest(t, a); got != want {
+		t.Fatalf("answer digest = %s, want %s", got, want)
+	}
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), file) {
+		t.Fatalf("re-saved fixture differs: %d bytes, file %d", buf.Len(), len(file))
+	}
+}
 
 func TestAnalysisSaveLoadRoundTrip(t *testing.T) {
 	ds := smallDataset(t)
@@ -146,7 +225,7 @@ func TestAnalysisSaveLoadLDA(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range orig.sigs {
-		a, b := orig.sigs[i].Weights, loaded.sigs[i].Weights
+		a, b := orig.sigs[i].Dense(), loaded.sigs[i].Dense()
 		if len(a) != len(b) {
 			t.Fatalf("sig %d length changed", i)
 		}

@@ -73,7 +73,7 @@ type (
 	// Summarizer converts a group's tag multiset into a signature vector;
 	// implement it to plug in a custom summarization method.
 	Summarizer = signature.Summarizer
-	// Signature is a group tag signature vector.
+	// Signature is a group tag signature: a sparse weight vector.
 	Signature = signature.Signature
 	// InvalidSignatureError is the error an analysis reports when its
 	// signatures differ in length or carry a NaN or ±Inf weight.
@@ -105,6 +105,11 @@ const (
 // GroupTagBag returns the multiset of tags appearing in a group's tagging
 // actions; custom Summarizer implementations build signatures from it.
 func GroupTagBag(s *Store, g *Group) map[TagID]int { return groups.TagBag(s, g) }
+
+// SignatureFromDense builds a Signature from a dense weight vector, keeping
+// its non-zero weights; custom Summarizer implementations return their
+// weights through it.
+func SignatureFromDense(w []float64) Signature { return signature.FromDense(w) }
 
 // PairFunc is a pair-wise comparison function Fp(g1, g2) in [0, 1]; plug
 // custom measures into an Analysis with SetMeasure.

@@ -202,26 +202,30 @@ type faultySummarizer struct {
 func (f faultySummarizer) Summarize(s *Store, g *Group) Signature {
 	sig := f.Summarizer.Summarize(s, g)
 	if g.ID == f.group {
-		sig.Weights = f.damage(append([]float64(nil), sig.Weights...))
+		sig = SignatureFromDense(f.damage(sig.Dense()))
 	}
 	return sig
 }
 
 // TestAnalysisRejectsInvalidCustomSignatures: a CustomSummarizer that
 // returns a signature of the wrong length or with a non-finite weight
-// fails NewAnalysis with an InvalidSignatureError naming the group.
+// fails NewAnalysis with an InvalidSignatureError naming the group and the
+// coordinate (-1 for a length mismatch).
 func TestAnalysisRejectsInvalidCustomSignatures(t *testing.T) {
 	ds := smallDataset(t)
 	freq := mustFrequency(t, ds)
-	for name, damage := range map[string]func(w []float64) []float64{
-		"longer": func(w []float64) []float64 { return append(w, 1) },
-		"nan":    func(w []float64) []float64 { w[1] = math.NaN(); return w },
-		"inf":    func(w []float64) []float64 { w[0] = math.Inf(1); return w },
+	for name, c := range map[string]struct {
+		damage func(w []float64) []float64
+		coord  int
+	}{
+		"longer": {func(w []float64) []float64 { return append(w, 1) }, -1},
+		"nan":    {func(w []float64) []float64 { w[1] = math.NaN(); return w }, 1},
+		"inf":    {func(w []float64) []float64 { w[0] = math.Inf(1); return w }, 0},
 	} {
-		_, err := NewAnalysis(ds, Options{CustomSummarizer: faultySummarizer{freq, 2, damage}})
+		_, err := NewAnalysis(ds, Options{CustomSummarizer: faultySummarizer{freq, 2, c.damage}})
 		var inv *InvalidSignatureError
-		if !errors.As(err, &inv) || inv.Index != 2 {
-			t.Fatalf("%s: NewAnalysis error %v, want *InvalidSignatureError for group 2", name, err)
+		if !errors.As(err, &inv) || inv.Index != 2 || inv.Coord != c.coord {
+			t.Fatalf("%s: NewAnalysis error %v, want *InvalidSignatureError for group 2, coordinate %d", name, err, c.coord)
 		}
 	}
 }
