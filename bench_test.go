@@ -479,11 +479,53 @@ func BenchmarkTagMatrixFrequency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := mining.Source(e.Store, e.Sigs, mining.Tags, mining.Diversity)
+	pair := e.PairFunc(mining.Tags, mining.Diversity)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mining.NewPairMatrix(gs, src, 0)
+		mining.NewPairMatrix(gs, pair, 0)
+	}
+}
+
+// BenchmarkColdFrequencySolve solves each paper problem once on a fresh
+// engine over the datagen.Small corpus's frequency signatures, with no pair
+// matrix built beforehand: SM-LSH-Fo for Problems 1-3, DV-FDP-Fo for 4-6.
+// It is what a scoped (WHERE) analyze pays, and it scores tag pairs
+// through the signatures' cosine, lazily or in a matrix as each solver's
+// gate decides.
+func BenchmarkColdFrequencySolve(b *testing.B) {
+	world, err := datagen.Generate(datagen.Small())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := store.New(world.Dataset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gs := (&groups.Enumerator{Store: s, MinTuples: 5}).FullyDescribed()
+	sigs := signature.SummarizeAll(signature.NewFrequency(s), s, gs)
+	p := experiments.PaperParams()
+	for id := 1; id <= 6; id++ {
+		spec, err := core.PaperProblem(id, p.K, int(p.SupportPct*float64(s.Len())), p.Q, p.R)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("Problem%d", id), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e, err := core.NewEngine(s, gs, sigs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if id <= 3 {
+					_, err = e.SMLSH(context.Background(), spec, core.LSHOptions{DPrime: p.DPrime, L: p.L, Seed: 1, Mode: core.Fold})
+				} else {
+					_, err = e.DVFDP(context.Background(), spec, core.FDPOptions{Mode: core.Fold})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

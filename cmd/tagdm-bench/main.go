@@ -601,7 +601,7 @@ func serverFrequencyEngine() (*core.Engine, error) {
 func matrixReuseSweep(name string, e *core.Engine, emit *jsonEmitter) {
 	gs := e.Groups
 	n := len(gs)
-	src := mining.Source(e.Store, e.Sigs, mining.Tags, mining.Diversity)
+	pair := e.PairFunc(mining.Tags, mining.Diversity)
 
 	timeIt := func(reps int, f func()) time.Duration {
 		start := time.Now()
@@ -612,14 +612,14 @@ func matrixReuseSweep(name string, e *core.Engine, emit *jsonEmitter) {
 	}
 
 	var scratch *mining.PairMatrix
-	coldPer := timeIt(3, func() { scratch = mining.NewPairMatrix(gs, src, 0) })
+	coldPer := timeIt(3, func() { scratch = mining.NewPairMatrix(gs, pair, 0) })
 
 	// A 1-group insert dirties exactly one row: the appended group (group
 	// IDs are append-only, so inserts only ever dirty the tail).
 	dirty := make([]bool, n)
 	dirty[n-1] = true
 	var rebuilt *mining.PairMatrix
-	rebuildPer := timeIt(20, func() { rebuilt = scratch.RebuildRows(gs, src, dirty, 0) })
+	rebuildPer := timeIt(20, func() { rebuilt = scratch.RebuildRows(gs, pair, dirty, 0) })
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if rebuilt.At(i, j) != scratch.At(i, j) {

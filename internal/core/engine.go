@@ -127,16 +127,11 @@ func (e *Engine) PairMatrix(dim mining.Dimension, meas mining.Measure) *mining.P
 // matrixHit.
 func (e *Engine) pairMatrixTracked(dim mining.Dimension, meas mining.Measure) (*mining.PairMatrix, matrixOutcome) {
 	return e.cache.matrix(pairKey{dim, meas}, func(prev *mining.PairMatrix, dirty []bool) *mining.PairMatrix {
-		// Each build worker's tag cosine keeps a scratch row, so a pair
-		// walks one group's non-zeros instead of merging two.
-		src := mining.Source(e.Store, e.Sigs, dim, meas)
-		if f, ok := e.cache.override(pairKey{dim, meas}); ok {
-			src = mining.Shared(f)
-		}
+		pair := e.PairFunc(dim, meas)
 		if prev != nil {
-			return prev.RebuildRows(e.Groups, src, dirty, 0)
+			return prev.RebuildRows(e.Groups, pair, dirty, 0)
 		}
-		return mining.NewPairMatrix(e.Groups, src, 0)
+		return mining.NewPairMatrix(e.Groups, pair, 0)
 	})
 }
 

@@ -231,7 +231,7 @@ func stampedEngine(t *testing.T, carry *Carry, version int64, stamps []int64) *E
 // build of the binding over e's groups.
 func assertScratchIdentical(t *testing.T, label string, e *Engine, dim mining.Dimension, meas mining.Measure, m *mining.PairMatrix) {
 	t.Helper()
-	want := mining.NewPairMatrix(e.Groups, mining.Shared(e.PairFunc(dim, meas)), 0)
+	want := mining.NewPairMatrix(e.Groups, e.PairFunc(dim, meas), 0)
 	if m.Len() != want.Len() {
 		t.Fatalf("%s: matrix over %d groups, want %d", label, m.Len(), want.Len())
 	}

@@ -54,7 +54,7 @@ func TestPairSourcesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{2, 7, 24} {
 		gs, _, pair := tablePair(rng, n)
-		mat := NewPairMatrix(gs, Shared(pair), 0)
+		mat := NewPairMatrix(gs, pair, 0)
 		lazy := NewLazyPairs(gs, pair)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -81,7 +81,7 @@ func TestRebuildRowsMatchesScratchRandom(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		nPrev := 2 + rng.Intn(20)
 		gsPrev, _, pairPrev := tablePair(rng, nPrev)
-		prev := NewPairMatrix(gsPrev, Shared(pairPrev), 0)
+		prev := NewPairMatrix(gsPrev, pairPrev, 0)
 
 		// The new epoch: same universe plus up to 4 appended groups, a new
 		// table that differs from the old one only in rows marked dirty.
@@ -103,8 +103,8 @@ func TestRebuildRowsMatchesScratchRandom(t *testing.T) {
 		}
 
 		workers := 1 + rng.Intn(3)
-		got := prev.RebuildRows(gsNew, Shared(pairNew), dirty, workers)
-		want := NewPairMatrix(gsNew, Shared(pairNew), 0)
+		got := prev.RebuildRows(gsNew, pairNew, dirty, workers)
+		want := NewPairMatrix(gsNew, pairNew, 0)
 		if got.Len() != want.Len() {
 			t.Fatalf("trial %d: Len %d vs %d", trial, got.Len(), want.Len())
 		}
@@ -134,15 +134,15 @@ func TestRebuildRowsMatchesScratchRandom(t *testing.T) {
 func TestRebuildRowsAllDirtyAndShrink(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	gs, _, pair := tablePair(rng, 10)
-	prev := NewPairMatrix(gs, Shared(pair), 0)
+	prev := NewPairMatrix(gs, pair, 0)
 
 	allDirty := make([]bool, 10)
 	for i := range allDirty {
 		allDirty[i] = true
 	}
 	gs2, _, pair2 := tablePair(rng, 10)
-	got := prev.RebuildRows(gs2, Shared(pair2), allDirty, 0)
-	want := NewPairMatrix(gs2, Shared(pair2), 0)
+	got := prev.RebuildRows(gs2, pair2, allDirty, 0)
+	want := NewPairMatrix(gs2, pair2, 0)
 	for i := 0; i < 10; i++ {
 		for j := i + 1; j < 10; j++ {
 			if got.At(i, j) != want.At(i, j) {
@@ -152,8 +152,8 @@ func TestRebuildRowsAllDirtyAndShrink(t *testing.T) {
 	}
 
 	small := gs2[:4]
-	gotS := prev.RebuildRows(small, Shared(pair2), allDirty, 0)
-	wantS := NewPairMatrix(small, Shared(pair2), 0)
+	gotS := prev.RebuildRows(small, pair2, allDirty, 0)
+	wantS := NewPairMatrix(small, pair2, 0)
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
 			if gotS.At(i, j) != wantS.At(i, j) {
@@ -164,8 +164,8 @@ func TestRebuildRowsAllDirtyAndShrink(t *testing.T) {
 
 	// Shrink with every row clean: the clean rows copy from the receiver
 	// but must stop at the new universe's edge.
-	gotC := prev.RebuildRows(gs[:4], Shared(pair), make([]bool, 10), 0)
-	wantC := NewPairMatrix(gs[:4], Shared(pair), 0)
+	gotC := prev.RebuildRows(gs[:4], pair, make([]bool, 10), 0)
+	wantC := NewPairMatrix(gs[:4], pair, 0)
 	if gotC.Len() != 4 {
 		t.Fatalf("clean shrink has %d groups, want 4", gotC.Len())
 	}

@@ -217,55 +217,12 @@ func jaccard(a, b map[int32]struct{}) float64 {
 
 // TagCosine returns the pair similarity on the tag dimension: cosine between
 // the groups' tag signatures (Section 2.1.2), clamped to [0, 1]. The
-// signatures are indexed by group ID; their cosine reads stored norms and
-// merges non-zeros, bit-identical to vec.Cosine over the dense weights.
+// signatures are indexed by group ID; Signature.Cosine is bit-identical to
+// vec.Cosine over the dense weights.
 func TagCosine(sigs []signature.Signature) PairFunc {
 	return func(g1, g2 *groups.Group) float64 {
 		c := sigs[g1.ID].Cosine(sigs[g2.ID])
 		if c < 0 {
-			c = 0
-		}
-		return c
-	}
-}
-
-// tagRowCosine is TagCosine for one matrix-build worker, which scores a
-// row (g1 fixed) at a time. Merging two short signatures costs a
-// mispredicted branch per position, so the worker scatters g1's weights
-// into a dense scratch vector once per row, and each pair walks only g2's
-// non-zeros, reading the scratch at each. The products it adds are the
-// merge's plus ones with a zero factor, so by the argument in
-// signature.Signature.Cosine it equals TagCosine bit for bit.
-func tagRowCosine(sigs []signature.Signature) PairFunc {
-	var dense []float64
-	loaded := -1
-	return func(g1, g2 *groups.Group) float64 {
-		a, b := sigs[g1.ID], sigs[g2.ID]
-		if g1.ID != loaded {
-			if loaded >= 0 {
-				for _, c := range sigs[loaded].Nonzeros() {
-					dense[c] = 0
-				}
-			}
-			if len(dense) < a.Dim() {
-				dense = make([]float64, a.Dim())
-			}
-			for k, c := range a.Nonzeros() {
-				dense[c] = a.Values()[k]
-			}
-			loaded = g1.ID
-		}
-		if a.Norm() == 0 || b.Norm() == 0 {
-			return 0
-		}
-		var dot float64
-		for k, c := range b.Nonzeros() {
-			dot += dense[c] * b.Values()[k]
-		}
-		c := dot / (a.Norm() * b.Norm())
-		if c > 1 {
-			c = 1
-		} else if c < 0 {
 			c = 0
 		}
 		return c
@@ -290,21 +247,6 @@ func For(s *store.Store, sigs []signature.Signature, dim Dimension, meas Measure
 		pair = Inverse(sim)
 	}
 	return Func{Dim: dim, Meas: meas, Pair: pair, Agg: Mean}
-}
-
-// Source is the PairSource of For's pair function, for matrix builds: each
-// worker's tag cosine keeps its own scratch row (tagRowCosine).
-func Source(s *store.Store, sigs []signature.Signature, dim Dimension, meas Measure) PairSource {
-	if dim != Tags {
-		return Shared(For(s, sigs, dim, meas).Pair)
-	}
-	return func() PairFunc {
-		sim := tagRowCosine(sigs)
-		if meas == Diversity {
-			return Inverse(sim)
-		}
-		return sim
-	}
 }
 
 // EditDistance is the Levenshtein distance between two strings; the paper

@@ -25,22 +25,13 @@ type PairMatrix struct {
 	maxPair   float64
 }
 
-// PairSource makes the pair function one matrix-build worker calls. A
-// worker evaluates a row's pairs one after another (g1 fixed, g2
-// ascending), so the function may keep scratch across them, and it is
-// only ever called from that worker's goroutine.
-type PairSource func() PairFunc
-
-// Shared is the PairSource of a pair function that is safe for concurrent
-// calls: every worker calls pair itself.
-func Shared(pair PairFunc) PairSource { return func() PairFunc { return pair } }
-
-// NewPairMatrix evaluates the source's pair function over all unordered
-// pairs of gs, splitting rows across workers goroutines (<= 0 means
-// GOMAXPROCS). Groups must carry their dense enumeration IDs: entry
-// (i, j) is pair(gs[i], gs[j]).
-func NewPairMatrix(gs []*groups.Group, src PairSource, workers int) *PairMatrix {
-	return buildPairMatrix(gs, nil, nil, src, workers)
+// NewPairMatrix evaluates pair over all unordered pairs of gs, splitting
+// rows across workers goroutines (<= 0 means GOMAXPROCS). Groups must carry
+// their dense enumeration IDs: entry (i, j) is pair(gs[i], gs[j]).
+func NewPairMatrix(gs []*groups.Group, pair PairFunc, workers int) *PairMatrix {
+	return &PairMatrix{mat: vec.NewMatrixParallel(len(gs), func(i, j int) float64 {
+		return pair(gs[i], gs[j])
+	}, workers)}
 }
 
 // RebuildRows builds the matrix for the (possibly grown) universe gs while
@@ -49,18 +40,13 @@ func NewPairMatrix(gs []*groups.Group, src PairSource, workers int) *PairMatrix 
 // marked dirty or lies beyond the receiver's universe, and copied verbatim
 // otherwise. dirty is indexed by the receiver's group IDs (group IDs are
 // stable and append-only across snapshot epochs). The result is
-// bit-identical to NewPairMatrix(gs, src, workers) whenever the carried
+// bit-identical to NewPairMatrix(gs, pair, workers) whenever the carried
 // entries are still valid — i.e. dirty covers every group whose predicate
 // or signature changed — which the epoch carry-over property tests pin.
 // The receiver is not modified.
-func (m *PairMatrix) RebuildRows(gs []*groups.Group, src PairSource, dirty []bool, workers int) *PairMatrix {
-	return buildPairMatrix(gs, m.mat, dirty, src, workers)
-}
-
-func buildPairMatrix(gs []*groups.Group, prev *vec.Matrix, dirty []bool, src PairSource, workers int) *PairMatrix {
-	return &PairMatrix{mat: vec.NewMatrixParallelFrom(len(gs), prev, dirty, func() vec.DistFunc {
-		pair := src()
-		return func(i, j int) float64 { return pair(gs[i], gs[j]) }
+func (m *PairMatrix) RebuildRows(gs []*groups.Group, pair PairFunc, dirty []bool, workers int) *PairMatrix {
+	return &PairMatrix{mat: vec.NewMatrixParallelFrom(len(gs), m.mat, dirty, func(i, j int) float64 {
+		return pair(gs[i], gs[j])
 	}, workers)}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tagdm/internal/groups"
-	"tagdm/internal/signature"
 )
 
 // syntheticUniverse fabricates n ID-only groups plus a deterministic
@@ -35,7 +34,7 @@ func TestPairMatrixMatchesPairFunc(t *testing.T) {
 		for _, meas := range []Measure{Similarity, Diversity} {
 			f := For(s, sigs, dim, meas)
 			for _, workers := range []int{0, 1, 3} {
-				m := NewPairMatrix(gs, Source(s, sigs, dim, meas), workers)
+				m := NewPairMatrix(gs, f.Pair, workers)
 				if m.Len() != len(gs) {
 					t.Fatalf("%s: Len = %d, want %d", f, m.Len(), len(gs))
 				}
@@ -63,53 +62,6 @@ func TestPairMatrixMatchesPairFunc(t *testing.T) {
 	}
 }
 
-// TestTagSourceMatchesTagCosineOnEdgeValues: the tag matrix build's
-// scratch-row cosine equals TagCosine (the merged Signature.Cosine) bit
-// for bit, on signatures mixing ±0, subnormal, near-overflow and ordinary
-// weights of both signs, with all-zero rows, rows with no zero weight and
-// rows of very different lengths, through 1 and 3 workers.
-func TestTagSourceMatchesTagCosineOnEdgeValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	const n, dim = 60, 40
-	gs := make([]*groups.Group, n)
-	sigs := make([]signature.Signature, n)
-	for i := range sigs {
-		gs[i] = &groups.Group{ID: i}
-		w := make([]float64, dim)
-		zeros := i % 6 // tenths of the row left +0; a row with 0 has no zero
-		for c := range w {
-			sign := float64(1 - 2*rng.Intn(2))
-			switch r := rng.Intn(10); {
-			case i%13 == 0 || r < zeros:
-			case r == zeros && zeros > 0:
-				w[c] = math.Copysign(0, -1)
-			case r == 7:
-				w[c] = sign * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
-			case r == 8:
-				w[c] = sign * math.MaxFloat64 * rng.Float64()
-			default:
-				w[c] = sign * rng.Float64()
-			}
-		}
-		sigs[i] = signature.FromDense(w)
-	}
-	for _, meas := range []Measure{Similarity, Diversity} {
-		pair := For(nil, sigs, Tags, meas).Pair
-		for _, workers := range []int{1, 3} {
-			m := NewPairMatrix(gs, Source(nil, sigs, Tags, meas), workers)
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					got, want := m.At(i, j), pair(gs[i], gs[j])
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%v workers=%d (%d,%d): %v (%#x), TagCosine %v (%#x)",
-							meas, workers, i, j, got, math.Float64bits(got), want, math.Float64bits(want))
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestEvalMatrixMatchesEval drives randomized subsets — including the empty
 // and singleton edge cases — through PairMatrix.MeanOver and demands exact
 // agreement with the naive Mean-aggregated Eval, whose pair visit order
@@ -119,7 +71,7 @@ func TestEvalMatrixMatchesEval(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(13)
 		gs, pair := syntheticUniverse(n, int64(trial))
-		m := NewPairMatrix(gs, Shared(pair), 0)
+		m := NewPairMatrix(gs, pair, 0)
 		for _, agg := range []Aggregator{nil, Mean} {
 			f := Func{Dim: Tags, Meas: Similarity, Pair: pair, Agg: agg}
 			for k := 0; k <= n; k++ {
@@ -143,7 +95,7 @@ func TestEvalMatrixMatchesEval(t *testing.T) {
 // pure lookups: unlike Eval, MeanOver builds no scores slice.
 func TestEvalMatrixAllocationFree(t *testing.T) {
 	gs, pair := syntheticUniverse(10, 3)
-	m := NewPairMatrix(gs, Shared(pair), 0)
+	m := NewPairMatrix(gs, pair, 0)
 	ids := []int{1, 4, 7, 9}
 	if avg := testing.AllocsPerRun(100, func() { m.MeanOver(ids) }); avg != 0 {
 		t.Fatalf("MeanOver allocated %v per run", avg)
@@ -156,7 +108,7 @@ func TestEvalMatrixAllocationFree(t *testing.T) {
 // degenerate one-group universe (no pairs at all) must bound at 0.
 func TestMaxRowsBoundVectors(t *testing.T) {
 	gs, pair := syntheticUniverse(9, 3)
-	m := NewPairMatrix(gs, Shared(pair), 0)
+	m := NewPairMatrix(gs, pair, 0)
 	rows := m.MaxRows()
 	if len(rows) != len(gs) {
 		t.Fatalf("MaxRows has %d entries, want %d", len(rows), len(gs))
@@ -196,7 +148,7 @@ func TestMaxRowsBoundVectors(t *testing.T) {
 		t.Fatal("MaxRows rebuilt instead of serving the cached vector")
 	}
 	single, _ := syntheticUniverse(1, 3)
-	m1 := NewPairMatrix(single, Shared(pair), 0)
+	m1 := NewPairMatrix(single, pair, 0)
 	if got := m1.MaxRows(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("one-group MaxRows = %v, want [0]", got)
 	}

@@ -35,13 +35,9 @@ import (
 )
 
 // Signature is a group tag signature: a weight per topic category, held
-// sparse. It keeps its dimension, the ascending positions of its non-zero
-// weights, their values and its L2 norm. Signatures are mostly zero (a
-// group's frequency signature sets a dozen of its vocabulary's
-// coordinates), so this is the one form every consumer reads: the tag pair
-// measure's cosine, SM-LSH's hash vectors, and Dense for the few places
-// that want a vector. A Signature is immutable once built; copies share
-// its rows.
+// sparse as its dimension, the ascending positions of its non-zero weights,
+// their values and its L2 norm (a frequency signature sets about a dozen
+// of its vocabulary's coordinates). It is immutable; copies share its rows.
 type Signature struct {
 	dim  int
 	pos  []int32
@@ -49,11 +45,9 @@ type Signature struct {
 	norm float64
 }
 
-// FromDense builds the signature of a dense weight vector: every weight
-// that is not ±0 is kept, NaN and ±Inf included, so that validation can
-// report them. Summarizers whose weights come out as a vector (LDA topic
-// mixtures, category histograms, custom summarizers) go through it. A
-// vector with no zero weight (an LDA topic mixture) shares its positions
+// FromDense builds the signature of a dense weight vector, keeping every
+// weight that is not ±0 (NaN and ±Inf included, for validation to report).
+// A vector with no zero weight (an LDA topic mixture) shares its positions
 // 0..len-1 with every other such signature instead of holding its own.
 func FromDense(w []float64) Signature {
 	nnz := 0
@@ -147,11 +141,10 @@ func (s Signature) Dense() []float64 {
 // Cosine returns the cosine similarity of two signatures of one dimension
 // in [-1, 1], 0 when either is the zero vector — bit-identical to
 // vec.Cosine over the dense weights when they are finite. The dot product
-// merges the two rows in ascending position order. The terms it leaves
-// out are products with a zero factor, so ±0, and adding ±0 never changes
-// the dense loop's running sum: the sum starts at +0 and round-to-nearest
-// addition never yields -0 from it, so a skipped term meets either +0
-// (giving +0) or a non-zero sum (unchanged).
+// adds the products at the positions both rows hold, in ascending order.
+// The terms it leaves out are ±0, which never change the dense loop's
+// running sum: it starts at +0 and round-to-nearest addition never yields
+// -0 from it, so a skipped term meets +0 or a non-zero sum.
 func (s Signature) Cosine(o Signature) float64 {
 	if s.dim != o.dim {
 		panic(fmt.Sprintf("signature: cosine of dim %d and %d", s.dim, o.dim))
@@ -159,27 +152,50 @@ func (s Signature) Cosine(o Signature) float64 {
 	if s.norm == 0 || o.norm == 0 {
 		return 0
 	}
-	var dot float64
-	a, b := s.pos, o.pos
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dot += s.val[i] * o.val[j]
-			i++
-			j++
-		}
-	}
-	c := dot / (s.norm * o.norm)
+	c := s.dot(o) / (s.norm * o.norm)
 	if c > 1 { // rounding drift, clamped as vec.Cosine does
 		c = 1
 	} else if c < -1 {
 		c = -1
 	}
 	return c
+}
+
+// dot is Cosine's dot product. A row holding every position (an LDA
+// topic mixture) is indexed by position while the other row is walked.
+// Otherwise the rows are merged without branches the predictor would
+// miss: every step adds its product masked to +0 unless the positions
+// match, which by Cosine's argument leaves the sum unchanged.
+func (s Signature) dot(o Signature) float64 {
+	if len(s.pos) == s.dim {
+		s, o = o, s
+	}
+	var dot float64
+	if len(o.pos) == o.dim {
+		for k, c := range s.pos {
+			dot += s.val[k] * o.val[c]
+		}
+		return dot
+	}
+	a, b := s.pos, o.pos
+	va, vb := s.val[:len(a)], o.val[:len(b)]
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		pa, pb := a[i], b[j]
+		var keep uint64
+		var di, dj int
+		if pa == pb {
+			keep = ^uint64(0)
+		}
+		if pa <= pb {
+			di = 1
+		}
+		if pb <= pa {
+			dj = 1
+		}
+		dot += math.Float64frombits(math.Float64bits(va[i]*vb[j]) & keep)
+		i, j = i+di, j+dj
+	}
+	return dot
 }
 
 // InvalidError reports a signature set that cannot be scored: a signature

@@ -12,7 +12,7 @@ import (
 // codebase is. Row i owns the contiguous condensed segment of pairs
 // (i, i+1..n-1), so workers write disjoint slices and need no locking.
 func NewMatrixParallel(n int, dist DistFunc, workers int) *Matrix {
-	return NewMatrixParallelFrom(n, nil, nil, func() DistFunc { return dist }, workers)
+	return NewMatrixParallelFrom(n, nil, nil, dist, workers)
 }
 
 // NewMatrixParallelFrom computes the matrix NewMatrixParallel(n, dist,
@@ -23,11 +23,8 @@ func NewMatrixParallel(n int, dist DistFunc, workers int) *Matrix {
 // at or beyond prev.Len() are always recomputed, and prev's points at or
 // beyond n are dropped. prev must have been built over the same dist
 // semantics (clean entries are trusted verbatim); a nil prev carries
-// nothing. Each worker calls newDist once and computes its entries through
-// the function it returns, a row at a time (i fixed, j ascending), so that
-// function may keep per-worker scratch across a row; it need not be safe
-// for concurrent calls.
-func NewMatrixParallelFrom(n int, prev *Matrix, dirty []bool, newDist func() DistFunc, workers int) *Matrix {
+// nothing.
+func NewMatrixParallelFrom(n int, prev *Matrix, dirty []bool, dist DistFunc, workers int) *Matrix {
 	m := &Matrix{n: n, data: make([]float64, n*(n-1)/2)}
 	if n < 2 {
 		return m
@@ -40,7 +37,7 @@ func NewMatrixParallelFrom(n int, prev *Matrix, dirty []bool, newDist func() Dis
 	if prev != nil {
 		pn = min(prev.n, len(dirty), n)
 	}
-	fill := func(i int, dist DistFunc) {
+	fill := func(i int) {
 		base := i*(2*n-i-1)/2 - i // offset of pair (i, i+1)
 		if i < pn && !dirty[i] {
 			pbase := i*(2*prev.n-i-1)/2 - i
@@ -67,9 +64,8 @@ func NewMatrixParallelFrom(n int, prev *Matrix, dirty []bool, newDist func() Dis
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			dist := newDist()
 			for i := w; i < n; i += workers {
-				fill(i, dist)
+				fill(i)
 			}
 		}(w)
 	}

@@ -40,9 +40,7 @@ type analysisSnapshot struct {
 	Seed           int64
 	Within         map[string]string
 	DatasetJSON    []byte
-	// Sigs holds one dense weight row per group (Signature.Dense); Load
-	// converts each back with signature.FromDense.
-	Sigs [][]float64
+	Sigs           [][]float64 // dense rows: Signature.Dense, back by FromDense
 }
 
 const analysisFormatVersion = 2
