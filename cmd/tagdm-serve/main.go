@@ -9,7 +9,7 @@
 //	            [-data-dir dir] [-fsync always|interval|none]
 //	            [-checkpoint-every N]
 //	            [-min-group-tuples 5] [-workers 4] [-shards 1] [-queue 64]
-//	            [-cache 256] [-refresh-every 1] [-timeout 30s] [-seed 1]
+//	            [-cache 256] [-timeout 30s] [-seed 1]
 //	            [-max-ingest-bytes N] [-max-analyze-bytes N]
 //	            [-prewarm] [-matrix-budget BYTES] [-access-log] [-slow-ms 0]
 //	            [-debug-addr addr] [-shutdown-timeout 15s]
@@ -20,17 +20,17 @@
 // -item-attrs) to be populated entirely through POST /v1/actions.
 //
 // Durability: -data-dir enables the write-ahead log and snapshot
-// checkpoints. Ingest batches are acknowledged only after they are durable
-// (per -fsync), and a restart recovers the exact pre-crash state by loading
-// the latest checkpoint and replaying the WAL tail. Once a checkpoint
-// exists, the corpus flags become optional — `tagdm-serve -data-dir dir`
-// alone resumes from disk; supplying one anyway only matters on first boot.
+// checkpoints. Ingest batches are acknowledged, and their data published
+// to analyses, only after they are durable (per -fsync), and a restart
+// recovers the exact pre-crash state by loading the latest checkpoint and
+// replaying the WAL tail. Once a checkpoint exists, the corpus flags
+// become optional — `tagdm-serve -data-dir dir` alone resumes from disk;
+// supplying one anyway only matters on first boot.
 //
 // Endpoints:
 //
 //	POST /v1/analyze  {"query": "ANALYZE PROBLEM 3 WITH k=3, support=1%"}
 //	POST /v1/actions  {"actions": [{"user": 1, "item": 2, "tags": ["epic"]}]}
-//	POST /v1/refresh  force snapshot publication
 //	GET  /v1/stats    cache hit rate, queue depth, solve latencies (JSON)
 //	GET  /metrics     the same in Prometheus text format
 //	GET  /healthz     liveness (reports read-only degradation)
@@ -85,7 +85,6 @@ func main() {
 		shards       = flag.Int("shards", 1, "partial solves each analyze scatters across, all over one published snapshot (1 = no sharding)")
 		queue        = flag.Int("queue", 64, "queued analyze requests beyond the running ones, per shard")
 		cacheSize    = flag.Int("cache", 256, "analyze result cache entries (0 disables)")
-		refreshEvery = flag.Int("refresh-every", 1, "publish a snapshot every N inserts")
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request solve timeout")
 		seed         = flag.Int64("seed", 1, "LSH seed for reproducible answers")
 		maxIngest    = flag.Int64("max-ingest-bytes", 0, "largest accepted /v1/actions body (0 = default 32MiB)")
@@ -123,7 +122,6 @@ func main() {
 		Shards:            *shards,
 		QueueDepth:        *queue,
 		CacheSize:         cache,
-		RefreshEvery:      *refreshEvery,
 		SolveTimeout:      *timeout,
 		Seed:              *seed,
 		PrewarmMatrices:   *prewarm,
@@ -164,7 +162,7 @@ func main() {
 	stats := srv.DatasetStats()
 	log.Printf("serving %d users, %d items, %d actions, %d-tag vocabulary on %s (%d shard(s) x %d workers)",
 		stats.Users, stats.Items, stats.Actions, stats.VocabSize, *addr, *shards, *workers)
-	log.Printf("endpoints: POST /v1/analyze, POST /v1/actions, POST /v1/refresh, GET /v1/stats, GET /metrics")
+	log.Printf("endpoints: POST /v1/analyze, POST /v1/actions, GET /v1/stats, GET /metrics")
 
 	// Serve until SIGINT/SIGTERM, then shut down in order: stop accepting,
 	// drain in-flight requests, flush+fsync the WAL and write a final

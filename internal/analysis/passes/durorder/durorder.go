@@ -5,10 +5,10 @@
 //  1. After a batch is enqueued on the write-ahead log, no code path may
 //     acknowledge the request (writeJSON/writeError, direct
 //     ResponseWriter.Write/WriteHeader) or publish a snapshot
-//     (publishLocked, or its sharded successors captureLocked /
-//     installSnapshot / publish) until the WAL ticket's Wait has been
-//     observed. An ack that races the fsync tells the client the batch is
-//     durable while it may still be lost.
+//     (installSnapshot) until the WAL ticket's Wait has been observed. An
+//     ack that races the fsync tells the client the batch is durable while
+//     it may still be lost. Capturing a snapshot before the wait is fine;
+//     installing it is the publish.
 //  2. wal Enqueue must be called while a mutex is held: holding the
 //     server's write lock across apply+enqueue is what pins WAL record
 //     order to in-memory apply order (the Rotate/Enqueue race lesson).
@@ -84,7 +84,7 @@ func classify(pass *analysis.Pass, call *ast.CallExpr) (callKind, string) {
 		switch fn.Name() {
 		case "writeJSON", "writeError":
 			return respondCall, fn.Name()
-		case "publishLocked", "captureLocked", "installSnapshot", "publish":
+		case "installSnapshot":
 			return publishCall, key
 		}
 	case "net/http":

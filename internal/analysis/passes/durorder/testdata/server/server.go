@@ -28,22 +28,24 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	_ = args
 }
 
-func (s *srv) publishLocked() error { return nil }
+type snapshot struct{}
 
-// goodHandler follows the contract: apply+enqueue under the lock, then
-// wait, then respond and publish.
+func (s *srv) capture() *snapshot { return &snapshot{} }
+
+func (s *srv) installSnapshot(*snapshot) {}
+
+// goodHandler follows the contract: apply+enqueue+capture under the lock,
+// then wait, then publish and respond.
 func (s *srv) goodHandler(w http.ResponseWriter, payload []byte) {
 	s.mu.Lock()
 	ticket := s.log.Enqueue(payload)
+	snap := s.capture()
 	s.mu.Unlock()
 	if err := ticket.Wait(); err != nil {
 		writeError(w, http.StatusServiceUnavailable, "wal: %v", err)
 		return
 	}
-	s.mu.Lock()
-	err := s.publishLocked()
-	s.mu.Unlock()
-	_ = err
+	s.installSnapshot(snap)
 	writeJSON(w, http.StatusOK, "ok")
 }
 
@@ -60,9 +62,9 @@ func (s *srv) ackEarly(w http.ResponseWriter, payload []byte) {
 func (s *srv) publishEarly(w http.ResponseWriter, payload []byte) {
 	s.mu.Lock()
 	ticket := s.log.Enqueue(payload)
-	err := s.publishLocked() // want `publishLocked before the WAL ticket wait`
+	snap := s.capture()
 	s.mu.Unlock()
-	_ = err
+	s.installSnapshot(snap) // want `installSnapshot before the WAL ticket wait`
 	_ = ticket.Wait()
 	writeJSON(w, http.StatusOK, "ok")
 }

@@ -23,8 +23,9 @@ import (
 // Durability layer. With Config.DataDir set, the server's state machine is
 //
 //	boot      = load newest valid checkpoint + replay the WAL tail
-//	ingest    = apply batch in memory, append it to the WAL, ack after the
-//	            group commit is durable, only then publish a snapshot
+//	ingest    = apply batch in memory, append it to the WAL and capture a
+//	            snapshot, ack after the group commit is durable, only then
+//	            publish the snapshot
 //	checkpoint = capture the maintainer under the write lock, sync the WAL,
 //	            write the checkpoint file atomically, rotate and prune
 //
@@ -101,12 +102,14 @@ type degraded struct {
 	at     time.Time
 }
 
-// degrade latches read-only mode on the first disk failure. Ingest and
-// refresh return 503 from then on; analyze keeps serving the last published
-// snapshot (which by construction only ever contained durably acknowledged
-// data, because publication happens after the WAL ack). The context is the
-// operation that tripped the failure: the access-log line carries its
-// request ID, so the degradation can be traced to the request that hit it.
+// degrade latches read-only mode on the first disk failure. Ingest returns
+// 503 from then on; analyze keeps serving the last published snapshot,
+// which only ever contains durable data: each batch publishes the snapshot
+// it captured right after enqueueing its own WAL record, only once that
+// record is durable, and the WAL fails every record behind a failed one.
+// The context is the operation that tripped the failure: the access-log
+// line carries its request ID, so the degradation can be traced to the
+// request that hit it.
 func (s *Server) degrade(ctx context.Context, op string, err error) {
 	d := &degraded{reason: fmt.Sprintf("%s: %v", op, err), at: time.Now()}
 	if s.degradedP.CompareAndSwap(nil, d) {

@@ -194,8 +194,8 @@ func TestIngestCarriesMatricesAcrossEpochs(t *testing.T) {
 	if status, _ := analyze(t, ts, testQuery); status != http.StatusOK {
 		t.Fatalf("cold analyze status %d", status)
 	}
-	// One insert → one publish (RefreshEvery=1): the new epoch's engine
-	// carries the previous epoch's matrices with one dirty group set.
+	// One insert → one publish: the new epoch's engine carries the
+	// previous epoch's matrices with one dirty group set.
 	user, item := int32(0), int32(0)
 	resp, body := postJSON(t, ts, "/v1/actions", IngestRequest{Actions: []IngestAction{{
 		User: &user, Item: &item, Tags: []string{"gun"},

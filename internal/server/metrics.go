@@ -85,8 +85,6 @@ func endpointLabel(path string) string {
 		return "analyze"
 	case "/v1/actions":
 		return "actions"
-	case "/v1/refresh":
-		return "refresh"
 	case "/v1/stats":
 		return "stats"
 	case "/metrics":
@@ -99,7 +97,7 @@ func endpointLabel(path string) string {
 }
 
 //tagdm:label-set
-var endpointLabels = []string{"analyze", "actions", "refresh", "stats", "metrics", "healthz", "other"}
+var endpointLabels = []string{"analyze", "actions", "stats", "metrics", "healthz", "other"}
 
 // shardLabels bounds the per-shard label space: Config.Shards is clamped to
 // len(shardLabels) at construction, and scatter code labels series by

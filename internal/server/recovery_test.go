@@ -353,6 +353,83 @@ func TestDurableShutdownBootsWithoutReplay(t *testing.T) {
 	}
 }
 
+// TestDegradedServerServesOnlyAcknowledgedBatches holds batch A's fsync
+// while batch B applies, then fails B's fsync. A is acknowledged with its
+// own epoch, B gets 503, and the degraded server keeps answering from A's
+// snapshot: no analysis sees B, which was never acknowledged.
+func TestDegradedServerServesOnlyAcknowledgedBatches(t *testing.T) {
+	ffs := wal.NewFaultFS(wal.OSFS{})
+	cfg := durableConfig(deterministicDataset(t), t.TempDir())
+	cfg.WALFS = ffs
+	s := mustNew(t, cfg)
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	version := func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.maint.Version()
+	}
+	base := version()
+
+	u0, i0 := int32(0), int32(0)
+	raw, err := json.Marshal(IngestRequest{Actions: []IngestAction{{User: &u0, Item: &i0, Tags: []string{"gun"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	post := func() <-chan reply {
+		out := make(chan reply, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/actions", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				out <- reply{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			out <- reply{resp.StatusCode, body, err}
+		}()
+		return out
+	}
+
+	entered, release := ffs.HoldNextSync()
+	defer release(false)
+	a := post()
+	<-entered // A is applied and its fsync is in flight
+	b := post()
+	for version() != base+2 { // B is applied and enqueued behind A
+		runtime.Gosched()
+	}
+	ffs.ArmSyncFault(0) // the next fsync, B's, fails
+	release(false)
+
+	ra, rb := <-a, <-b
+	if ra.err != nil || ra.status != http.StatusOK {
+		t.Fatalf("A: status %d, error %v: %s", ra.status, ra.err, ra.body)
+	}
+	if rb.err != nil || rb.status != http.StatusServiceUnavailable {
+		t.Fatalf("B: status %d, error %v: %s; want 503", rb.status, rb.err, rb.body)
+	}
+	if got := analyzeOK(t, ts, testQuery).Epoch; got != base+1 {
+		t.Fatalf("degraded server answers at epoch %d, want A's %d (epoch %d holds B, which got 503)", got, base+1, base+2)
+	}
+	var ackA IngestResponse
+	if err := json.Unmarshal(ra.body, &ackA); err != nil {
+		t.Fatalf("decoding %s: %v", ra.body, err)
+	}
+	if ackA.Epoch != base+1 {
+		t.Fatalf("A acknowledged epoch %d, want its own version %d", ackA.Epoch, base+1)
+	}
+	if st := getStats(t, ts); !st.Durability.Degraded || st.Epoch != base+1 {
+		t.Fatalf("stats: degraded %v at epoch %d, want degraded at %d", st.Durability.Degraded, st.Epoch, base+1)
+	}
+}
+
 // TestFsyncFailureDegradesToReadOnly drives an injected fsync failure
 // through the full serving stack: the failing batch is refused with 503,
 // the server latches sticky read-only mode visible in /healthz, /v1/stats
@@ -384,9 +461,6 @@ func TestFsyncFailureDegradesToReadOnly(t *testing.T) {
 	ffs.Disarm()
 	if resp, _ := postJSON(t, ts, "/v1/actions", IngestRequest{Actions: act}); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("ingest after disarm: status %d, want sticky 503", resp.StatusCode)
-	}
-	if resp, _ := postJSON(t, ts, "/v1/refresh", struct{}{}); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("refresh while degraded: status %d, want 503", resp.StatusCode)
 	}
 	if err := s.Checkpoint(context.Background()); err == nil {
 		t.Fatal("checkpoint while degraded must refuse")
@@ -570,14 +644,14 @@ func TestBodyCaps(t *testing.T) {
 }
 
 // BenchmarkIngestDurable measures the serving-path cost of one durable
-// ingest batch against the in-memory baseline: the price of crash safety
-// is the WAL append + fsync on the ack path. The parallel variant runs two
-// writers and reports how many appends each fsync served: above 1 means
-// ingests that arrive during another's write+fsync share the next one.
+// ingest batch, snapshot publication included, against the in-memory
+// baseline: the price of crash safety is the WAL append + fsync on the ack
+// path. The parallel variant runs two writers and reports how many appends
+// each fsync served: above 1 means ingests that arrive during another's
+// write+fsync share the next one.
 func BenchmarkIngestDurable(b *testing.B) {
 	start := func(b *testing.B, durable bool, mode wal.SyncMode) *httptest.Server {
-		cfg := Config{Dataset: testDataset(b), MinGroupTuples: 2, Seed: 1,
-			RefreshEvery: 1 << 30} // isolate the ingest path from snapshot publication
+		cfg := Config{Dataset: testDataset(b), MinGroupTuples: 2, Seed: 1}
 		if durable {
 			cfg.DataDir = b.TempDir()
 			cfg.FsyncMode = mode

@@ -5,12 +5,12 @@
 //
 // Concurrency model. The write side is a single-writer
 // incremental.Maintainer guarded by a mutex; the read side is an immutable
-// engine snapshot published through an atomic pointer. Ingest batches
-// mutate the maintainer and, per the refresh policy, publish a fresh
-// copy-on-write snapshot (see incremental.Maintainer.Snapshot); analyses
-// always solve against whatever snapshot is current, so readers observe a
-// consistent engine and never block behind a refresh — at the price of
-// bounded staleness (at most Config.RefreshEvery unpublished inserts).
+// engine snapshot published through an atomic pointer. Each ingest batch
+// mutates the maintainer and captures a copy-on-write snapshot of exactly
+// what it applied (see incremental.Maintainer.Snapshot), and publishes it
+// once the batch is acknowledged; analyses always solve against whatever
+// snapshot is current, so readers observe a consistent engine and never
+// block behind a publish.
 //
 // Each published snapshot carries an epoch (the maintainer's insert
 // version). Analyze results are cached in an LRU keyed by
@@ -87,11 +87,6 @@ type Config struct {
 	// CacheSize is the analyze LRU capacity in entries (default 256;
 	// negative disables caching).
 	CacheSize int
-	// RefreshEvery publishes a fresh engine snapshot once this many inserts
-	// have accumulated (default 1: every ingest batch publishes). Larger
-	// values amortize the snapshot copy under heavy streams at the price of
-	// staleness.
-	RefreshEvery int
 	// SolveTimeout caps one analyze request end to end (default 30s).
 	SolveTimeout time.Duration
 	// Seed drives the LSH hyperplanes for reproducible answers.
@@ -101,9 +96,9 @@ type Config struct {
 	// query needing them, trading publish latency for flat analyze tails:
 	// the publishing ingest request waits for six O(n^2) builds (other
 	// ingests proceed; publication itself is never blocked on the build).
-	// Pair it with a RefreshEvery large enough to amortize the cost on
-	// write-heavy streams. Matrices cost n*(n-1)/2 float64 per binding
-	// over n groups.
+	// Every ingest batch publishes, so the builds carry the previous
+	// epoch's rows and redo only those of the groups the batch touched.
+	// Matrices cost n*(n-1)/2 float64 per binding over n groups.
 	PrewarmMatrices bool
 	// MatrixBudgetBytes caps the bytes of fully materialized pair matrices
 	// the published engine's cache may hold; the coldest matrices are
@@ -167,9 +162,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize < 0 {
 		c.CacheSize = 0
 	}
-	if c.RefreshEvery < 1 {
-		c.RefreshEvery = 1
-	}
 	if c.SolveTimeout <= 0 {
 		c.SolveTimeout = 30 * time.Second
 	}
@@ -194,7 +186,7 @@ type Server struct {
 	cfg Config
 
 	// mu serializes the write side: the maintainer, the dataset tables it
-	// reads, and snapshot publication. Held across apply+enqueue, never
+	// reads, and snapshot capture. Held across apply+enqueue+capture, never
 	// across disk I/O or the WAL ticket wait.
 	//
 	//tagdm:mutex nonblocking
@@ -205,9 +197,6 @@ type Server struct {
 	// snap is the published read view; analyze handlers only ever touch
 	// this, never the maintainer. Its Version is the published epoch.
 	snap atomic.Pointer[incremental.Snapshot]
-	// unpublished counts inserts since the last published snapshot
-	// (guarded by mu).
-	unpublished int
 
 	cache *resultCache
 	// pool runs every partial solve; a scattered analyze submits one job
@@ -263,7 +252,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	if err := s.publish(); err != nil {
+	snap, err := s.maint.Snapshot()
+	if err != nil {
 		s.pool.close()
 		if s.dur != nil {
 			//tagdm:allow-discard boot already failing; the open error is the one worth surfacing
@@ -271,12 +261,12 @@ func New(cfg Config) (*Server, error) {
 		}
 		return nil, err
 	}
+	s.installSnapshot(snap)
 	s.prewarm()
 	s.metrics.registerGauges(s)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/analyze", s.handleAnalyze)
 	s.mux.HandleFunc("/v1/actions", s.handleActions)
-	s.mux.HandleFunc("/v1/refresh", s.handleRefresh)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -476,9 +466,6 @@ type IngestAction struct {
 // IngestRequest is the body of POST /v1/actions.
 type IngestRequest struct {
 	Actions []IngestAction `json:"actions"`
-	// Refresh overrides the RefreshEvery policy for this batch: true forces
-	// snapshot publication, false suppresses it.
-	Refresh *bool `json:"refresh,omitempty"`
 }
 
 // IngestResponse is the body of a successful POST /v1/actions.
@@ -486,12 +473,9 @@ type IngestResponse struct {
 	Inserted     int `json:"inserted"`
 	UsersCreated int `json:"users_created"`
 	ItemsCreated int `json:"items_created"`
-	// Epoch is the published snapshot epoch after this batch; stale until
-	// the next publish when Published is false.
-	Epoch     int64 `json:"epoch"`
-	Published bool  `json:"published"`
-	// Pending counts inserts not yet visible to analyses.
-	Pending int `json:"pending"`
+	// Epoch is the epoch of the snapshot this batch published: it holds
+	// this batch and every batch applied before it, all durable.
+	Epoch int64 `json:"epoch"`
 }
 
 // StatsResponse is the body of GET /v1/stats.
@@ -499,14 +483,13 @@ type StatsResponse struct {
 	Epoch int64 `json:"epoch"`
 	// Shards is the serving-tier fan-out: the partial solves each analyze
 	// scatters across.
-	Shards         int     `json:"shards"`
-	PendingInserts int     `json:"pending_inserts"`
-	Actions        int     `json:"actions"`
-	Groups         int     `json:"groups"`
-	Users          int     `json:"users"`
-	Items          int     `json:"items"`
-	VocabSize      int     `json:"vocab_size"`
-	UptimeSeconds  float64 `json:"uptime_seconds"`
+	Shards        int     `json:"shards"`
+	Actions       int     `json:"actions"`
+	Groups        int     `json:"groups"`
+	Users         int     `json:"users"`
+	Items         int     `json:"items"`
+	VocabSize     int     `json:"vocab_size"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
 
 	Cache struct {
 		Size      int     `json:"size"`
@@ -773,14 +756,16 @@ func (s *Server) scopedEngine(snap *incremental.Snapshot, where map[string]strin
 // fully-applied batch, so crash replay cannot diverge from the original
 // execution.
 //
-// With durability on, the acknowledgement order is: apply in memory and
-// enqueue the WAL record under the write lock (pinning WAL order to apply
-// order), wait for the group commit to make it durable, and only then
-// publish a snapshot — analyses never observe data that subsequently fails
-// the disk. A WAL failure flips the server into sticky read-only mode: the
-// client gets 503 (its batch was not durably acknowledged) and so does
-// every later ingest, while analyses keep serving the last published
-// snapshot.
+// Under the write lock a batch applies in memory, enqueues its WAL record
+// (pinning WAL order to apply order) and captures a snapshot, so the
+// snapshot holds exactly the batches up to this one's WAL record; the
+// capture overlaps the record's write+fsync. Only once the group commit has
+// made the record durable is the snapshot installed — analyses never
+// observe data that subsequently fails the disk, since the WAL fails every
+// record behind a failed one. A WAL failure flips the server into sticky
+// read-only mode: the client gets 503 (its batch was not durably
+// acknowledged) and so does every later ingest, while analyses keep
+// serving the last published snapshot.
 //
 // Note the vocabulary-growth caveat documented on tagdm.Maintainer.Insert:
 // frequency signatures fold brand-new tags into the signature space only up
@@ -842,12 +827,7 @@ func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "applying batch: %v", err)
 		return
 	}
-	s.unpublished += resp.Inserted
 	s.sinceCkpt += resp.Inserted
-	publish := s.unpublished >= s.cfg.RefreshEvery
-	if req.Refresh != nil {
-		publish = *req.Refresh
-	}
 	var ticket *wal.Ticket
 	var payloadLen int
 	if s.dur != nil {
@@ -857,8 +837,11 @@ func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 		payloadLen = len(payload)
 		ticket = s.dur.log.Enqueue(payload)
 	}
-	s.mu.Unlock()
 	applySpan.End()
+	captureSpan := root.StartChild("capture")
+	snap, captureErr := s.maint.Snapshot()
+	s.mu.Unlock()
+	captureSpan.End()
 
 	if ticket != nil {
 		walSpan := root.StartChild("wal_append")
@@ -878,29 +861,14 @@ func (s *Server) handleActions(w http.ResponseWriter, r *http.Request) {
 		s.metrics.walAppendBytes.Add(int64(payloadLen))
 	}
 
-	if publish {
-		publishSpan := root.StartChild("publish")
-		s.mu.Lock()
-		base, err := s.captureLocked()
-		resp.Pending = s.unpublished
-		s.mu.Unlock()
-		if err == nil {
-			s.installSnapshot(base)
-		}
-		publishSpan.End()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "publishing snapshot: %v", err)
-			return
-		}
-		resp.Published = true
-		s.prewarm()
-	} else {
-		s.mu.Lock()
-		resp.Pending = s.unpublished
-		s.mu.Unlock()
+	if captureErr != nil {
+		writeError(w, http.StatusInternalServerError, "capturing snapshot: %v", captureErr)
+		return
 	}
+	s.installSnapshot(snap)
+	s.prewarm()
 
-	resp.Epoch = s.Epoch()
+	resp.Epoch = snap.Version
 	s.metrics.ingestLatency.Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusOK, resp)
 	s.maybeCheckpointAsync()
@@ -1005,30 +973,6 @@ func (s *Server) resolveEntityLocked(id *int32, attrs map[string]string, isUser 
 	}
 }
 
-// handleRefresh forces snapshot publication, for operators who suppressed
-// per-batch refresh and want a visibility barrier.
-func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	s.checkDurable(r.Context())
-	if reason, ok := s.degradedReason(); ok {
-		// Publishing while degraded could expose applied-but-unacknowledged
-		// batches to analyses.
-		w.Header().Set("Retry-After", "30")
-		writeError(w, http.StatusServiceUnavailable, "read-only mode: %s", reason)
-		return
-	}
-	if err := s.publish(); err != nil {
-		writeError(w, http.StatusInternalServerError, "publishing snapshot: %v", err)
-		return
-	}
-	s.prewarm()
-	snap := s.snap.Load()
-	writeJSON(w, http.StatusOK, map[string]any{"epoch": snap.Version, "groups": len(snap.Groups), "shards": s.cfg.Shards})
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
@@ -1036,14 +980,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.snap.Load()
 	s.mu.Lock()
-	pending := s.unpublished
 	users, items := len(s.ds.Users), len(s.ds.Items)
 	s.mu.Unlock()
 
 	var resp StatsResponse
 	resp.Epoch = snap.Version
 	resp.Shards = s.cfg.Shards
-	resp.PendingInserts = pending
 	resp.Actions = snap.Store.Len()
 	resp.Groups = len(snap.Groups)
 	resp.Users = users

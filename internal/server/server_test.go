@@ -245,8 +245,7 @@ func TestIngestInvalidatesCacheAcrossEpochs(t *testing.T) {
 		t.Fatal("second query should hit the cache")
 	}
 
-	// Ingest two more male-action tuples; the default policy publishes a
-	// snapshot per batch.
+	// Ingest two more male-action tuples; every batch publishes a snapshot.
 	user, item := int32(0), int32(0)
 	resp, body := postJSON(t, ts, "/v1/actions", IngestRequest{Actions: []IngestAction{
 		{User: &user, Item: &item, Rating: 4, Tags: []string{"gun"}},
@@ -259,7 +258,7 @@ func TestIngestInvalidatesCacheAcrossEpochs(t *testing.T) {
 	if err := json.Unmarshal(body, &ing); err != nil {
 		t.Fatal(err)
 	}
-	if ing.Inserted != 2 || !ing.Published {
+	if ing.Inserted != 2 {
 		t.Fatalf("ingest response = %+v", ing)
 	}
 	if ing.Epoch <= cold.Epoch {
@@ -279,9 +278,6 @@ func TestIngestInvalidatesCacheAcrossEpochs(t *testing.T) {
 	stats := getStats(t, ts)
 	if stats.Actions != 14 {
 		t.Fatalf("actions = %d, want 14", stats.Actions)
-	}
-	if stats.PendingInserts != 0 {
-		t.Fatalf("pending = %d, want 0", stats.PendingInserts)
 	}
 }
 
@@ -345,40 +341,6 @@ func TestIngestErrors(t *testing.T) {
 	}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing entity: status = %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestRefreshPolicyAndForcedRefresh(t *testing.T) {
-	ts := httptest.NewServer(newTestServer(t, func(c *Config) { c.RefreshEvery = 10 }))
-	defer ts.Close()
-
-	before := getStats(t, ts)
-	user, item := int32(0), int32(1)
-	resp, body := postJSON(t, ts, "/v1/actions", IngestRequest{Actions: []IngestAction{
-		{User: &user, Item: &item, Tags: []string{"slow"}},
-	}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest: %d: %s", resp.StatusCode, body)
-	}
-	var ing IngestResponse
-	if err := json.Unmarshal(body, &ing); err != nil {
-		t.Fatal(err)
-	}
-	if ing.Published || ing.Pending != 1 {
-		t.Fatalf("batch below RefreshEvery published a snapshot: %+v", ing)
-	}
-	if epoch := getStats(t, ts).Epoch; epoch != before.Epoch {
-		t.Fatalf("epoch moved without a publish: %d -> %d", before.Epoch, epoch)
-	}
-
-	// A forced refresh publishes the pending insert.
-	resp, body = postJSON(t, ts, "/v1/refresh", struct{}{})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("refresh: %d: %s", resp.StatusCode, body)
-	}
-	after := getStats(t, ts)
-	if after.Epoch <= before.Epoch || after.PendingInserts != 0 {
-		t.Fatalf("refresh did not publish: %+v", after)
 	}
 }
 
@@ -502,8 +464,8 @@ func TestConcurrentIngestAndAnalyze(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Flush pending inserts, then the totals must line up exactly.
-	postJSON(t, ts, "/v1/refresh", struct{}{})
+	// Every acknowledged batch published, so the totals must line up
+	// exactly.
 	stats := getStats(t, ts)
 	if want := 12 + writers*rounds; stats.Actions != want {
 		t.Fatalf("actions = %d, want %d", stats.Actions, want)
@@ -544,13 +506,20 @@ func TestConfigClampsNonsenseValues(t *testing.T) {
 }
 
 func TestBadBatchRejectedAtomically(t *testing.T) {
-	ts := httptest.NewServer(newTestServer(t, func(c *Config) { c.RefreshEvery = 10 }))
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s)
 	defer ts.Close()
+	version := func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.maint.Version()
+	}
+	v0, epoch0 := version(), s.Epoch()
 
-	// The second action is invalid: the whole batch must be rejected with
-	// zero side effects — no applied prefix, no pending inserts, no leaked
-	// entity creations. (Atomic batches are what make WAL replay sound:
-	// every logged record is a fully-applied batch.)
+	// The third action is invalid: the whole batch must be rejected with
+	// zero side effects — no applied prefix, no publish, no leaked entity
+	// creations. (Atomic batches are what make WAL replay sound: every
+	// logged record is a fully-applied batch.)
 	good, bad, item := int32(0), int32(99), int32(0)
 	resp, body := postJSON(t, ts, "/v1/actions", IngestRequest{Actions: []IngestAction{
 		{User: &good, Item: &item, Tags: []string{"x"}},
@@ -560,9 +529,12 @@ func TestBadBatchRejectedAtomically(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, body)
 	}
+	if v := version(); v != v0 {
+		t.Fatalf("maintainer version %d -> %d (batch must not partially apply)", v0, v)
+	}
 	stats := getStats(t, ts)
-	if stats.PendingInserts != 0 {
-		t.Fatalf("pending = %d, want 0 (batch must not partially apply)", stats.PendingInserts)
+	if stats.Epoch != epoch0 {
+		t.Fatalf("epoch %d -> %d (rejected batch published)", epoch0, stats.Epoch)
 	}
 	if stats.Ingest.Actions != 0 {
 		t.Fatalf("ingested metric = %d, want 0", stats.Ingest.Actions)

@@ -22,19 +22,6 @@ import (
 // With one shard the scatter degenerates to the single-solve path through
 // the very same code.
 
-// captureLocked takes a fresh snapshot of the maintainer and resets the
-// unpublished counter. Callers hold s.mu (or are inside New, before the
-// server is shared); installation happens outside the lock via
-// installSnapshot.
-func (s *Server) captureLocked() (*incremental.Snapshot, error) {
-	snap, err := s.maint.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	s.unpublished = 0
-	return snap, nil
-}
-
 // installSnapshot publishes snap. It runs outside s.mu; concurrent
 // publishes are ordered by epoch — the compare-and-swap loop declines to
 // install only when a strictly newer snapshot already won, so a slow
@@ -53,19 +40,6 @@ func (s *Server) installSnapshot(snap *incremental.Snapshot) {
 		}
 	}
 	s.metrics.snapshots.Inc()
-}
-
-// publish is capture + install: the snapshot copy happens under the write
-// lock, the atomic swap outside it.
-func (s *Server) publish() error {
-	s.mu.Lock()
-	snap, err := s.captureLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.installSnapshot(snap)
-	return nil
 }
 
 // solveView is what every partial of one analyze solves against: the

@@ -10,10 +10,11 @@ import (
 var ErrInjected = errors.New("wal: injected fault")
 
 // FaultFS wraps another FS and injects disk failures at configured points:
-// a short write after N cumulative payload bytes, write errors, and fsync
-// failures after N syncs. It drives the read-only-degradation and
-// torn-file-recovery tests through real files — the log under test runs
-// its production code path; only the syscalls lie.
+// a short write after N cumulative payload bytes, write errors, fsync
+// failures after N syncs, and a held fsync that succeeds or fails when
+// released. It drives the read-only-degradation and torn-file-recovery
+// tests through real files — the log under test runs its production code
+// path; only the syscalls lie.
 //
 // The zero value (wrapping some inner FS) injects nothing. Configure via
 // the exported fields before handing it to Open, or call Arm* while the
@@ -30,7 +31,7 @@ type FaultFS struct {
 	// sync faults
 	syncBudget  int64 // syncs allowed before faulting (<0: unlimited)
 	syncTripped bool
-	// syncHold, when set, blocks the next fsync (see holdNextSync).
+	// syncHold, when set, blocks the next fsync (see HoldNextSync).
 	syncHold *syncHold
 
 	writes int64
@@ -113,23 +114,39 @@ func (f *FaultFS) admitSync() error {
 	if h != nil {
 		close(h.entered)
 		<-h.release
+		if h.fail {
+			f.mu.Lock()
+			f.syncTripped = true
+			f.mu.Unlock()
+			return errInjectedSync
+		}
 	}
 	return nil
 }
 
-type syncHold struct{ entered, release chan struct{} }
+type syncHold struct {
+	entered, release chan struct{}
+	fail             bool // written before release is closed
+}
 
-// holdNextSync makes the next fsync (file or directory) through this FS
+// HoldNextSync makes the next fsync (file or directory) through this FS
 // block before it reaches the disk until release is called; entered is
-// closed once that fsync is waiting. The group-commit tests use it to keep
-// a write+fsync in flight for exactly as long as they need.
-func (f *FaultFS) holdNextSync() (entered <-chan struct{}, release func()) {
+// closed once that fsync is waiting. release(false) lets it go on to the
+// disk; release(true) fails it with the injected fsync error, leaving
+// later fsyncs alone. Only the first call to release counts. Tests use it
+// to keep a write+fsync in flight for exactly as long as they need.
+func (f *FaultFS) HoldNextSync() (entered <-chan struct{}, release func(fail bool)) {
 	h := &syncHold{entered: make(chan struct{}), release: make(chan struct{})}
 	f.mu.Lock()
 	f.syncHold = h
 	f.mu.Unlock()
 	var once sync.Once
-	return h.entered, func() { once.Do(func() { close(h.release) }) }
+	return h.entered, func(fail bool) {
+		once.Do(func() {
+			h.fail = fail
+			close(h.release)
+		})
+	}
 }
 
 var (

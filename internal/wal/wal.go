@@ -447,8 +447,9 @@ func (l *Log) takePending() []*ticket {
 }
 
 // flushPending writes and (per sync mode) fsyncs everything pending, then
-// completes the tickets. Called by the flusher goroutine, Rotate, Sync and
-// Close; wmu serializes them.
+// completes the tickets; once a failure has latched, it fails them
+// unwritten. Called by the flusher goroutine, Rotate, Sync and Close; wmu
+// serializes them.
 func (l *Log) flushPending() {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
@@ -460,9 +461,14 @@ func (l *Log) flushPendingLocked() {
 	if len(batch) == 0 {
 		return
 	}
-	err := l.writeBatchLocked(batch)
-	if err != nil {
-		l.fail(err)
+	// After a failed write or fsync the records before this batch may be
+	// lost, so writing it could acknowledge a record that replay refuses
+	// behind the gap: fail it with the latched error, unwritten.
+	err := l.failedNow()
+	if err == nil {
+		if err = l.writeBatchLocked(batch); err != nil {
+			l.fail(err)
+		}
 	}
 	for _, t := range batch {
 		t.done <- err

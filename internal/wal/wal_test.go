@@ -274,8 +274,8 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	defer l.Close()
 
 	const n = 64
-	entered, release := ffs.holdNextSync()
-	defer release()
+	entered, release := ffs.HoldNextSync()
+	defer release(false)
 	tickets := make([]*Ticket, n)
 	tickets[0] = l.Enqueue([]byte(fmt.Sprintf("conc-%04d", 0)))
 	<-entered // the flusher is inside the first record's fsync
@@ -288,7 +288,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	release()
+	release(false)
 	for i, tk := range tickets {
 		if err := tk.Wait(); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -367,6 +367,40 @@ func TestSyncFailureIsSticky(t *testing.T) {
 	}
 }
 
+// TestSyncFailureFailsRecordsQueuedBehindIt: a record enqueued while an
+// earlier batch's fsync is in flight must not be written, let alone
+// acknowledged, once that fsync fails. Otherwise the log would hold an
+// acknowledged record behind one that may be lost, and replay refuses a
+// gap.
+func TestSyncFailureFailsRecordsQueuedBehindIt(t *testing.T) {
+	ffs := NewFaultFS(OSFS{})
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{Sync: SyncAlways, FS: ffs})
+	defer l.Close()
+	appendN(t, l, 2, "ok")
+	entered, release := ffs.HoldNextSync()
+	defer release(false)
+	held := l.Enqueue([]byte("held"))
+	<-entered // seq 3's fsync is in flight
+	queued := l.Enqueue([]byte("queued"))
+	release(true)
+	if err := held.Wait(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("seq %d: Wait = %v, want the injected fsync failure", held.Seq(), err)
+	}
+	if err := queued.Wait(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("seq %d acknowledged (Wait = %v) after seq %d failed", queued.Seq(), err, held.Seq())
+	}
+	if got := l.LastSeq(); got != 2 {
+		t.Fatalf("LastSeq = %d, want 2", got)
+	}
+	l.Close()
+	l2 := mustOpen(t, dir, quickOpts())
+	defer l2.Close()
+	if got := collect(t, l2, 0); got[queued.Seq()] != "" {
+		t.Fatalf("record queued behind the failed fsync reached the disk: %v", got)
+	}
+}
+
 func TestShortWriteRecoverable(t *testing.T) {
 	ffs := NewFaultFS(OSFS{})
 	dir := t.TempDir()
@@ -401,8 +435,8 @@ func TestCloseFlushesPending(t *testing.T) {
 	l := mustOpen(t, dir, Options{Sync: SyncAlways, FS: ffs})
 	// Hold the first record's fsync so the second is still pending when
 	// Close runs.
-	entered, release := ffs.holdNextSync()
-	defer release()
+	entered, release := ffs.HoldNextSync()
+	defer release(false)
 	first := l.Enqueue([]byte("in-flight"))
 	<-entered
 	tk := l.Enqueue([]byte("pending"))
@@ -416,7 +450,7 @@ func TestCloseFlushesPending(t *testing.T) {
 	if got := l.LastSeq(); got != 0 {
 		t.Fatalf("LastSeq = %d before the held fsync was released, want 0", got)
 	}
-	release()
+	release(false)
 	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
